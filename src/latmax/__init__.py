@@ -30,7 +30,6 @@ from .solvers import (
     AlgorithmConfig,
     PassStats,
     Solution,
-    ThresholdState,
     exact_bruteforce,
     greedy_lattice,
     guarantee_bound,

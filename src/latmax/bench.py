@@ -26,6 +26,7 @@ from .solvers import (
     AlgorithmConfig,
     Solution,
     guarantee_bound,
+    resolve_epsilon,
     solve,
 )
 
@@ -219,29 +220,26 @@ def read_records(path) -> list:
         return [row_to_record(row) for row in reader]
 
 
-def _cell_config(grid: ExperimentGrid, cell: GridCell, algorithm: str) -> AlgorithmConfig:
-    eps = grid.epsilon_for(cell.n)
-    return AlgorithmConfig(epsilon=eps, seed=cell.seed, algorithm=algorithm,
-                           time_budget=grid.timeout_s)
-
-
-def _record_run(grid: ExperimentGrid, cell: GridCell, algorithm: str,
-                instance: ProblemInstance, sol: Solution) -> RunRecord:
-    # a timed-out row reports the configured timeout as its wall time
+def make_record(instance: ProblemInstance, b_pivot: int, config: AlgorithmConfig,
+                sol: Solution) -> RunRecord:
+    """The CSV row for one solver run of config on instance."""
+    # a timed-out run can only have had a budget; its row reports that budget
     return RunRecord(
-        algorithm=algorithm, n=cell.n, r=cell.r, b_pivot=cell.b_pivot,
-        seed=cell.seed, instance_hash=instance_hash(instance),
+        algorithm=config.algorithm, n=instance.n, r=instance.r, b_pivot=b_pivot,
+        seed=config.seed, instance_hash=instance_hash(instance),
         value=sol.value, queries=sol.queries,
-        wall_time_s=grid.timeout_s if sol.timed_out else sol.wall_time,
+        wall_time_s=config.time_budget if sol.timed_out else sol.wall_time,
         stalled=sol.stalled, timed_out=sol.timed_out,
-        guarantee_bound=guarantee_bound(cell.n, cell.r, grid.epsilon_for(cell.n)),
+        guarantee_bound=guarantee_bound(instance.n, instance.r,
+                                        resolve_epsilon(config, instance.n)),
     )
 
 
 def _execute_task(grid: ExperimentGrid, cell: GridCell, algorithm: str) -> RunRecord:
     instance = generate_instance(cell.n, cell.r, cell.b_pivot, cell.seed)
-    sol = solve(instance, _cell_config(grid, cell, algorithm))
-    return _record_run(grid, cell, algorithm, instance, sol)
+    config = AlgorithmConfig(epsilon=grid.epsilon_for(cell.n), seed=cell.seed,
+                             algorithm=algorithm, time_budget=grid.timeout_s)
+    return make_record(instance, cell.b_pivot, config, solve(instance, config))
 
 
 def run_matrix(grid: ExperimentGrid, algorithms: Sequence[str], master_seed: int,

@@ -92,27 +92,15 @@ def _cmd_solve(args) -> int:
         print("--repeats must be >= 1", file=sys.stderr)
         return 2
     instance = bench.generate_instance(args.n, args.r, args.b_pivot, args.seed)
-    grid = bench.ExperimentGrid(timeout_s=args.timeout if args.timeout is not None
-                                else bench.ExperimentGrid().timeout_s)
-    best = None
-    best_seed = args.seed
+    best = best_config = None
     for offset in range(args.repeats):  # independent seeds, keep the best value
-        seed = args.seed + offset
-        config = solvers.AlgorithmConfig(epsilon=args.epsilon, seed=seed,
+        config = solvers.AlgorithmConfig(epsilon=args.epsilon, seed=args.seed + offset,
                                          algorithm=args.algorithm,
                                          time_budget=args.timeout)
         sol = solvers.solve(instance, config)
         if best is None or sol.value > best.value:
-            best, best_seed = sol, seed
-    eps = args.epsilon if args.epsilon is not None else 1.0 / (4.0 * args.n)
-    record = bench.RunRecord(
-        algorithm=args.algorithm, n=args.n, r=args.r, b_pivot=args.b_pivot,
-        seed=best_seed, instance_hash=bench.instance_hash(instance),
-        value=best.value, queries=best.queries,
-        wall_time_s=grid.timeout_s if best.timed_out else best.wall_time,
-        stalled=best.stalled, timed_out=best.timed_out,
-        guarantee_bound=solvers.guarantee_bound(args.n, args.r, eps),
-    )
+            best, best_config = sol, config
+    record = bench.make_record(instance, args.b_pivot, best_config, best)
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(bench.record_to_row(record))
     print(buf.getvalue(), end="")

@@ -44,6 +44,13 @@ def as_point(values, n: Optional[int] = None) -> np.ndarray:
     return x
 
 
+def _read_only_copy(a: np.ndarray) -> np.ndarray:
+    """A private copy that later writes by the caller, or to it, cannot change."""
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
 def zeros(n: int) -> np.ndarray:
     return np.zeros(n, dtype=np.int64)
 
@@ -98,7 +105,7 @@ def _checked_weights(weights) -> np.ndarray:
         raise ValueError("weights must be a non-empty 1-D integer array")
     if int(w.min()) < 1 or int(w.max()) > 100:
         raise ValueError("built-in objective weights must lie in [1, 100]")
-    return w
+    return _read_only_copy(w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,7 +198,7 @@ class ProblemInstance:
     objective: Objective
 
     def __post_init__(self):
-        object.__setattr__(self, "b", as_point(self.b, n=self.n))
+        object.__setattr__(self, "b", _read_only_copy(as_point(self.b, n=self.n)))
         if self.n < 1:
             raise ValueError("instance needs n >= 1")
         if int(self.b.min()) < 1:
@@ -244,12 +251,6 @@ class CountingOracle:
             return self.objective(x)
         finally:
             x[e] -= k
-
-    def marginal_gain(self, x: np.ndarray, e: int, k: int, fx: Optional[float] = None) -> float:
-        """f(x + k * 1_e) - f(x); one query when fx is supplied, two otherwise."""
-        if fx is None:
-            fx = self.evaluate(x)
-        return self.evaluate_stepped(x, e, k) - fx
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         if points.shape[1] != self.objective.n:

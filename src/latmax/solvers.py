@@ -5,6 +5,13 @@ queries through a fresh :class:`~latmax.lattice.CountingOracle`, and return a
 :class:`Solution` whose ``value`` is re-checked against the raw objective
 outside the query counter.
 
+The four iterative solvers share two loops.  The threshold loop
+(:func:`_threshold_run`) binary-searches multi-copy steps against a decaying
+threshold: :func:`sgl` samples each pass's elements, :func:`soma_dr_i` sweeps
+all of them.  The unit-step loop (:func:`_unit_step_run`) adds one copy per
+round: :func:`ssg` samples copy slots, :func:`greedy_lattice` scans every
+element.
+
 Randomized solvers draw from a PCG64 generator seeded with ``config.seed``;
 sampling without replacement is a partial Fisher-Yates shuffle, so runs are
 bit-reproducible for a fixed seed.
@@ -89,25 +96,6 @@ class Solution:
 
 
 @dataclass
-class ThresholdState:
-    """Decreasing acceptance threshold: theta sweeps from d down to theta_stop."""
-
-    theta: float
-    theta_stop: float
-    d: float
-
-    @classmethod
-    def start(cls, d: float, epsilon: float, r: int) -> "ThresholdState":
-        return cls(theta=d, theta_stop=(epsilon / r) * d, d=d)
-
-    def at_floor(self) -> bool:
-        return self.theta <= self.theta_stop
-
-    def decay(self, epsilon: float) -> None:
-        self.theta = max(self.theta * (1.0 - epsilon), self.theta_stop)
-
-
-@dataclass
 class PassStats:
     """One trace row per outer pass/round, for instrumented runs."""
 
@@ -119,7 +107,8 @@ class PassStats:
     theta: Optional[float] = None
 
 
-def _resolve_epsilon(config: Optional[AlgorithmConfig], n: int) -> float:
+def resolve_epsilon(config: Optional[AlgorithmConfig], n: int) -> float:
+    """config.epsilon, or the default 1/(4n) when it is unset."""
     if config is not None and config.epsilon is not None:
         return config.epsilon
     return 1.0 / (4.0 * n)
@@ -214,6 +203,22 @@ def _out_of_time(start: float, budget: Optional[float]) -> bool:
     return budget is not None and time.perf_counter() - start >= budget
 
 
+def _prologue(instance: ProblemInstance, config: AlgorithmConfig):
+    """Start the clock and a fresh oracle for one run of either loop.
+
+    Returns (start, oracle, early) where early is the finished Solution when
+    the run is out of time before it begins or has no budget, else None.
+    """
+    start = time.perf_counter()
+    oracle = CountingOracle(instance.objective)
+    early = None
+    if _out_of_time(start, config.time_budget):
+        early = _finish(instance, zeros(instance.n), oracle, 0, start, timed_out=True)
+    elif instance.r == 0:
+        early = _finish(instance, zeros(instance.n), oracle, 0, start)
+    return start, oracle, early
+
+
 def _threshold_pass(oracle, x, fx, card, b, r, theta, elements):
     """One acceptance sweep: binary-search a step for each listed element.
 
@@ -241,6 +246,125 @@ def _threshold_pass(oracle, x, fx, card, b, r, theta, elements):
     return fx, card, committed, max_cap_seen
 
 
+def _threshold_run(instance: ProblemInstance, config: AlgorithmConfig,
+                   trace: Optional[list], sampled: bool) -> Solution:
+    """The decreasing-threshold loop behind :func:`sgl` and :func:`soma_dr_i`.
+
+    sampled=True draws each pass's elements from those below their caps and
+    stops after config.max_stalled_passes zero-commit passes at the floor;
+    sampled=False sweeps every element and stops after one pass at the floor.
+    """
+    start, oracle, early = _prologue(instance, config)
+    if early is not None:
+        return early
+    n, b, r = instance.n, instance.b, instance.r
+    if r >= cardinality(b):
+        oracle.evaluate(b)
+        return _finish(instance, b.copy(), oracle, 0, start)
+
+    eps = resolve_epsilon(config, n)
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    x = zeros(n)
+    fx = oracle.evaluate(x)
+    theta = d = max(oracle.evaluate_stepped(x, e, 1) for e in range(n))
+    theta_stop = (eps / r) * d
+    s_raw = sample_size(n, r, eps)
+    everything = np.arange(n)
+
+    card = 0
+    iterations = 0
+    idle_at_floor = 0
+    stalled = False
+    timed_out = False
+    while card < r:
+        if _out_of_time(start, config.time_budget):
+            timed_out = True
+            break
+        if sampled:
+            available = np.flatnonzero(x < b)
+            s = min(max(1, s_raw), available.size)
+            elements = _sample_without_replacement(rng, available, s)
+        else:
+            elements = everything
+        before = oracle.queries
+        fx, card, committed, cap_seen = _threshold_pass(
+            oracle, x, fx, card, b, r, theta, elements)
+        iterations += 1
+        if trace is not None:
+            trace.append(PassStats(queries=oracle.queries - before,
+                                   sample_size=elements.size, max_step_cap=cap_seen,
+                                   committed=committed, value=fx, theta=theta))
+        if card >= r:
+            break
+        if theta <= theta_stop:
+            if not sampled:
+                break  # the final sweep at the floor just completed
+            # idle passes only accrue at the floor, where theta stays
+            idle_at_floor = 0 if committed else idle_at_floor + 1
+            if idle_at_floor >= config.max_stalled_passes:
+                stalled = True
+                break
+        theta = max(theta * (1.0 - eps), theta_stop)
+    return _finish(instance, x, oracle, iterations, start,
+                   stalled=stalled, timed_out=timed_out)
+
+
+def _unit_step_run(instance: ProblemInstance, config: AlgorithmConfig,
+                   trace: Optional[list], sampled: bool) -> Solution:
+    """The one-copy-per-round greedy loop behind :func:`ssg` and :func:`greedy_lattice`.
+
+    sampled=True scores a random sample of the remaining copy slots and
+    always commits the best; sampled=False scores every element below its
+    cap and stops once the best gain is not positive.  Ties go to the
+    smallest element id.
+    """
+    start, oracle, early = _prologue(instance, config)
+    if early is not None:
+        return early
+    n, b, r = instance.n, instance.b, instance.r
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    copy_universe = cardinality(b)
+    s_raw = math.floor((copy_universe / r) * math.log(1.0 / resolve_epsilon(config, n)))
+    x = zeros(n)
+    fx = oracle.evaluate(x)
+
+    iterations = 0
+    timed_out = False
+    for _ in range(r):
+        if _out_of_time(start, config.time_budget):
+            timed_out = True
+            break
+        gaps = b - x
+        remaining = int(gaps.sum())
+        if remaining == 0:
+            break
+        if sampled:
+            s = min(max(1, s_raw), remaining)
+            slots = _sample_without_replacement(rng, np.arange(remaining), s)
+            candidates = np.searchsorted(np.cumsum(gaps), slots, side="right")
+        else:
+            candidates = np.flatnonzero(gaps)
+        before = oracle.queries
+        best_e = -1
+        best_val = -math.inf
+        for e in candidates:  # sampled slots come unsorted, hence the explicit tie rule
+            e = int(e)
+            val = oracle.evaluate_stepped(x, e, 1)
+            if val > best_val or (val == best_val and e < best_e):
+                best_val = val
+                best_e = e
+        if not sampled and best_val - fx <= 0:
+            break
+        x[best_e] += 1
+        fx = best_val
+        iterations += 1
+        if trace is not None:
+            trace.append(PassStats(queries=oracle.queries - before,
+                                   sample_size=candidates.size, max_step_cap=1,
+                                   committed=True, value=fx))
+    return _finish(instance, x, oracle, iterations, start, timed_out=timed_out)
+
+
 def sgl(instance: ProblemInstance, config: AlgorithmConfig,
         trace: Optional[list] = None) -> Solution:
     """Randomized subsampled decreasing-threshold solver.
@@ -257,58 +381,7 @@ def sgl(instance: ProblemInstance, config: AlgorithmConfig,
     stops after config.max_stalled_passes of them and returns its incumbent
     flagged ``stalled``.
     """
-    n, b, r = instance.n, instance.b, instance.r
-    eps = _resolve_epsilon(config, n)
-    budget = config.time_budget
-    start = time.perf_counter()
-    oracle = CountingOracle(instance.objective)
-    if _out_of_time(start, budget):
-        return _finish(instance, zeros(n), oracle, 0, start, timed_out=True)
-    if r == 0:
-        return _finish(instance, zeros(n), oracle, 0, start)
-    if r >= cardinality(b):
-        oracle.evaluate(b)
-        return _finish(instance, b.copy(), oracle, 0, start)
-
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    x = zeros(n)
-    fx = oracle.evaluate(x)
-    d = max(oracle.evaluate_stepped(x, e, 1) for e in range(n))
-    state = ThresholdState.start(d, eps, r)
-    s_raw = sample_size(n, r, eps)
-
-    card = 0
-    iterations = 0
-    idle_at_floor = 0
-    stalled = False
-    timed_out = False
-    while card < r:
-        if _out_of_time(start, budget):
-            timed_out = True
-            break
-        available = np.flatnonzero(x < b)
-        s = min(max(1, s_raw), available.size)
-        sample = _sample_without_replacement(rng, available, s)
-        before = oracle.queries
-        fx, card, committed, cap_seen = _threshold_pass(
-            oracle, x, fx, card, b, r, state.theta, sample)
-        iterations += 1
-        if trace is not None:
-            trace.append(PassStats(queries=oracle.queries - before, sample_size=s,
-                                   max_step_cap=cap_seen, committed=committed,
-                                   value=fx, theta=state.theta))
-        if card >= r:
-            break
-        if committed:
-            idle_at_floor = 0
-        elif state.at_floor():
-            idle_at_floor += 1
-            if idle_at_floor >= config.max_stalled_passes:
-                stalled = True
-                break
-        state.decay(eps)
-    return _finish(instance, x, oracle, iterations, start,
-                   stalled=stalled, timed_out=timed_out)
+    return _threshold_run(instance, config, trace, sampled=True)
 
 
 def soma_dr_i(instance: ProblemInstance, config: Optional[AlgorithmConfig] = None,
@@ -320,46 +393,7 @@ def soma_dr_i(instance: ProblemInstance, config: Optional[AlgorithmConfig] = Non
     a full pass at the threshold floor completes (or the budget fills).
     """
     config = config or AlgorithmConfig(algorithm=SOMA_DR_I)
-    n, b, r = instance.n, instance.b, instance.r
-    eps = _resolve_epsilon(config, n)
-    budget = config.time_budget
-    start = time.perf_counter()
-    oracle = CountingOracle(instance.objective)
-    if _out_of_time(start, budget):
-        return _finish(instance, zeros(n), oracle, 0, start, timed_out=True)
-    if r == 0:
-        return _finish(instance, zeros(n), oracle, 0, start)
-    if r >= cardinality(b):
-        oracle.evaluate(b)
-        return _finish(instance, b.copy(), oracle, 0, start)
-
-    x = zeros(n)
-    fx = oracle.evaluate(x)
-    d = max(oracle.evaluate_stepped(x, e, 1) for e in range(n))
-    state = ThresholdState.start(d, eps, r)
-    everything = np.arange(n)
-
-    card = 0
-    iterations = 0
-    timed_out = False
-    while card < r:
-        if _out_of_time(start, budget):
-            timed_out = True
-            break
-        before = oracle.queries
-        fx, card, committed, cap_seen = _threshold_pass(
-            oracle, x, fx, card, b, r, state.theta, everything)
-        iterations += 1
-        if trace is not None:
-            trace.append(PassStats(queries=oracle.queries - before, sample_size=n,
-                                   max_step_cap=cap_seen, committed=committed,
-                                   value=fx, theta=state.theta))
-        if card >= r:
-            break
-        if state.at_floor():
-            break  # the final sweep at the floor just completed
-        state.decay(eps)
-    return _finish(instance, x, oracle, iterations, start, timed_out=timed_out)
+    return _threshold_run(instance, config, trace, sampled=False)
 
 
 def ssg(instance: ProblemInstance, config: AlgorithmConfig,
@@ -373,52 +407,7 @@ def ssg(instance: ProblemInstance, config: AlgorithmConfig,
     slot position.  Every sampled slot costs one marginal-gain query, copies
     of the same element included, which is what the copy reduction pays.
     """
-    n, b, r = instance.n, instance.b, instance.r
-    eps = _resolve_epsilon(config, n)
-    budget = config.time_budget
-    start = time.perf_counter()
-    oracle = CountingOracle(instance.objective)
-    if _out_of_time(start, budget):
-        return _finish(instance, zeros(n), oracle, 0, start, timed_out=True)
-    if r == 0:
-        return _finish(instance, zeros(n), oracle, 0, start)
-
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    copy_universe = cardinality(b)
-    s_raw = math.floor((copy_universe / r) * math.log(1.0 / eps))
-    x = zeros(n)
-    fx = oracle.evaluate(x)
-
-    iterations = 0
-    timed_out = False
-    for _ in range(r):
-        if _out_of_time(start, budget):
-            timed_out = True
-            break
-        gaps = b - x
-        remaining = int(gaps.sum())
-        if remaining == 0:
-            break
-        s = min(max(1, s_raw), remaining)
-        slots = _sample_without_replacement(rng, np.arange(remaining), s)
-        slot_ends = np.cumsum(gaps)
-        candidates = np.searchsorted(slot_ends, slots, side="right")
-        before = oracle.queries
-        best_e = -1
-        best_val = -math.inf
-        for e in candidates:
-            e = int(e)
-            val = oracle.evaluate_stepped(x, e, 1)
-            if val > best_val or (val == best_val and e < best_e):
-                best_val = val
-                best_e = e
-        x[best_e] += 1
-        fx = best_val
-        iterations += 1
-        if trace is not None:
-            trace.append(PassStats(queries=oracle.queries - before, sample_size=s,
-                                   max_step_cap=1, committed=True, value=fx))
-    return _finish(instance, x, oracle, iterations, start, timed_out=timed_out)
+    return _unit_step_run(instance, config, trace, sampled=True)
 
 
 def greedy_lattice(instance: ProblemInstance, config: Optional[AlgorithmConfig] = None,
@@ -431,44 +420,7 @@ def greedy_lattice(instance: ProblemInstance, config: Optional[AlgorithmConfig] 
     gain or every cap is met.
     """
     config = config or AlgorithmConfig(algorithm=GREEDY)
-    n, b, r = instance.n, instance.b, instance.r
-    budget = config.time_budget
-    start = time.perf_counter()
-    oracle = CountingOracle(instance.objective)
-    if _out_of_time(start, budget):
-        return _finish(instance, zeros(n), oracle, 0, start, timed_out=True)
-    if r == 0:
-        return _finish(instance, zeros(n), oracle, 0, start)
-
-    x = zeros(n)
-    fx = oracle.evaluate(x)
-    iterations = 0
-    timed_out = False
-    for _ in range(r):
-        if _out_of_time(start, budget):
-            timed_out = True
-            break
-        available = np.flatnonzero(x < b)
-        if available.size == 0:
-            break
-        before = oracle.queries
-        best_e = -1
-        best_val = -math.inf
-        for e in available:  # ascending ids, strict > keeps the smallest id
-            val = oracle.evaluate_stepped(x, int(e), 1)
-            if val > best_val:
-                best_val = val
-                best_e = int(e)
-        if best_val - fx <= 0:
-            break
-        x[best_e] += 1
-        fx = best_val
-        iterations += 1
-        if trace is not None:
-            trace.append(PassStats(queries=oracle.queries - before,
-                                   sample_size=available.size, max_step_cap=1,
-                                   committed=True, value=fx))
-    return _finish(instance, x, oracle, iterations, start, timed_out=timed_out)
+    return _unit_step_run(instance, config, trace, sampled=False)
 
 
 def exact_bruteforce(instance: ProblemInstance,
@@ -513,16 +465,18 @@ def exact_bruteforce(instance: ProblemInstance,
     return _finish(instance, best_x.copy(), oracle, seen, start, timed_out=timed_out)
 
 
+_SOLVERS = {
+    SGL: sgl,
+    SOMA_DR_I: soma_dr_i,
+    SSG: ssg,
+    GREEDY: greedy_lattice,
+    EXACT: lambda instance, config: exact_bruteforce(instance, config.time_budget),
+}
+
+
 def solve(instance: ProblemInstance, config: AlgorithmConfig) -> Solution:
     """Dispatch on config.algorithm."""
-    if config.algorithm == SGL:
-        return sgl(instance, config)
-    if config.algorithm == SOMA_DR_I:
-        return soma_dr_i(instance, config)
-    if config.algorithm == SSG:
-        return ssg(instance, config)
-    if config.algorithm == GREEDY:
-        return greedy_lattice(instance, config)
-    if config.algorithm == EXACT:
-        return exact_bruteforce(instance, time_budget=config.time_budget)
-    raise ValueError(f"unknown algorithm {config.algorithm!r}")
+    run = _SOLVERS.get(config.algorithm)
+    if run is None:
+        raise ValueError(f"unknown algorithm {config.algorithm!r}")
+    return run(instance, config)

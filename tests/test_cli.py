@@ -116,6 +116,13 @@ class TestReport:
                   "--n", "999", "--r", "3", "--out", str(tmp_path)])
 
 
+def test_bench_check_passes(capsys):
+    assert main(["bench", "check"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    assert all(line.startswith("[check] ") and ": PASS" in line for line in lines)
+
+
 def test_missing_subcommand_exits():
     with pytest.raises(SystemExit):
         main([])

@@ -110,13 +110,10 @@ def test_oracle_counts_each_evaluation():
     assert oracle.evaluate(x) == 17.0
     assert oracle.queries == 1
     # marginal with cached incumbent costs one query
-    assert oracle.marginal_gain(x, 1, 2, fx=17.0) == 14.0
+    assert oracle.evaluate_stepped(x, 1, 2) - 17.0 == 14.0
     assert oracle.queries == 2
-    # without the cache it costs two
-    assert oracle.marginal_gain(x, 0, 1) == 5.0
-    assert oracle.queries == 4
     oracle.evaluate_batch(np.array([[0, 0], [1, 1], [2, 2]], dtype=np.int64))
-    assert oracle.queries == 7
+    assert oracle.queries == 5
 
 
 def test_oracle_dimension_mismatch():
@@ -145,12 +142,12 @@ def test_marginal_telescoping(w, xs, k):
     for f in (lm.weighted_linear(w), lm.weighted_concave_sqrt(w)):
         oracle = lm.CountingOracle(f)
         fx = f(x)
-        total = oracle.marginal_gain(x, e, k, fx=fx)
+        total = oracle.evaluate_stepped(x, e, k) - fx
         steps = 0.0
         y = x.copy()
         for _ in range(k):
             fy = f(y)
-            steps += oracle.marginal_gain(y, e, 1, fx=fy)
+            steps += oracle.evaluate_stepped(y, e, 1) - fy
             y[e] += 1
         assert abs(total - steps) <= 1e-9 * max(1.0, abs(total))
 
@@ -170,6 +167,22 @@ def test_instance_validation():
     inst = lm.ProblemInstance(n=2, b=[2, 3], r=4, objective=f)
     assert inst.is_feasible(lm.as_point([2, 2]))
     assert not inst.is_feasible(lm.as_point([2, 3]))  # cardinality 5 > 4
+
+
+def test_instance_and_objective_keep_their_own_arrays():
+    b = np.array([2, 3], dtype=np.int64)
+    w = np.array([5, 7], dtype=np.int64)
+    inst = lm.ProblemInstance(n=2, b=b, r=4, objective=lm.weighted_linear(w))
+    sqrt = lm.weighted_concave_sqrt(w)
+    b[:] = 9
+    w[:] = 1
+    assert list(inst.b) == [2, 3]
+    assert inst.objective(lm.as_point([1, 1])) == 12.0
+    assert sqrt(lm.as_point([4, 0])) == 10.0
+    with pytest.raises(ValueError):
+        inst.b[0] = 1
+    with pytest.raises(ValueError):
+        inst.objective.weights[0] = 1
 
 
 # ---------------------------------------------------------------------------

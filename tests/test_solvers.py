@@ -13,7 +13,6 @@ from latmax import (
     CountingOracle,
     ExhaustivenessCapError,
     ProblemInstance,
-    ThresholdState,
     as_point,
     cardinality,
     custom_objective,
@@ -190,17 +189,18 @@ class TestConfigAndThresholdState:
             AlgorithmConfig(time_budget=-1.0)
 
     def test_threshold_schedule(self):
-        state = ThresholdState.start(d=10.0, epsilon=0.5, r=4)
-        assert state.theta == 10.0
-        assert state.theta_stop == pytest.approx(1.25)
-        assert not state.at_floor()
-        seen = [state.theta]
-        for _ in range(10):
-            state.decay(0.5)
-            seen.append(state.theta)
-        assert all(a >= b for a, b in zip(seen, seen[1:]))
-        assert state.theta == state.theta_stop
-        assert state.at_floor()
+        # weight 1 never clears the floor (0.5 / 4) * 40 = 5 and element 0
+        # holds only 2 copies, so the budget never fills and both runs
+        # reach the floor
+        instance = ProblemInstance(n=2, b=as_point([2, 5]), r=4,
+                                   objective=weighted_linear([40, 1]))
+        for run in (sgl, soma_dr_i):
+            trace = []
+            run(instance, AlgorithmConfig(epsilon=0.5, seed=1), trace=trace)
+            seen = [stats.theta for stats in trace]
+            assert seen[:4] == [40.0, 20.0, 10.0, 5.0]
+            assert all(a >= b for a, b in zip(seen, seen[1:]))
+            assert seen[-1] == pytest.approx((0.5 / 4) * 40.0)
 
 
 LINEAR_123 = dict(n=3, b=as_point([2, 2, 2]), r=3,
@@ -449,6 +449,27 @@ def test_reported_queries_match_independent_tally(name):
     sol = SOLVER_RUNNERS[name](instance, 17)
     # the solution's value field is re-evaluated outside the counter
     assert calls[0] == sol.queries + 1
+
+
+@pytest.mark.parametrize("name", ["sgl", "soma-dr-i", "ssg", "greedy"])
+@pytest.mark.parametrize("r", [6, 13])
+def test_trace_accounts_for_every_query(name, r):
+    # every single-copy gain is positive, so greedy never stops on a zero gain
+    instance = ProblemInstance(n=5, b=as_point([2, 3, 1, 4, 3]), r=r,
+                               objective=weighted_concave_sqrt([7, 30, 2, 55, 91]))
+    trace = []
+    runner = {"sgl": sgl, "soma-dr-i": soma_dr_i, "ssg": ssg, "greedy": greedy_lattice}[name]
+    sol = runner(instance, AlgorithmConfig(algorithm=name, seed=4), trace=trace)
+    assert len(trace) == sol.iterations
+    threshold = name in ("sgl", "soma-dr-i")
+    if threshold and r >= cardinality(instance.b):
+        assert (len(trace), sol.queries) == (0, 1)  # the box shortcut
+    else:
+        prologue = 1 + instance.n if threshold else 1  # f(0), then the singletons
+        assert sum(stats.queries for stats in trace) + prologue == sol.queries
+        assert trace
+    if not threshold:
+        assert all(stats.theta is None and stats.max_step_cap == 1 for stats in trace)
 
 
 def test_modular_instances_solved_exactly_by_deterministic_solvers(rng):
