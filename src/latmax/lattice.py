@@ -9,6 +9,7 @@ submodularity) that the solvers in :mod:`latmax.solvers` rely on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -222,7 +223,9 @@ class CountingOracle:
 
     One oracle per solver run.  Every call that touches the objective bumps
     ``queries`` by the number of points evaluated; a marginal gain costs a
-    single query when the caller supplies the cached incumbent value.
+    single query when the caller supplies the cached incumbent value.  A NaN
+    or infinite objective value raises ``ValueError`` naming the point, since
+    no solver can rank it.
     """
 
     __slots__ = ("objective", "queries")
@@ -237,7 +240,10 @@ class CountingOracle:
                 f"point has {x.shape[0]} entries, objective expects {self.objective.n}"
             )
         self.queries += 1
-        return self.objective(x)
+        value = self.objective(x)
+        if not math.isfinite(value):
+            raise _non_finite(value, x)
+        return value
 
     def evaluate_stepped(self, x: np.ndarray, e: int, k: int) -> float:
         """f(x + k * 1_e) in one query, without copying x."""
@@ -248,7 +254,10 @@ class CountingOracle:
         self.queries += 1
         x[e] += k
         try:
-            return self.objective(x)
+            value = self.objective(x)
+            if not math.isfinite(value):
+                raise _non_finite(value, x, f" (x + {k} * 1_{e} for element {e})")
+            return value
         finally:
             x[e] -= k
 
@@ -258,7 +267,16 @@ class CountingOracle:
                 f"points have {points.shape[1]} entries, objective expects {self.objective.n}"
             )
         self.queries += len(points)
-        return self.objective.batch(points)
+        values = self.objective.batch(points)
+        finite = np.isfinite(values)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise _non_finite(values[row], points[row], f" (row {row} of the batch)")
+        return values
+
+
+def _non_finite(value: float, x: np.ndarray, where: str = "") -> ValueError:
+    return ValueError(f"objective returned {value} at {x.tolist()}{where}")
 
 
 # ---------------------------------------------------------------------------

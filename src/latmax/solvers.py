@@ -12,8 +12,15 @@ all of them.  The unit-step loop (:func:`_unit_step_run`) adds one copy per
 round: :func:`ssg` samples copy slots, :func:`greedy_lattice` scans every
 element.
 
+Both loops score unit steps f(x + 1_e) in batches through
+:func:`_unit_step_values`: weighted-linear objectives are evaluated as integer
+matrix products over bounded chunks of stepped points, which are exact, and
+every other kind is evaluated one point at a time, so each value matches the
+scalar evaluation bit for bit.
+
 Randomized solvers draw from a PCG64 generator seeded with ``config.seed``;
-sampling without replacement is a partial Fisher-Yates shuffle, so runs are
+sampling without replacement is a partial Fisher-Yates shuffle over pool
+positions that tracks only the displaced positions, so runs are
 bit-reproducible for a fixed seed.
 """
 
@@ -29,6 +36,7 @@ import numpy as np
 from .lattice import (
     CountingOracle,
     ExhaustivenessCapError,
+    WEIGHTED_LINEAR,
     ProblemInstance,
     cardinality,
     zeros,
@@ -46,6 +54,8 @@ DETERMINISTIC_ALGORITHMS = frozenset({SOMA_DR_I, GREEDY, EXACT})
 # exact enumeration refuses instances with more feasible-box points than this
 BRUTE_FORCE_POINT_CAP = 10 ** 6
 _BRUTE_FORCE_CHUNK = 1 << 16
+# stepped points per weighted-linear batch are capped at this many int64 cells
+_STEP_BATCH_CELLS = 8192
 
 
 @dataclass(frozen=True)
@@ -141,16 +151,48 @@ def guarantee_bound(n: int, r: int, epsilon: float) -> float:
 
 
 def _sample_without_replacement(rng: np.random.Generator, pool: np.ndarray, k: int) -> np.ndarray:
-    """Partial Fisher-Yates over a copy of pool; returns k distinct entries."""
-    pool = np.array(pool, dtype=np.int64, copy=True)
+    """k distinct entries of pool by a partial Fisher-Yates shuffle.
+
+    Step i swaps position i with a uniform position in [i, m).  The shuffle
+    runs over positions and remembers only the ones a swap displaced, so the
+    pool is neither copied nor modified and is indexed once at the end.
+    """
+    pool = np.asarray(pool, dtype=np.int64)
     m = pool.size
     if not (0 <= k <= m):
         raise ValueError(f"cannot sample {k} items from a pool of {m}")
-    draws = rng.integers(0, m - np.arange(k)) if k else ()
-    for i in range(k):
-        j = i + int(draws[i])
-        pool[i], pool[j] = pool[j], pool[i]
-    return pool[:k]
+    if k == 0:
+        return pool[:0]
+    targets = rng.integers(0, m - np.arange(k)) + np.arange(k)
+    displaced = {}  # position -> pool position now held there
+    picks = []
+    for i, j in enumerate(targets.tolist()):
+        picks.append(displaced.get(j, j))
+        displaced[j] = displaced.get(i, i)  # position i is final from here on
+    return pool[picks]
+
+
+def _unit_step_values(oracle: CountingOracle, x: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """f(x + 1_e) for each listed e, one query per entry; x is left unchanged.
+
+    Weighted-linear values are integer matrix products over chunks of stepped
+    points, exact and bounded to _STEP_BATCH_CELLS cells per chunk.  Other
+    kinds go through evaluate_stepped one element at a time, because a batched
+    float evaluation need not round like the scalar one.
+    """
+    if oracle.objective.kind != WEIGHTED_LINEAR:
+        return np.array([oracle.evaluate_stepped(x, e, 1) for e in elements.tolist()],
+                        dtype=np.float64)
+    rows = max(1, _STEP_BATCH_CELLS // x.size)
+    buffer = np.empty((min(rows, elements.size), x.size), dtype=np.int64)
+    values = np.empty(elements.size, dtype=np.float64)
+    for lo in range(0, elements.size, rows):
+        chunk = elements[lo:lo + rows]
+        points = buffer[:chunk.size]
+        points[:] = x
+        points[np.arange(chunk.size), chunk] += 1
+        values[lo:lo + chunk.size] = oracle.evaluate_batch(points)
+    return values
 
 
 def max_feasible_step(oracle: CountingOracle, x: np.ndarray, e: int, k_max: int,
@@ -266,10 +308,10 @@ def _threshold_run(instance: ProblemInstance, config: AlgorithmConfig,
     rng = np.random.Generator(np.random.PCG64(config.seed))
     x = zeros(n)
     fx = oracle.evaluate(x)
-    theta = d = max(oracle.evaluate_stepped(x, e, 1) for e in range(n))
+    everything = np.arange(n)
+    theta = d = float(_unit_step_values(oracle, x, everything).max())
     theta_stop = (eps / r) * d
     s_raw = sample_size(n, r, eps)
-    everything = np.arange(n)
 
     card = 0
     iterations = 0
@@ -345,14 +387,10 @@ def _unit_step_run(instance: ProblemInstance, config: AlgorithmConfig,
         else:
             candidates = np.flatnonzero(gaps)
         before = oracle.queries
-        best_e = -1
-        best_val = -math.inf
-        for e in candidates:  # sampled slots come unsorted, hence the explicit tie rule
-            e = int(e)
-            val = oracle.evaluate_stepped(x, e, 1)
-            if val > best_val or (val == best_val and e < best_e):
-                best_val = val
-                best_e = e
+        vals = _unit_step_values(oracle, x, candidates)
+        best_val = float(vals.max())
+        # sampled slots come unsorted and may repeat an element: smallest id wins
+        best_e = int(candidates[vals == best_val].min())
         if not sampled and best_val - fx <= 0:
             break
         x[best_e] += 1
@@ -429,8 +467,8 @@ def exact_bruteforce(instance: ProblemInstance,
 
     Enumerates every x <= b with |x|_1 <= r in lexicographic order and keeps
     the first maximizer, so ties resolve to the lexicographically smallest
-    point.  Refuses instances whose enumeration box prod(min(b_e, r) + 1)
-    exceeds BRUTE_FORCE_POINT_CAP.
+    point.  Only budget-feasible points are built.  Refuses instances whose
+    enumeration box prod(min(b_e, r) + 1) exceeds BRUTE_FORCE_POINT_CAP.
     """
     n, b, r = instance.n, instance.b, instance.r
     start = time.perf_counter()
@@ -442,8 +480,7 @@ def exact_bruteforce(instance: ProblemInstance,
         raise ExhaustivenessCapError(
             f"enumeration box holds {total} points, cap is {BRUTE_FORCE_POINT_CAP}")
     oracle = CountingOracle(instance.objective)
-    grid = np.indices(tuple(int(c) for c in caps)).reshape(n, -1).T
-    feasible = np.ascontiguousarray(grid[grid.sum(axis=1) <= r], dtype=np.int64)
+    feasible = _budget_feasible_points(b, r)
 
     best_val = -math.inf
     best_x = None
@@ -463,6 +500,31 @@ def exact_bruteforce(instance: ProblemInstance,
     if best_x is None:  # timed out before the first chunk
         best_x = zeros(n)
     return _finish(instance, best_x.copy(), oracle, seen, start, timed_out=timed_out)
+
+
+def _budget_feasible_points(b: np.ndarray, r: int) -> np.ndarray:
+    """Every x <= b with |x|_1 <= r, one per row, in lexicographic order.
+
+    Built coordinate by coordinate: each prefix is followed by the values its
+    remaining budget allows, ascending, so prefixes stay in order.  Each level
+    keeps only its new coordinate and the index of its parent prefix; the
+    rows are assembled once at the end.
+    """
+    levels = []  # per coordinate: (value, parent prefix index) of each prefix
+    used = np.zeros(1, dtype=np.int64)  # |prefix|_1 of each prefix so far
+    for cap in b.tolist():
+        counts = np.minimum(cap, r - used) + 1
+        parent = np.repeat(np.arange(used.size), counts)
+        value = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        levels.append((value, parent))
+        used = used[parent] + value
+    points = np.empty((used.size, len(levels)), dtype=np.int64)
+    prefix = np.arange(used.size)
+    for e in range(len(levels) - 1, -1, -1):
+        value, parent = levels[e]
+        points[:, e] = value[prefix]
+        prefix = parent[prefix]
+    return points
 
 
 _SOLVERS = {

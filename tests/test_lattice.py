@@ -94,8 +94,12 @@ def test_normalization_and_monotone_steps(w, xs):
 
 
 def test_batch_matches_scalar():
+    pts = np.array([[0, 0, 0], [1, 2, 3], [4, 4, 4], [10 ** 12, 7, 10 ** 12 + 1]],
+                   dtype=np.int64)
+    # batched unit-step scoring relies on weighted-linear batches being exact
+    f = lm.weighted_linear([3, 8, 60])
+    assert f.batch(pts).tolist() == [f(p) for p in pts]
     f = lm.weighted_concave_sqrt([3, 8, 60])
-    pts = np.array([[0, 0, 0], [1, 2, 3], [4, 4, 4]], dtype=np.int64)
     np.testing.assert_allclose(f.batch(pts), [f(p) for p in pts])
 
 
@@ -127,6 +131,20 @@ def test_evaluate_stepped_leaves_point_unchanged():
     x = lm.as_point([2, 1])
     assert oracle.evaluate_stepped(x, 0, 3) == 32.0
     assert list(x) == [2, 1]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_oracle_rejects_non_finite_values(bad):
+    oracle = lm.CountingOracle(lm.custom_objective(3, lambda x: bad if x[2] else 1.0))
+    x = lm.as_point([0, 4, 0])
+    assert oracle.evaluate(x) == 1.0
+    with pytest.raises(ValueError, match=r"\[0, 4, 1\]"):
+        oracle.evaluate(lm.as_point([0, 4, 1]))
+    with pytest.raises(ValueError, match=r"at \[0, 4, 2\].*element 2"):
+        oracle.evaluate_stepped(x, 2, 2)
+    assert list(x) == [0, 4, 0]
+    with pytest.raises(ValueError, match=r"at \[5, 0, 1\].*row 1"):
+        oracle.evaluate_batch(np.array([[0, 0, 0], [5, 0, 1], [0, 0, 2]], dtype=np.int64))
 
 
 @given(

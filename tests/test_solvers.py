@@ -30,7 +30,7 @@ from latmax import (
     weighted_concave_sqrt,
     weighted_linear,
 )
-from latmax.solvers import _sample_without_replacement
+from latmax.solvers import _sample_without_replacement, _unit_step_values
 
 from conftest import random_tiny_instance
 
@@ -351,6 +351,30 @@ class TestSsg:
                 x[best_e] += 1
             assert list(got.x) == list(x)
 
+    def test_ties_go_to_smallest_sampled_element(self):
+        # equal weights and caps: every sampled slot ties, so each round must
+        # commit the smallest sampled element id, also when a sampled element
+        # owns several of the sampled slots
+        n, cap, r, eps = 4, 3, 9, 0.1
+        instance = ProblemInstance(n=n, b=as_point([cap] * n), r=r,
+                                   objective=weighted_linear([5] * n))
+        repeated = above_zero = 0
+        for seed in range(20):
+            got = ssg(instance, AlgorithmConfig(seed=seed, epsilon=eps))
+            rng = np.random.Generator(np.random.PCG64(seed))
+            x = np.zeros(n, dtype=np.int64)
+            s_raw = math.floor((n * cap / r) * math.log(1.0 / eps))
+            for _ in range(r):
+                gaps = instance.b - x
+                s = min(s_raw, int(gaps.sum()))
+                slots = _sample_without_replacement(rng, np.arange(int(gaps.sum())), s)
+                picked = np.searchsorted(np.cumsum(gaps), slots, side="right")
+                repeated += len(set(picked.tolist())) < s
+                above_zero += int(picked.min()) > 0
+                x[int(picked.min())] += 1
+            assert got.x.tolist() == x.tolist()
+        assert repeated and above_zero
+
     def test_equal_seeds_reproduce_exactly(self):
         instance = ProblemInstance(n=5, b=as_point([2, 3, 1, 4, 2]), r=6,
                                    objective=weighted_linear([7, 19, 40, 66, 93]))
@@ -376,6 +400,11 @@ class TestGreedyLattice:
         sol = greedy_lattice(instance)
         assert list(sol.x) == [3, 0]
         assert sol.value == 9.0
+
+    def test_ties_go_to_smallest_element(self):
+        instance = ProblemInstance(n=4, b=as_point([2, 2, 2, 2]), r=5,
+                                   objective=weighted_linear([5, 5, 5, 5]))
+        assert greedy_lattice(instance).x.tolist() == [2, 2, 1, 0]
 
     def test_stops_once_gains_vanish(self):
         obj = custom_objective(1, lambda x: float(min(int(x[0]), 2)))
@@ -411,6 +440,28 @@ class TestExactBruteforce:
                                    objective=weighted_linear([1] * 7))
         with pytest.raises(ExhaustivenessCapError):
             exact_bruteforce(instance)
+
+    def test_matches_whole_box_enumeration(self, rng):
+        # reference: build the whole min(b, r) box, keep |x|_1 <= r, in order
+        def whole_box(instance):
+            caps = tuple(int(c) for c in np.minimum(instance.b, instance.r) + 1)
+            grid = np.indices(caps).reshape(instance.n, -1).T
+            feasible = grid[grid.sum(axis=1) <= instance.r]
+            vals = instance.objective.batch(feasible)
+            i = int(np.argmax(vals))
+            return feasible[i].tolist(), float(instance.objective(feasible[i])), len(feasible)
+
+        for _ in range(200):
+            instance = random_tiny_instance(
+                rng, max_n=6, max_b=4, max_r=9,
+                kinds=("weighted-linear", "weighted-concave-sqrt"))
+            if rng.random() < 0.3:  # many ties
+                instance = ProblemInstance(n=instance.n, b=instance.b, r=instance.r,
+                                           objective=weighted_linear([5] * instance.n))
+            sol = exact_bruteforce(instance)
+            x, value, count = whole_box(instance)
+            assert (sol.x.tolist(), sol.value, sol.iterations, sol.queries) == \
+                (x, value, count, count)
 
 
 SOLVER_RUNNERS = {
@@ -451,6 +502,60 @@ def test_reported_queries_match_independent_tally(name):
     assert calls[0] == sol.queries + 1
 
 
+ITERATIVE_RUNNERS = {"sgl": sgl, "soma-dr-i": soma_dr_i, "ssg": ssg, "greedy": greedy_lattice}
+
+
+@pytest.mark.parametrize("name", sorted(ITERATIVE_RUNNERS))
+@pytest.mark.parametrize("kind", ["linear", "sqrt", "custom"])
+def test_queries_match_oracle_call_tally(name, kind, monkeypatch):
+    # every query goes through one of the three oracle entry points
+    tally = [0]
+
+    def counted(method, size):
+        def call(self, *args):
+            tally[0] += size(args)
+            return method(self, *args)
+        return call
+
+    for attr, size in (("evaluate", lambda args: 1), ("evaluate_stepped", lambda args: 1),
+                       ("evaluate_batch", lambda args: len(args[0]))):
+        monkeypatch.setattr(CountingOracle, attr, counted(getattr(CountingOracle, attr), size))
+    w = [3, 14, 15, 92, 65, 35, 89]
+    objective = {"linear": weighted_linear(w), "sqrt": weighted_concave_sqrt(w),
+                 "custom": custom_objective(7, lambda x: float(np.sqrt(x + 1) @ w))}[kind]
+    instance = ProblemInstance(n=7, b=as_point([2, 3, 1, 4, 3, 2, 5]), r=9,
+                               objective=objective)
+    sol = ITERATIVE_RUNNERS[name](instance, AlgorithmConfig(algorithm=name, seed=11))
+    assert sol.queries > instance.n
+    assert tally[0] == sol.queries
+
+
+@pytest.mark.parametrize("name", sorted(SOLVER_RUNNERS))
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_objective_is_rejected(name, bad):
+    instance = ProblemInstance(n=3, b=as_point([1, 1, 1]), r=3,
+                               objective=custom_objective(3, lambda x: bad))
+    with pytest.raises(ValueError, match="objective returned"):
+        SOLVER_RUNNERS[name](instance, 5)
+
+
+@pytest.mark.parametrize("kind", ["linear", "sqrt", "custom"])
+def test_unit_step_values_match_scalar_evaluations(kind, rng):
+    n = 3000  # several bounded chunks per call
+    w = rng.integers(1, 101, size=n)
+    objective = {"linear": weighted_linear(w), "sqrt": weighted_concave_sqrt(w),
+                 "custom": custom_objective(n, lambda x: float(np.sqrt(x) @ w))}[kind]
+    x = rng.integers(0, 5, size=n)
+    before = x.copy()
+    elements = np.concatenate([rng.integers(0, n, size=40), [0, n - 1, 7, 7]])
+    oracle = CountingOracle(objective)
+    values = _unit_step_values(oracle, x, elements)
+    assert oracle.queries == elements.size
+    assert x.tolist() == before.tolist()
+    assert values.tolist() == [objective(x + np.eye(1, n, e, dtype=np.int64)[0])
+                               for e in elements.tolist()]
+
+
 @pytest.mark.parametrize("name", ["sgl", "soma-dr-i", "ssg", "greedy"])
 @pytest.mark.parametrize("r", [6, 13])
 def test_trace_accounts_for_every_query(name, r):
@@ -458,7 +563,7 @@ def test_trace_accounts_for_every_query(name, r):
     instance = ProblemInstance(n=5, b=as_point([2, 3, 1, 4, 3]), r=r,
                                objective=weighted_concave_sqrt([7, 30, 2, 55, 91]))
     trace = []
-    runner = {"sgl": sgl, "soma-dr-i": soma_dr_i, "ssg": ssg, "greedy": greedy_lattice}[name]
+    runner = ITERATIVE_RUNNERS[name]
     sol = runner(instance, AlgorithmConfig(algorithm=name, seed=4), trace=trace)
     assert len(trace) == sol.iterations
     threshold = name in ("sgl", "soma-dr-i")
@@ -522,3 +627,23 @@ class TestSampleWithoutReplacement:
         for _ in range(200):
             seen.update(_sample_without_replacement(rng, np.arange(6), 2).tolist())
         assert seen == set(range(6))
+
+    def test_stream_matches_copying_fisher_yates(self, rng):
+        # reference: the shuffle swapping entries of a copy of the pool in place
+        def copying(gen, pool, k):
+            pool = np.array(pool, dtype=np.int64, copy=True)
+            draws = gen.integers(0, pool.size - np.arange(k)) if k else ()
+            for i in range(k):
+                j = i + int(draws[i])
+                pool[i], pool[j] = pool[j], pool[i]
+            return pool[:k]
+
+        for trial in range(2000):
+            m = int(rng.integers(1, 80)) if trial % 10 else int(rng.integers(1000, 5000))
+            k = (0, m, int(rng.integers(0, m + 1)))[trial % 3]
+            pool = np.arange(m) if trial % 4 == 0 else rng.integers(-50, 10 ** 6, size=m)
+            seed = int(rng.integers(0, 2 ** 32))
+            ours, theirs = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+            assert _sample_without_replacement(ours, pool, k).tolist() == \
+                copying(theirs, pool, k).tolist()
+            assert ours.integers(0, 2 ** 62) == theirs.integers(0, 2 ** 62)
