@@ -23,6 +23,9 @@ from .lattice import ProblemInstance, weighted_linear
 from .solvers import (
     ALGORITHMS,
     DETERMINISTIC_ALGORITHMS,
+    EXACT,
+    GREEDY,
+    SGL,
     AlgorithmConfig,
     Solution,
     guarantee_bound,
@@ -220,6 +223,21 @@ def read_records(path) -> list:
         return [row_to_record(row) for row in reader]
 
 
+def _reported_bound(algorithm: str, n: int, r: int, epsilon: float) -> float:
+    """The approximation ratio the CSV reports for one run of algorithm.
+
+    sgl: 1 - 1/e - t_bar * epsilon; soma-dr-i and ssg: 1 - 1/e - epsilon;
+    greedy: 1 - 1/e; exact: 1.
+    """
+    if algorithm == SGL:
+        return guarantee_bound(n, r, epsilon)
+    if algorithm == EXACT:
+        return 1.0
+    if algorithm == GREEDY:
+        return 1.0 - 1.0 / math.e
+    return 1.0 - 1.0 / math.e - epsilon
+
+
 def make_record(instance: ProblemInstance, b_pivot: int, config: AlgorithmConfig,
                 sol: Solution) -> RunRecord:
     """The CSV row for one solver run of config on instance."""
@@ -230,8 +248,8 @@ def make_record(instance: ProblemInstance, b_pivot: int, config: AlgorithmConfig
         value=sol.value, queries=sol.queries,
         wall_time_s=config.time_budget if sol.timed_out else sol.wall_time,
         stalled=sol.stalled, timed_out=sol.timed_out,
-        guarantee_bound=guarantee_bound(instance.n, instance.r,
-                                        resolve_epsilon(config, instance.n)),
+        guarantee_bound=_reported_bound(config.algorithm, instance.n, instance.r,
+                                       resolve_epsilon(config, instance.n)),
     )
 
 
@@ -285,19 +303,29 @@ def run_matrix(grid: ExperimentGrid, algorithms: Sequence[str], master_seed: int
 
 
 def _run_parallel(grid, tasks, workers, emit):
-    # rows are buffered and flushed in task order so reruns diff cleanly
+    # rows are buffered and flushed in task order so reruns diff cleanly.  The
+    # first failed task cancels every task not yet started; the rows finished
+    # by then are still emitted, in task order, before the error propagates.
     with ProcessPoolExecutor(max_workers=workers) as pool:
         pending = {pool.submit(_execute_task, grid, cell, name): i
                    for i, (cell, name) in enumerate(tasks)}
         done_buf = {}
         next_out = 0
-        while pending:
-            finished, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in finished:
-                done_buf[pending.pop(fut)] = fut.result()
-            while next_out in done_buf:
-                emit(done_buf.pop(next_out))
-                next_out += 1
+        try:
+            while pending:
+                finished, _ = wait(pending, return_when=FIRST_COMPLETED)
+                for fut in finished:
+                    done_buf[pending.pop(fut)] = fut.result()
+                while next_out in done_buf:
+                    emit(done_buf.pop(next_out))
+                    next_out += 1
+        except BaseException:
+            pool.shutdown(cancel_futures=True)  # waits for the running tasks
+            done_buf.update((i, fut.result()) for fut, i in pending.items()
+                            if not fut.cancelled() and fut.exception() is None)
+            for i in sorted(done_buf):
+                emit(done_buf[i])
+            raise
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,17 @@ element.
 
 Both loops score unit steps f(x + 1_e) in batches through
 :func:`_unit_step_values`: weighted-linear objectives are evaluated as integer
-matrix products over bounded chunks of stepped points, which are exact, and
-every other kind is evaluated one point at a time, so each value matches the
-scalar evaluation bit for bit.
+matrix products over chunks of at most _STEP_BATCH_CELLS stepped-point cells,
+which are exact, and every other kind is evaluated one point at a time, so
+each value matches the scalar evaluation bit for bit.
 
-Randomized solvers draw from a PCG64 generator seeded with ``config.seed``;
-sampling without replacement is a partial Fisher-Yates shuffle over pool
-positions that tracks only the displaced positions, so runs are
-bit-reproducible for a fixed seed.
+Randomized solvers draw from a PCG64 generator seeded with ``config.seed``,
+so runs are bit-reproducible for a fixed seed.
+:func:`_sample_without_replacement` returns positions, not pool entries: ssg
+samples copy-slot positions directly and sgl indexes its available elements
+with them.  Its partial Fisher-Yates shuffle settles the regular steps in
+one vectorized pass and replays only the irregular ones, so its stream
+equals that of a shuffle over a copied pool.
 """
 
 from __future__ import annotations
@@ -55,7 +58,8 @@ DETERMINISTIC_ALGORITHMS = frozenset({SOMA_DR_I, GREEDY, EXACT})
 BRUTE_FORCE_POINT_CAP = 10 ** 6
 _BRUTE_FORCE_CHUNK = 1 << 16
 # stepped points per weighted-linear batch are capped at this many int64 cells
-_STEP_BATCH_CELLS = 8192
+# (256 KB), so an ssg round at n=200 scores its ~1,600 samples in ~10 chunks
+_STEP_BATCH_CELLS = 32768
 
 
 @dataclass(frozen=True)
@@ -150,26 +154,33 @@ def guarantee_bound(n: int, r: int, epsilon: float) -> float:
     return 1.0 - 1.0 / math.e - t_bar(n, s) * epsilon
 
 
-def _sample_without_replacement(rng: np.random.Generator, pool: np.ndarray, k: int) -> np.ndarray:
-    """k distinct entries of pool by a partial Fisher-Yates shuffle.
+def _sample_without_replacement(rng: np.random.Generator, m: int, k: int) -> np.ndarray:
+    """k distinct positions in [0, m) by a partial Fisher-Yates shuffle.
 
-    Step i swaps position i with a uniform position in [i, m).  The shuffle
-    runs over positions and remembers only the ones a swap displaced, so the
-    pool is neither copied nor modified and is indexed once at the end.
+    Step i swaps position i with a uniform target in [i, m) and picks what
+    the target holds.  A regular step, whose target is at least k and drawn
+    by no other step, picks its own target: nothing has moved there, and
+    nothing reads it later.  Only the irregular steps, about k**2 / m of
+    them, replay the shuffle in step order, tracking displaced positions.
     """
-    pool = np.asarray(pool, dtype=np.int64)
-    m = pool.size
     if not (0 <= k <= m):
         raise ValueError(f"cannot sample {k} items from a pool of {m}")
-    if k == 0:
-        return pool[:0]
-    targets = rng.integers(0, m - np.arange(k)) + np.arange(k)
-    displaced = {}  # position -> pool position now held there
-    picks = []
-    for i, j in enumerate(targets.tolist()):
-        picks.append(displaced.get(j, j))
+    steps = np.arange(k)
+    picks = rng.integers(0, m - steps) + steps
+    order = picks.argsort()  # unstable is enough: only equal neighbours matter
+    ranked = picks[order]
+    irregular = ranked < k
+    repeated = ranked[1:] == ranked[:-1]
+    irregular[1:] |= repeated
+    irregular[:-1] |= repeated
+    irregular = np.sort(order[irregular])
+    displaced = {}  # position -> original position now held there
+    held = []
+    for i, j in zip(irregular.tolist(), picks[irregular].tolist()):
+        held.append(displaced.get(j, j))
         displaced[j] = displaced.get(i, i)  # position i is final from here on
-    return pool[picks]
+    picks[irregular] = held
+    return picks
 
 
 def _unit_step_values(oracle: CountingOracle, x: np.ndarray, elements: np.ndarray) -> np.ndarray:
@@ -325,7 +336,7 @@ def _threshold_run(instance: ProblemInstance, config: AlgorithmConfig,
         if sampled:
             available = np.flatnonzero(x < b)
             s = min(max(1, s_raw), available.size)
-            elements = _sample_without_replacement(rng, available, s)
+            elements = available[_sample_without_replacement(rng, available.size, s)]
         else:
             elements = everything
         before = oracle.queries
@@ -382,7 +393,7 @@ def _unit_step_run(instance: ProblemInstance, config: AlgorithmConfig,
             break
         if sampled:
             s = min(max(1, s_raw), remaining)
-            slots = _sample_without_replacement(rng, np.arange(remaining), s)
+            slots = _sample_without_replacement(rng, remaining, s)
             candidates = np.searchsorted(np.cumsum(gaps), slots, side="right")
         else:
             candidates = np.flatnonzero(gaps)

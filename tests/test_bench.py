@@ -2,27 +2,32 @@
 and end-to-end run_matrix determinism on a micro grid."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from latmax import (
     CSV_HEADER,
+    AlgorithmConfig,
+    ExhaustivenessCapError,
     ExperimentGrid,
     GridCell,
     RunRecord,
     expand_grid,
     full_scale_grid,
     generate_instance,
+    guarantee_bound,
     instance_hash,
     mix_seed,
     parse_grid_file,
     pivot_values,
     read_records,
     run_matrix,
+    solve,
     write_grid_file,
 )
-from latmax.bench import record_to_row, row_to_record
+from latmax.bench import make_record, record_to_row, row_to_record
 
 MICRO_GRID = ExperimentGrid(n_values=(6, 10), r_fractions=(0.5,), b_pivots=2,
                             repetitions=2, epsilon_rule="0.1", timeout_s=120.0)
@@ -162,6 +167,20 @@ class TestRecordRoundTrip:
             row_to_record(["sgl", "1", "2"])
 
 
+@pytest.mark.parametrize("algorithm, expected", [
+    ("sgl", guarantee_bound(6, 3, 0.1)),
+    ("soma-dr-i", 1.0 - 1.0 / math.e - 0.1),
+    ("ssg", 1.0 - 1.0 / math.e - 0.1),
+    ("greedy", 1.0 - 1.0 / math.e),
+    ("exact", 1.0),
+])
+def test_guarantee_bound_column_is_per_algorithm(algorithm, expected):
+    instance = generate_instance(6, 3, 2, seed=5)
+    config = AlgorithmConfig(epsilon=0.1, seed=5, algorithm=algorithm)
+    rec = make_record(instance, 2, config, solve(instance, config))
+    assert rec.guarantee_bound == pytest.approx(expected, rel=1e-15)
+
+
 @pytest.fixture(scope="module")
 def micro_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("bench") / "results.csv"
@@ -247,6 +266,23 @@ class TestRunMatrix:
         serial = [dataclasses.replace(r, wall_time_s=0.0) for r in read_records(out)]
         parallel = [dataclasses.replace(r, wall_time_s=0.0) for r in read_records(par)]
         assert serial == parallel
+
+    def test_parallel_failure_keeps_finished_rows(self, tmp_path):
+        # exact refuses every n=30 box, so each exact task fails and each ssg
+        # task succeeds; the serial run stops after its first row
+        grid = dataclasses.replace(MICRO_GRID, n_values=(30,), r_fractions=(1.0,),
+                                   repetitions=1)
+        rows = {}
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}.csv"
+            with pytest.raises(ExhaustivenessCapError):
+                run_matrix(grid, ("ssg", "exact"), master_seed=7, out_path=out,
+                           workers=workers)
+            rows[workers] = [dataclasses.replace(r, wall_time_s=0.0)
+                             for r in read_records(out)]
+        assert [r.algorithm for r in rows[1]] == ["ssg"]
+        assert rows[2][:1] == rows[1]
+        assert {r.algorithm for r in rows[2]} == {"ssg"}
 
 
 class TestGridFiles:

@@ -340,7 +340,7 @@ class TestSsg:
             for _ in range(r):
                 remaining = np.flatnonzero(x == 0)
                 s = min(max(1, s_raw), remaining.size)
-                slots = _sample_without_replacement(rng, np.arange(remaining.size), s)
+                slots = _sample_without_replacement(rng, remaining.size, s)
                 best_e, best_val = -1, -math.inf
                 for e in remaining[slots]:
                     y = x.copy()
@@ -367,7 +367,7 @@ class TestSsg:
             for _ in range(r):
                 gaps = instance.b - x
                 s = min(s_raw, int(gaps.sum()))
-                slots = _sample_without_replacement(rng, np.arange(int(gaps.sum())), s)
+                slots = _sample_without_replacement(rng, int(gaps.sum()), s)
                 picked = np.searchsorted(np.cumsum(gaps), slots, side="right")
                 repeated += len(set(picked.tolist())) < s
                 above_zero += int(picked.min()) > 0
@@ -604,46 +604,52 @@ def test_solution_values_are_fresh_evaluations(rng):
 
 class TestSampleWithoutReplacement:
     @given(st.integers(0, 40), st.randoms(use_true_random=False))
-    def test_distinct_subset(self, pool_size, pyrandom):
+    def test_distinct_subset(self, m, pyrandom):
         rng = np.random.Generator(np.random.PCG64(pyrandom.getrandbits(32)))
-        pool = np.arange(100, 100 + pool_size)
-        k = pyrandom.randint(0, pool_size)
-        out = _sample_without_replacement(rng, pool, k)
+        k = pyrandom.randint(0, m)
+        out = _sample_without_replacement(rng, m, k)
         assert len(out) == k
         assert len(set(out.tolist())) == k
-        assert set(out.tolist()) <= set(pool.tolist())
+        assert set(out.tolist()) <= set(range(m))
 
     def test_rejects_oversized_draw(self, rng):
         with pytest.raises(ValueError):
-            _sample_without_replacement(rng, np.arange(3), 4)
-
-    def test_leaves_pool_untouched(self, rng):
-        pool = np.arange(10)
-        _sample_without_replacement(rng, pool, 5)
-        assert list(pool) == list(range(10))
+            _sample_without_replacement(rng, 3, 4)
 
     def test_covers_the_pool_over_many_draws(self, rng):
         seen = set()
         for _ in range(200):
-            seen.update(_sample_without_replacement(rng, np.arange(6), 2).tolist())
+            seen.update(_sample_without_replacement(rng, 6, 2).tolist())
         assert seen == set(range(6))
 
     def test_stream_matches_copying_fisher_yates(self, rng):
         # reference: the shuffle swapping entries of a copy of the pool in place
-        def copying(gen, pool, k):
-            pool = np.array(pool, dtype=np.int64, copy=True)
-            draws = gen.integers(0, pool.size - np.arange(k)) if k else ()
+        def copying(gen, m, k):
+            pool = np.arange(m)
+            draws = gen.integers(0, m - np.arange(k)) if k else ()
             for i in range(k):
                 j = i + int(draws[i])
                 pool[i], pool[j] = pool[j], pool[i]
             return pool[:k]
 
         for trial in range(2000):
-            m = int(rng.integers(1, 80)) if trial % 10 else int(rng.integers(1000, 5000))
-            k = (0, m, int(rng.integers(0, m + 1)))[trial % 3]
-            pool = np.arange(m) if trial % 4 == 0 else rng.integers(-50, 10 ** 6, size=m)
+            kind = trial % 8
+            if kind == 0:  # ssg scale: few irregular steps among many regular ones
+                m, k = int(rng.integers(50_000, 120_000)), int(rng.integers(1000, 2001))
+            elif kind == 1:  # tiny pools: most targets below k or shared
+                m = int(rng.integers(1, 4))
+                k = int(rng.integers(0, m + 1))
+            elif kind == 2:  # k = m: every step is irregular
+                m = k = int(rng.integers(1, 80))
+            elif kind == 3:  # one step, irregular only when it draws 0
+                m, k = int(rng.integers(1, 80)), 1
+            else:
+                m = int(rng.integers(1, 80)) if trial % 10 else int(rng.integers(1000, 5000))
+                k = (0, m, int(rng.integers(0, m + 1)))[trial % 3]
             seed = int(rng.integers(0, 2 ** 32))
             ours, theirs = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
-            assert _sample_without_replacement(ours, pool, k).tolist() == \
-                copying(theirs, pool, k).tolist()
-            assert ours.integers(0, 2 ** 62) == theirs.integers(0, 2 ** 62)
+            assert _sample_without_replacement(ours, m, k).tolist() == \
+                copying(theirs, m, k).tolist()
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+
