@@ -14,11 +14,7 @@ from .lattice import (
     check_monotone,
     coordinate_product,
     custom_objective,
-    join,
     leq,
-    linf,
-    meet,
-    support,
     unit,
     weighted_concave_sqrt,
     weighted_linear,
@@ -61,8 +57,6 @@ from .report import (
     AggregateRow,
     aggregate,
     aggregate_by_n,
-    parse_pivot,
-    parse_rows,
     render_pivot,
     render_rows,
     render_series,

@@ -14,7 +14,7 @@ import logging
 import math
 import struct
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,9 +23,6 @@ from .lattice import ProblemInstance, weighted_linear
 from .solvers import (
     ALGORITHMS,
     DETERMINISTIC_ALGORITHMS,
-    EXACT,
-    GREEDY,
-    SGL,
     AlgorithmConfig,
     Solution,
     guarantee_bound,
@@ -51,7 +48,9 @@ class ExperimentGrid:
     takes b_pivots equidistant integers spanning
     [max(1, r // b_low_divisor), r // b_high_divisor] (duplicates dropped).
     epsilon_rule is either the literal string "1/(4n)" or a fixed float
-    rendered as text.  timeout_s caps each solver run's wall clock.
+    rendered as text.  timeout_s caps each solver run's wall clock.  A value
+    out of range (n < 1, an r fraction not positive and finite, a NaN
+    timeout) raises ValueError here rather than in the first run.
     """
 
     n_values: tuple = (25, 50, 100, 200)
@@ -66,18 +65,21 @@ class ExperimentGrid:
     def __post_init__(self):
         if not self.n_values or not self.r_fractions:
             raise ValueError("grid needs at least one n and one r fraction")
+        if not all(n >= 1 for n in self.n_values):
+            raise ValueError(f"every n must be >= 1: {self.n_values}")
+        if not all(0 < f < math.inf for f in self.r_fractions):
+            raise ValueError(f"r fractions must be positive and finite: {self.r_fractions}")
         if self.b_pivots < 1 or self.repetitions < 1:
             raise ValueError("b_pivots and repetitions must be >= 1")
-        if self.b_low_divisor < self.b_high_divisor:
-            raise ValueError("b_low_divisor must be >= b_high_divisor")
-        if self.timeout_s < 0:
-            raise ValueError("timeout_s must be >= 0")
+        if not 1 <= self.b_high_divisor <= self.b_low_divisor:
+            raise ValueError("need 1 <= b_high_divisor <= b_low_divisor")
+        if not self.timeout_s >= 0:  # also rejects NaN
+            raise ValueError(f"timeout_s must be >= 0, got {self.timeout_s}")
         self.epsilon_for(max(self.n_values))  # validate the rule early
-
 
     def epsilon_for(self, n: int) -> float:
         if self.epsilon_rule == "1/(4n)":
-            return 1.0 / (4.0 * n)
+            return resolve_epsilon(None, n)
         eps = float(self.epsilon_rule)
         if not (0.0 < eps < 1.0):
             raise ValueError("fixed epsilon must lie in (0, 1)")
@@ -223,21 +225,6 @@ def read_records(path) -> list:
         return [row_to_record(row) for row in reader]
 
 
-def _reported_bound(algorithm: str, n: int, r: int, epsilon: float) -> float:
-    """The approximation ratio the CSV reports for one run of algorithm.
-
-    sgl: 1 - 1/e - t_bar * epsilon; soma-dr-i and ssg: 1 - 1/e - epsilon;
-    greedy: 1 - 1/e; exact: 1.
-    """
-    if algorithm == SGL:
-        return guarantee_bound(n, r, epsilon)
-    if algorithm == EXACT:
-        return 1.0
-    if algorithm == GREEDY:
-        return 1.0 - 1.0 / math.e
-    return 1.0 - 1.0 / math.e - epsilon
-
-
 def make_record(instance: ProblemInstance, b_pivot: int, config: AlgorithmConfig,
                 sol: Solution) -> RunRecord:
     """The CSV row for one solver run of config on instance."""
@@ -248,8 +235,8 @@ def make_record(instance: ProblemInstance, b_pivot: int, config: AlgorithmConfig
         value=sol.value, queries=sol.queries,
         wall_time_s=config.time_budget if sol.timed_out else sol.wall_time,
         stalled=sol.stalled, timed_out=sol.timed_out,
-        guarantee_bound=_reported_bound(config.algorithm, instance.n, instance.r,
-                                       resolve_epsilon(config, instance.n)),
+        guarantee_bound=guarantee_bound(config.algorithm, instance.n, instance.r,
+                                        resolve_epsilon(config, instance.n)),
     )
 
 
@@ -333,19 +320,29 @@ def _run_parallel(grid, tasks, workers, emit):
 
 
 def write_grid_file(grid: ExperimentGrid, path) -> None:
+    """One `key = value` line per ExperimentGrid field; tuples comma-joined."""
     with open(path, "w") as fh:
         fh.write("# benchmark grid\n")
-        fh.write(f"n_values = {','.join(str(v) for v in grid.n_values)}\n")
-        fh.write(f"r_fractions = {','.join(repr(v) for v in grid.r_fractions)}\n")
-        for key in ("b_pivots", "b_low_divisor", "b_high_divisor", "repetitions"):
-            fh.write(f"{key} = {getattr(grid, key)}\n")
-        fh.write(f"epsilon_rule = {grid.epsilon_rule}\n")
-        fh.write(f"timeout_s = {repr(grid.timeout_s)}\n")
+        for f in fields(ExperimentGrid):
+            value = getattr(grid, f.name)
+            text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            fh.write(f"{f.name} = {text}\n")
+
+
+def _parse_value(default, text: str):
+    """text as the type of default; a tuple's items are comma-separated."""
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(v) for v in text.split(","))
+    return type(default)(text)
 
 
 def parse_grid_file(path) -> ExperimentGrid:
-    """Parse a flat key=value grid file; unknown keys are an error."""
-    known = {f.name for f in fields(ExperimentGrid)}
+    """Parse a flat key=value grid file; unknown keys and bad values are errors.
+
+    Keys and value types come from the ExperimentGrid fields and their
+    defaults; missing keys keep the default.
+    """
+    defaults = {f.name: f.default for f in fields(ExperimentGrid)}
     updates = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -356,20 +353,10 @@ def parse_grid_file(path) -> ExperimentGrid:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in known:
+            if key not in defaults:
                 raise ValueError(f"{path}:{lineno}: unknown grid key {key!r}")
-            updates[key] = value
-    grid = ExperimentGrid()
-    parsed = {}
-    for key, value in updates.items():
-        if key == "n_values":
-            parsed[key] = tuple(int(v) for v in value.split(","))
-        elif key == "r_fractions":
-            parsed[key] = tuple(float(v) for v in value.split(","))
-        elif key in ("b_pivots", "b_low_divisor", "b_high_divisor", "repetitions"):
-            parsed[key] = int(value)
-        elif key == "timeout_s":
-            parsed[key] = float(value)
-        else:
-            parsed[key] = value
-    return replace(grid, **parsed)
+            try:
+                updates[key] = _parse_value(defaults[key], value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+    return ExperimentGrid(**updates)

@@ -40,8 +40,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--full-scale",
                        action="store_true",
                        help="use the full-scale grid defaults (n up to 750)")
+    p_run.set_defaults(func=_cmd_bench_run)
 
-    bench_sub.add_parser("check", help="run the small-instance oracle suites")
+    p_check = bench_sub.add_parser("check", help="run the small-instance oracle suites")
+    p_check.set_defaults(func=_cmd_bench_check)
 
     p_solve = sub.add_parser("solve", help="one-off run on a generated instance")
     p_solve.add_argument("--n", type=int, required=True)
@@ -53,6 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--timeout", type=float, default=None)
     p_solve.add_argument("--repeats", type=int, default=1,
                          help="independent runs (seed, seed+1, ...); best row printed")
+    p_solve.set_defaults(func=_cmd_solve)
 
     p_report = sub.add_parser("report", help="aggregate results")
     report_sub = p_report.add_subparsers(dest="report_command", required=True)
@@ -60,12 +63,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tables = report_sub.add_parser("tables", help="per-(algorithm, n) means")
     p_tables.add_argument("--in", dest="csv_in", type=Path, required=True)
     p_tables.add_argument("--metric", choices=report.METRICS, required=True)
+    p_tables.set_defaults(func=_cmd_report_tables)
 
     p_series = report_sub.add_parser("series", help="queries vs b_pivot plot data")
     p_series.add_argument("--in", dest="csv_in", type=Path, required=True)
     p_series.add_argument("--n", type=int, required=True)
     p_series.add_argument("--r", type=int, required=True)
     p_series.add_argument("--out", type=Path, required=True, help="output directory")
+    p_series.set_defaults(func=_cmd_report_series)
 
     return parser
 
@@ -133,7 +138,7 @@ def _check_line(name: str, ok: bool, detail: str = "") -> bool:
     return ok
 
 
-def _cmd_bench_check() -> int:
+def _cmd_bench_check(_args) -> int:
     """Small-instance oracle suites; exits nonzero on any failure."""
     ok = True
     rng = np.random.Generator(np.random.PCG64(7))
@@ -205,17 +210,7 @@ def _cmd_bench_check() -> int:
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
-    if args.command == "bench":
-        if args.bench_command == "run":
-            return _cmd_bench_run(args)
-        return _cmd_bench_check()
-    if args.command == "solve":
-        return _cmd_solve(args)
-    if args.command == "report":
-        if args.report_command == "tables":
-            return _cmd_report_tables(args)
-        return _cmd_report_series(args)
-    raise AssertionError("unreachable")
+    return args.func(args)
 
 
 if __name__ == "__main__":

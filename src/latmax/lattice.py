@@ -1,10 +1,10 @@
 """Core vocabulary for optimization on the bounded integer lattice.
 
 Points live in Z_+^n and are represented as 1-D numpy int64 arrays.  The
-module provides the componentwise lattice operations, black-box objective
-functions with a query-counting wrapper, and exhaustive checkers for the
-structural properties (monotonicity, diminishing returns, lattice
-submodularity) that the solvers in :mod:`latmax.solvers` rely on.
+module provides point helpers, black-box objective functions with a
+query-counting wrapper, and exhaustive checkers for the structural
+properties (monotonicity, diminishing returns, lattice submodularity) that
+the solvers in :mod:`latmax.solvers` rely on.
 """
 
 from __future__ import annotations
@@ -66,25 +66,6 @@ def unit(n: int, e: int) -> np.ndarray:
 def cardinality(x: np.ndarray) -> int:
     """l1 norm of a nonnegative point: the total number of copies held."""
     return int(x.sum())
-
-
-def linf(x: np.ndarray) -> int:
-    return int(x.max())
-
-
-def support(x: np.ndarray) -> np.ndarray:
-    """Indices of strictly positive entries."""
-    return np.flatnonzero(x > 0)
-
-
-def meet(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Componentwise minimum."""
-    return np.minimum(x, y)
-
-
-def join(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Componentwise maximum."""
-    return np.maximum(x, y)
 
 
 def leq(x: np.ndarray, y: np.ndarray) -> bool:
@@ -291,24 +272,21 @@ def _non_finite(value: float, x: np.ndarray, where: str = "") -> ValueError:
 # rather than subsample, when the box exceeds the point cap.
 
 
-def _require_within_cap(box: np.ndarray, cap: int) -> None:
-    points = 1
-    for v in box:
-        points *= int(v) + 1
+def _box_table(objective: Objective, box, cap: int, pad: int = 1):
+    """Validate box, refuse it above cap points, and tabulate f on it.
+
+    Returns (box, table) where table[z] = f(z) for every z <= box + pad - 1.
+    """
+    box = as_point(box, n=objective.n)
+    points = math.prod(int(v) + 1 for v in box.tolist())
     if points > cap:
         raise ExhaustivenessCapError(
             f"box holds {points} points, which exceeds the cap of {cap}; "
             "refusing to subsample an exhaustive check"
         )
-
-
-def _value_table(objective: Objective, shape: tuple) -> np.ndarray:
+    shape = tuple(int(v) + pad for v in box.tolist())
     pts = np.indices(shape).reshape(len(shape), -1).T
-    return objective.batch(np.ascontiguousarray(pts)).reshape(shape)
-
-
-def _crop(table: np.ndarray, extents) -> np.ndarray:
-    return table[tuple(slice(0, int(e)) for e in extents)]
+    return box, objective.batch(np.ascontiguousarray(pts)).reshape(shape)
 
 
 def check_monotone(objective: Objective, box, cap: int = DEFAULT_CHECKER_CAP,
@@ -318,9 +296,7 @@ def check_monotone(objective: Objective, box, cap: int = DEFAULT_CHECKER_CAP,
     Returns (True, None) or (False, (x, y)) where (x, y) is the first
     violating unit step in (axis, lexicographic) order.
     """
-    box = as_point(box, n=objective.n)
-    _require_within_cap(box, cap)
-    table = _value_table(objective, tuple(int(v) + 1 for v in box))
+    box, table = _box_table(objective, box, cap)
     n = box.size
     for e in range(n):
         if box[e] < 1:
@@ -342,13 +318,12 @@ def check_dr_submodular(objective: Objective, box, cap: int = DEFAULT_CHECKER_CA
     x <= y <= box and every coordinate e.  Returns (True, None) or
     (False, (x, y, e)) with a genuine violating triple.
     """
-    box = as_point(box, n=objective.n)
-    _require_within_cap(box, cap)
-    n = box.size
     # values on [0, box + 1] so single-copy gains exist everywhere on the box
-    table = _value_table(objective, tuple(int(v) + 2 for v in box))
+    box, table = _box_table(objective, box, cap, pad=2)
+    n = box.size
     for e in range(n):
-        gain = _crop(np.diff(table, axis=e), box + 1)  # gain of +1_e on [0, box]
+        # gain of +1_e on [0, box]
+        gain = np.diff(table, axis=e)[tuple(slice(0, v + 1) for v in box.tolist())]
         for ep in range(n):
             if box[ep] < 1:
                 continue
@@ -365,13 +340,12 @@ def check_lattice_submodular(objective: Objective, box, cap: int = DEFAULT_CHECK
                              tol: float = CHECKER_TOL):
     """Exhaustively verify f(x) + f(y) >= f(x meet y) + f(x join y) on the box.
 
-    Returns (True, None) or (False, (x, y)) where (x, y) is an incomparable
-    violating pair.
+    Meet and join are the componentwise minimum and maximum.  Returns
+    (True, None) or (False, (x, y)) where (x, y) is an incomparable violating
+    pair.
     """
-    box = as_point(box, n=objective.n)
-    _require_within_cap(box, cap)
+    box, table = _box_table(objective, box, cap)
     n = box.size
-    table = _value_table(objective, tuple(int(v) + 1 for v in box))
     for e in range(n):
         if box[e] < 1:
             continue

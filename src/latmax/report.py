@@ -1,9 +1,9 @@
 """Aggregation and rendering of benchmark CSV records.
 
 Means are taken over non-timed-out runs only; a group whose runs all timed
-out keeps its row with every mean missing (rendered as "-").  The long-form
-table produced by render_rows round-trips exactly through parse_rows; the
-pivot layout is a compact per-metric view of the same rows.
+out keeps its row with every mean missing (rendered as "-").  render_rows
+prints every AggregateRow field, floats in full repr precision; the pivot
+layout is a compact per-metric view of the same rows.
 """
 
 from __future__ import annotations
@@ -61,17 +61,11 @@ def aggregate_by_n(records) -> list:
 
 def table_by_n(records, metric: str):
     """Aggregate by (algorithm, n); returns (rows, pivot text for metric)."""
-    if metric not in METRICS:
-        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
     records = list(records)
     if not records:
         raise ValueError("no records to aggregate")
     rows = aggregate_by_n(records)
     return rows, render_pivot(rows, metric)
-
-
-def _metric_of(row: AggregateRow, metric: str) -> Optional[float]:
-    return row.mean_queries if metric == "queries" else row.mean_value
 
 
 def render_pivot(rows: Sequence[AggregateRow], metric: str) -> str:
@@ -80,7 +74,8 @@ def render_pivot(rows: Sequence[AggregateRow], metric: str) -> str:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
     n_values = sorted({row.group_key[0] for row in rows})
     algorithms = sorted({row.algorithm for row in rows})
-    cells = {(row.algorithm, row.group_key[0]): _metric_of(row, metric) for row in rows}
+    cells = {(row.algorithm, row.group_key[0]): getattr(row, "mean_" + metric)
+             for row in rows}
     header = ["algorithm"] + [f"n={n}" for n in n_values]
     lines = [header]
     for algorithm in algorithms:
@@ -90,21 +85,6 @@ def render_pivot(rows: Sequence[AggregateRow], metric: str) -> str:
             line.append("-" if mean is None else repr(mean))
         lines.append(line)
     return _align(lines)
-
-
-def parse_pivot(text: str) -> dict:
-    """Invert render_pivot: {(algorithm, n): mean or None}."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split()
-    if header[0] != "algorithm":
-        raise ValueError("not a pivot table")
-    n_values = [int(col.removeprefix("n=")) for col in header[1:]]
-    out = {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        for n, cell in zip(n_values, parts[1:]):
-            out[(parts[0], n)] = None if cell == "-" else float(cell)
-    return out
 
 
 _ROW_FIELDS = ["algorithm", "group_key", "mean_value", "mean_queries",
@@ -125,32 +105,6 @@ def render_rows(rows: Sequence[AggregateRow]) -> str:
             str(row.timeout_count),
         ])
     return _align(lines)
-
-
-def parse_rows(text: str) -> list:
-    """Invert render_rows; floats survive exactly thanks to repr rendering."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].split() != _ROW_FIELDS:
-        raise ValueError("not a long-form aggregate table")
-
-    def opt(cell):
-        return None if cell == "-" else float(cell)
-
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != len(_ROW_FIELDS):
-            raise ValueError(f"malformed aggregate row: {ln!r}")
-        rows.append(AggregateRow(
-            algorithm=parts[0],
-            group_key=tuple(int(v) for v in parts[1].split(",")),
-            mean_value=opt(parts[2]),
-            mean_queries=opt(parts[3]),
-            mean_wall_time_s=opt(parts[4]),
-            run_count=int(parts[5]),
-            timeout_count=int(parts[6]),
-        ))
-    return rows
 
 
 def _align(lines) -> str:

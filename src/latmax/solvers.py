@@ -148,10 +148,21 @@ def t_bar(n: int, s: int) -> float:
     return math.log(-math.expm1(-math.log(2.0) / n)) / math.log1p(-s / n)
 
 
-def guarantee_bound(n: int, r: int, epsilon: float) -> float:
-    """Reported ratio 1 - 1/e - t_bar * epsilon for a subsampled run."""
-    s = max(1, sample_size(n, r, epsilon))
-    return 1.0 - 1.0 / math.e - t_bar(n, s) * epsilon
+def guarantee_bound(algorithm: str, n: int, r: int, epsilon: float) -> float:
+    """The approximation ratio reported for one run of algorithm.
+
+    sgl: 1 - 1/e - t_bar * epsilon, with t_bar at the clamped sample size;
+    soma-dr-i and ssg: 1 - 1/e - epsilon; greedy: 1 - 1/e; exact: 1.
+    """
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    if algorithm == EXACT:
+        return 1.0
+    if algorithm == GREEDY:
+        return 1.0 - 1.0 / math.e
+    if algorithm == SGL:  # each pass samples only part of the ground set
+        epsilon = t_bar(n, max(1, sample_size(n, r, epsilon))) * epsilon
+    return 1.0 - 1.0 / math.e - epsilon
 
 
 def _sample_without_replacement(rng: np.random.Generator, m: int, k: int) -> np.ndarray:
@@ -207,7 +218,7 @@ def _unit_step_values(oracle: CountingOracle, x: np.ndarray, elements: np.ndarra
 
 
 def max_feasible_step(oracle: CountingOracle, x: np.ndarray, e: int, k_max: int,
-                      theta: float, fx: Optional[float] = None):
+                      theta: float, fx: float):
     """Largest k in [1, k_max] whose cumulative gain clears k * theta.
 
     Binary search over the step count, probing the acceptance predicate
@@ -215,15 +226,13 @@ def max_feasible_step(oracle: CountingOracle, x: np.ndarray, e: int, k_max: int,
     [1, k_max] whenever the objective has diminishing returns, which makes
     the search exact; for other objectives it is a heuristic.
 
-    Returns (k, f(x + k * 1_e)) for the accepted step, or None.  Costs at
-    most ceil(log2(k_max + 1)) queries when fx is supplied (one extra query
-    otherwise); the returned objective value lets the caller update its
-    incumbent and apply acceptance guards without re-querying.
+    Returns (k, f(x + k * 1_e)) for the accepted step, or None.  fx is the
+    caller's cached f(x).  Costs at most ceil(log2(k_max + 1)) queries; the
+    returned objective value lets the caller update its incumbent and apply
+    acceptance guards without re-querying.
     """
     if k_max <= 0:
         return None
-    if fx is None:
-        fx = oracle.evaluate(x)
     lo, hi = 1, k_max
     best = None
     while lo <= hi:
@@ -483,10 +492,7 @@ def exact_bruteforce(instance: ProblemInstance,
     """
     n, b, r = instance.n, instance.b, instance.r
     start = time.perf_counter()
-    caps = np.minimum(b, r) + 1
-    total = 1
-    for c in caps:
-        total *= int(c)
+    total = math.prod((np.minimum(b, r) + 1).tolist())
     if total > BRUTE_FORCE_POINT_CAP:
         raise ExhaustivenessCapError(
             f"enumeration box holds {total} points, cap is {BRUTE_FORCE_POINT_CAP}")
@@ -548,8 +554,5 @@ _SOLVERS = {
 
 
 def solve(instance: ProblemInstance, config: AlgorithmConfig) -> Solution:
-    """Dispatch on config.algorithm."""
-    run = _SOLVERS.get(config.algorithm)
-    if run is None:
-        raise ValueError(f"unknown algorithm {config.algorithm!r}")
-    return run(instance, config)
+    """Dispatch on config.algorithm, which AlgorithmConfig has validated."""
+    return _SOLVERS[config.algorithm](instance, config)

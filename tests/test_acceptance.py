@@ -31,7 +31,6 @@ from latmax import (
     generate_instance,
     greedy_lattice,
     guarantee_bound,
-    linf,
     read_records,
     run_matrix,
     series_queries_vs_b,
@@ -101,7 +100,7 @@ def test_criterion_2_probabilistic_approximation_bound():
         instance = ProblemInstance(n=n, b=rng.integers(1, 5, size=n),
                                    r=int(rng.integers(1, 9)), objective=objective)
         opt = exact_bruteforce(instance).value
-        bound = guarantee_bound(n, instance.r, 1.0 / (4.0 * n))
+        bound = guarantee_bound("sgl", n, instance.r, 1.0 / (4.0 * n))
         for seed in range(5):
             sol = sgl(instance, AlgorithmConfig(seed=seed))
             total += 1
@@ -139,7 +138,7 @@ def test_criterion_4_step_cap_and_per_pass_query_bounds():
     cap_violations = query_violations = passes = 0
     for cell in cells:
         instance = generate_instance(cell.n, cell.r, cell.b_pivot, cell.seed)
-        cap = min(linf(instance.b), instance.r)
+        cap = min(int(instance.b.max()), instance.r)
         probe_bound = math.ceil(math.log2(cap + 1))
         trace = []
         sgl(instance, AlgorithmConfig(epsilon=grid.epsilon_for(cell.n),

@@ -130,6 +130,21 @@ class TestGridValidation:
         with pytest.raises(ValueError):
             ExperimentGrid(timeout_s=-1.0)
 
+    @pytest.mark.parametrize("bad", [
+        dict(n_values=(0,)),
+        dict(n_values=(0, 25)),
+        dict(n_values=(-5, 25)),
+        dict(r_fractions=(-0.5,)),
+        dict(r_fractions=(0.5, 0.0)),
+        dict(r_fractions=(math.nan,)),
+        dict(r_fractions=(math.inf,)),
+        dict(timeout_s=math.nan),
+        dict(b_high_divisor=0),
+    ])
+    def test_rejects_out_of_range_values(self, bad):
+        with pytest.raises(ValueError):
+            ExperimentGrid(**bad)
+
     def test_epsilon_rule_parsing(self):
         assert ExperimentGrid().epsilon_for(100) == pytest.approx(1.0 / 400.0)
         assert ExperimentGrid(epsilon_rule="0.05").epsilon_for(100) == 0.05
@@ -168,7 +183,7 @@ class TestRecordRoundTrip:
 
 
 @pytest.mark.parametrize("algorithm, expected", [
-    ("sgl", guarantee_bound(6, 3, 0.1)),
+    ("sgl", guarantee_bound("sgl", 6, 3, 0.1)),
     ("soma-dr-i", 1.0 - 1.0 / math.e - 0.1),
     ("ssg", 1.0 - 1.0 / math.e - 0.1),
     ("greedy", 1.0 - 1.0 / math.e),
@@ -287,12 +302,45 @@ class TestRunMatrix:
 
 class TestGridFiles:
     def test_write_parse_round_trip(self, tmp_path):
-        grid = ExperimentGrid(n_values=(25, 75), r_fractions=(0.25, 1.5),
-                              b_pivots=4, b_low_divisor=10, b_high_divisor=3,
-                              repetitions=2, epsilon_rule="0.05", timeout_s=42.5)
+        custom = ExperimentGrid(n_values=(25, 75), r_fractions=(0.25, 1.5),
+                                b_pivots=4, b_low_divisor=10, b_high_divisor=3,
+                                repetitions=2, epsilon_rule="0.05", timeout_s=42.5)
         path = tmp_path / "grid.txt"
-        write_grid_file(grid, path)
-        assert parse_grid_file(path) == grid
+        for grid in (custom, full_scale_grid(), ExperimentGrid(epsilon_rule="0.05")):
+            write_grid_file(grid, path)
+            assert parse_grid_file(path) == grid
+
+    def test_default_grid_file_bytes(self, tmp_path):
+        path = tmp_path / "grid.txt"
+        write_grid_file(ExperimentGrid(), path)
+        assert path.read_bytes() == (
+            b"# benchmark grid\n"
+            b"n_values = 25,50,100,200\n"
+            b"r_fractions = 0.25,0.5,1.0,2.0\n"
+            b"b_pivots = 6\n"
+            b"b_low_divisor = 20\n"
+            b"b_high_divisor = 2\n"
+            b"repetitions = 5\n"
+            b"epsilon_rule = 1/(4n)\n"
+            b"timeout_s = 600.0\n")
+
+    @pytest.mark.parametrize("line", ["n_values = 0", "n_values = 0,25",
+                                      "r_fractions = -0.5", "timeout_s = nan"])
+    def test_out_of_range_value_is_an_error(self, tmp_path, line):
+        path = tmp_path / "grid.txt"
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError):
+            parse_grid_file(path)
+
+    def test_bad_value_names_line_and_key(self, tmp_path):
+        path = tmp_path / "grid.txt"
+        path.write_text("# grid\nn_values = 10,x\n")
+        with pytest.raises(ValueError,
+                           match=r"grid\.txt:2: bad value for n_values: invalid literal"):
+            parse_grid_file(path)
+        path.write_text("repetitions = 2.5\n")
+        with pytest.raises(ValueError, match=r"grid\.txt:1: bad value for repetitions"):
+            parse_grid_file(path)
 
     def test_defaults_fill_missing_keys(self, tmp_path):
         path = tmp_path / "grid.txt"

@@ -1,5 +1,6 @@
 """Aggregation and rendering tests for the benchmark reporting layer."""
 
+import dataclasses
 import random
 
 import pytest
@@ -9,8 +10,6 @@ from latmax import (
     RunRecord,
     aggregate,
     aggregate_by_n,
-    parse_pivot,
-    parse_rows,
     render_pivot,
     render_rows,
     render_series,
@@ -79,9 +78,9 @@ class TestTableByN:
     def test_returns_rows_and_pivot_text(self):
         rows, text = table_by_n([rec(), rec(algorithm="ssg", queries=900)], "queries")
         assert {row.algorithm for row in rows} == {"sgl", "ssg"}
-        parsed = parse_pivot(text)
-        assert parsed[("sgl", 25)] == 100.0
-        assert parsed[("ssg", 25)] == 900.0
+        assert text == ("algorithm  n=25\n"
+                        "sgl        100.0\n"
+                        "ssg        900.0\n")
 
     def test_metric_validation(self):
         with pytest.raises(ValueError):
@@ -96,26 +95,24 @@ class TestPivotRendering:
     def test_missing_cells_render_as_dash(self):
         records = [rec(algorithm="sgl", n=25), rec(algorithm="ssg", n=50)]
         text = render_pivot(aggregate_by_n(records), "queries")
-        parsed = parse_pivot(text)
-        assert parsed[("sgl", 50)] is None
-        assert parsed[("ssg", 25)] is None
-        assert parsed[("sgl", 25)] == 100.0
+        assert text == ("algorithm  n=25   n=50\n"
+                        "sgl        100.0  -\n"
+                        "ssg        -      100.0\n")
 
     def test_all_timeout_cell_renders_as_dash(self):
         records = [rec(timed_out=True), rec(algorithm="ssg", queries=42)]
-        parsed = parse_pivot(render_pivot(aggregate_by_n(records), "queries"))
-        assert parsed[("sgl", 25)] is None
-        assert parsed[("ssg", 25)] == 42.0
+        text = render_pivot(aggregate_by_n(records), "queries")
+        assert text == ("algorithm  n=25\n"
+                        "sgl        -\n"
+                        "ssg        42.0\n")
 
     def test_round_trip_full_precision(self):
         records = [rec(queries=q, seed=s) for s, q in enumerate([311, 421, 733])]
         rows = aggregate_by_n(records)
-        parsed = parse_pivot(render_pivot(rows, "queries"))
-        assert parsed[("sgl", 25)] == rows[0].mean_queries  # exact, not approx
-
-    def test_rejects_non_pivot_text(self):
-        with pytest.raises(ValueError):
-            parse_pivot("whatever 1 2\nrow 3 4\n")
+        text = render_pivot(rows, "queries")
+        assert text == ("algorithm  n=25\n"
+                        "sgl        488.3333333333333\n")
+        assert float(text.split()[-1]) == rows[0].mean_queries  # exact, not approx
 
 
 class TestLongFormRendering:
@@ -125,20 +122,27 @@ class TestLongFormRendering:
                    for a in ("sgl", "soma-dr-i") for n in (25, 100)
                    for s in range(1, 5)]
         rows = aggregate_by_n(records)
-        assert parse_rows(render_rows(rows)) == rows
+        lines = render_rows(rows).splitlines()
+        assert lines[0].split() == [f.name for f in dataclasses.fields(AggregateRow)]
+        assert len(lines) == len(rows) + 1
+        for row, line in zip(rows, lines[1:]):
+            cells = line.split()
+            assert cells == [row.algorithm, str(row.group_key[0]), repr(row.mean_value),
+                             repr(row.mean_queries), repr(row.mean_wall_time_s),
+                             str(row.run_count), str(row.timeout_count)]
+            # every float cell reads back as the exact mean
+            assert [float(c) for c in cells[2:5]] == [
+                row.mean_value, row.mean_queries, row.mean_wall_time_s]
 
     def test_round_trip_with_missing_means(self):
         rows = [AggregateRow(algorithm="ssg", group_key=(100, 50),
                              mean_value=None, mean_queries=None,
                              mean_wall_time_s=None, run_count=0, timeout_count=5)]
-        assert parse_rows(render_rows(rows)) == rows
-
-    def test_rejects_other_tables(self):
-        with pytest.raises(ValueError):
-            parse_rows("algorithm n=25\nsgl 100\n")
-        with pytest.raises(ValueError, match="malformed"):
-            parse_rows(render_rows([AggregateRow("sgl", (1,), 1.0, 1.0, 1.0, 1, 0)])
-                       + "sgl extra\n")
+        assert render_rows(rows) == (
+            "algorithm  group_key  mean_value  mean_queries  mean_wall_time_s  "
+            "run_count  timeout_count\n"
+            "ssg        100,50     -           -             -                 "
+            "0          5\n")
 
 
 class TestSeries:
