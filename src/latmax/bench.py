@@ -15,7 +15,7 @@ import math
 import struct
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -34,12 +34,6 @@ log = logging.getLogger(__name__)
 
 _MASK64 = (1 << 64) - 1
 
-CSV_HEADER = [
-    "algorithm", "n", "r", "b_pivot", "seed", "instance_hash",
-    "value", "queries", "wall_time_s", "stalled", "timed_out", "guarantee_bound",
-]
-
-
 @dataclass(frozen=True)
 class ExperimentGrid:
     """Benchmark grid; defaults are the desk-scale configuration.
@@ -49,8 +43,8 @@ class ExperimentGrid:
     [max(1, r // b_low_divisor), r // b_high_divisor] (duplicates dropped).
     epsilon_rule is either the literal string "1/(4n)" or a fixed float
     rendered as text.  timeout_s caps each solver run's wall clock.  A value
-    out of range (n < 1, an r fraction not positive and finite, a NaN
-    timeout) raises ValueError here rather than in the first run.
+    out of range (n not an integer >= 1, an r fraction not positive and
+    finite, a NaN timeout) raises ValueError here rather than in the first run.
     """
 
     n_values: tuple = (25, 50, 100, 200)
@@ -65,8 +59,8 @@ class ExperimentGrid:
     def __post_init__(self):
         if not self.n_values or not self.r_fractions:
             raise ValueError("grid needs at least one n and one r fraction")
-        if not all(n >= 1 for n in self.n_values):
-            raise ValueError(f"every n must be >= 1: {self.n_values}")
+        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in self.n_values):
+            raise ValueError(f"every n must be an integer >= 1: {self.n_values}")
         if not all(0 < f < math.inf for f in self.r_fractions):
             raise ValueError(f"r fractions must be positive and finite: {self.r_fractions}")
         if self.b_pivots < 1 or self.repetitions < 1:
@@ -190,30 +184,25 @@ class RunRecord:
     guarantee_bound: float
 
 
-def record_to_row(rec: RunRecord) -> list:
-    def opt(v, fmt=repr):
-        return "" if v is None else fmt(v)
+# CSV columns, one per RunRecord field: (name, cell type, whether it may be empty)
+_COLUMNS = [(name, (get_args(hint) or (hint,))[0], type(None) in get_args(hint))
+            for name, hint in get_type_hints(RunRecord).items()]
+CSV_HEADER = [name for name, _, _ in _COLUMNS]
+_PARSE = {bool: "true".__eq__, int: int, float: float, str: str}
 
-    return [
-        rec.algorithm, str(rec.n), str(rec.r), str(rec.b_pivot), str(rec.seed),
-        rec.instance_hash, opt(rec.value), opt(rec.queries, str),
-        opt(rec.wall_time_s), str(rec.stalled).lower(), str(rec.timed_out).lower(),
-        repr(rec.guarantee_bound),
-    ]
+
+def record_to_row(rec: RunRecord) -> list:
+    return ["" if (v := getattr(rec, name)) is None else str(v).lower() if kind is bool
+            else str(v) for name, kind, _ in _COLUMNS]
 
 
 def row_to_record(row: Sequence[str]) -> RunRecord:
-    if len(row) != len(CSV_HEADER):
-        raise ValueError(f"expected {len(CSV_HEADER)} columns, got {len(row)}")
-    return RunRecord(
-        algorithm=row[0], n=int(row[1]), r=int(row[2]), b_pivot=int(row[3]),
-        seed=int(row[4]), instance_hash=row[5],
-        value=float(row[6]) if row[6] else None,
-        queries=int(row[7]) if row[7] else None,
-        wall_time_s=float(row[8]) if row[8] else None,
-        stalled=row[9] == "true", timed_out=row[10] == "true",
-        guarantee_bound=float(row[11]),
-    )
+    if len(row) != len(_COLUMNS):
+        raise ValueError(f"expected {len(_COLUMNS)} columns, got {len(row)}")
+    if not all(text or optional for text, (_, _, optional) in zip(row, _COLUMNS)):
+        raise ValueError(f"empty cell in a column that is not Optional: {row}")
+    return RunRecord(*[_PARSE[kind](text) if text else None
+                       for text, (_, kind, _) in zip(row, _COLUMNS)])
 
 
 def read_records(path) -> list:
@@ -359,4 +348,7 @@ def parse_grid_file(path) -> ExperimentGrid:
                 updates[key] = _parse_value(defaults[key], value)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-    return ExperimentGrid(**updates)
+    try:
+        return ExperimentGrid(**updates)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -2,7 +2,7 @@
 
 Subcommands:
   bench run    -- execute a benchmark grid and stream results to CSV
-  bench check  -- quick self-checks of the solver stack against oracles
+  bench check  -- acceptance criteria 1, 3 and 8 plus a t_bar spot value
   solve        -- run one algorithm on one generated instance, print a CSV row
   report tables -- aggregate a results CSV by (algorithm, n)
   report series -- write queries-vs-b_pivot plot data for one (n, r) slice
@@ -12,14 +12,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import bench, lattice, report, solvers
+from . import bench, checks, report, solvers
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="use the full-scale grid defaults (n up to 750)")
     p_run.set_defaults(func=_cmd_bench_run)
 
-    p_check = bench_sub.add_parser("check", help="run the small-instance oracle suites")
+    p_check = bench_sub.add_parser("check", help="run the small-instance self-checks")
     p_check.set_defaults(func=_cmd_bench_check)
 
     p_solve = sub.add_parser("solve", help="one-off run on a generated instance")
@@ -106,17 +103,14 @@ def _cmd_solve(args) -> int:
         if best is None or sol.value > best.value:
             best, best_config = sol, config
     record = bench.make_record(instance, args.b_pivot, best_config, best)
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(bench.record_to_row(record))
-    print(buf.getvalue(), end="")
+    csv.writer(sys.stdout, lineterminator="\n").writerow(bench.record_to_row(record))
     return 0
 
 
 def _cmd_report_tables(args) -> int:
     records = bench.read_records(args.csv_in)
     rows, pivot = report.table_by_n(records, args.metric)
-    print(pivot, end="")
-    print()
+    print(pivot)
     print(report.render_rows(rows), end="")
     return 0
 
@@ -131,80 +125,19 @@ def _cmd_report_series(args) -> int:
     return 0
 
 
-def _check_line(name: str, ok: bool, detail: str = "") -> bool:
-    status = "PASS" if ok else "FAIL"
-    suffix = f"  ({detail})" if detail else ""
-    print(f"[check] {name}: {status}{suffix}")
-    return ok
-
-
 def _cmd_bench_check(_args) -> int:
-    """Small-instance oracle suites; exits nonzero on any failure."""
-    ok = True
-    rng = np.random.Generator(np.random.PCG64(7))
-
-    # threshold and unit-step greedy match exact enumeration on modular f
-    agree = 0
-    trials = 40
-    for _ in range(trials):
-        n = int(rng.integers(1, 5))
-        instance = lattice.ProblemInstance(
-            n=n,
-            b=rng.integers(1, 4, size=n),
-            r=int(rng.integers(1, 7)),
-            objective=lattice.weighted_linear(rng.integers(1, 101, size=n)),
-        )
-        # epsilon small enough that the threshold floor sits below every weight
-        config = solvers.AlgorithmConfig(epsilon=0.01)
-        opt = solvers.exact_bruteforce(instance).value
-        if solvers.soma_dr_i(instance, config).value == opt and \
-           solvers.greedy_lattice(instance, config).value == opt:
-            agree += 1
-    ok &= _check_line("modular exactness vs brute force", agree == trials,
-                      f"{agree}/{trials} agree")
-
-    # binary-searched steps match a linear scan on diminishing-returns f
-    matches = 0
-    trials = 300
-    for _ in range(trials):
-        n = int(rng.integers(1, 5))
-        w = rng.integers(1, 101, size=n)
-        objective = (lattice.weighted_linear(w) if rng.integers(2) == 0
-                     else lattice.weighted_concave_sqrt(w))
-        x = rng.integers(0, 4, size=n).astype(np.int64)
-        e = int(rng.integers(n))
-        k_max = int(rng.integers(0, 9))
-        theta = float(rng.uniform(0.1, 120.0))
-        oracle = lattice.CountingOracle(objective)
-        fx = objective(x)
-        hit = solvers.max_feasible_step(oracle, x, e, k_max, theta, fx=fx)
-        best = None
-        for k in range(1, k_max + 1):
-            y = x.copy()
-            y[e] += k
-            if objective(y) - fx >= k * theta:
-                best = k
-        got = None if hit is None else hit[0]
-        matches += got == best
-    ok &= _check_line("binary search vs linear scan", matches == trials,
-                      f"{matches}/{trials} agree")
-
-    # structure checkers accept the built-ins and reject a planted bad input
-    w = np.array([4, 9, 25], dtype=np.int64)
-    box = (3, 3, 3)
-    good = all(fn(obj, box)[0]
-               for obj in (lattice.weighted_linear(w), lattice.weighted_concave_sqrt(w))
-               for fn in (lattice.check_monotone, lattice.check_dr_submodular,
-                          lattice.check_lattice_submodular))
-    bad_dr, cex = lattice.check_dr_submodular(lattice.coordinate_product(2), (2, 2))
-    ok &= _check_line("structure checkers", good and not bad_dr and cex is not None)
-
-    # sample-coverage factor: spot values of the closed form
-    spot = abs(solvers.t_bar(100, 50) - 7.177619674607526) < 1e-9 and \
-        solvers.t_bar(5, 5) == 1.0
-    ok &= _check_line("t_bar closed form", spot)
-
-    return 0 if ok else 1
+    """The latmax.checks self-checks plus t_bar spot values; exits 1 on any failure."""
+    results = [
+        ("modular exactness vs brute force", *checks.deterministic_solvers_match_bruteforce()),
+        ("binary search vs linear scan", *checks.step_search_matches_scan()),
+        ("structure checkers", *checks.structure_checkers()),
+        ("t_bar closed form", abs(solvers.t_bar(100, 50) - 7.177619674607526) < 1e-9
+         and solvers.t_bar(5, 5) == 1.0, ""),
+    ]
+    for name, ok, detail in results:
+        suffix = f"  ({detail})" if detail else ""
+        print(f"[check] {name}: {'PASS' if ok else 'FAIL'}{suffix}")
+    return 0 if all(ok for _, ok, _ in results) else 1
 
 
 def main(argv=None) -> int:

@@ -8,7 +8,7 @@ layout is a compact per-metric view of the same rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 METRICS = ("queries", "value")
@@ -76,35 +76,23 @@ def render_pivot(rows: Sequence[AggregateRow], metric: str) -> str:
     algorithms = sorted({row.algorithm for row in rows})
     cells = {(row.algorithm, row.group_key[0]): getattr(row, "mean_" + metric)
              for row in rows}
-    header = ["algorithm"] + [f"n={n}" for n in n_values]
-    lines = [header]
-    for algorithm in algorithms:
-        line = [algorithm]
-        for n in n_values:
-            mean = cells.get((algorithm, n))
-            line.append("-" if mean is None else repr(mean))
-        lines.append(line)
+    lines = [["algorithm"] + [f"n={n}" for n in n_values]]
+    lines += [[algorithm] + [_cell(cells.get((algorithm, n))) for n in n_values]
+              for algorithm in algorithms]
     return _align(lines)
-
-
-_ROW_FIELDS = ["algorithm", "group_key", "mean_value", "mean_queries",
-               "mean_wall_time_s", "run_count", "timeout_count"]
 
 
 def render_rows(rows: Sequence[AggregateRow]) -> str:
     """Long-form aligned table carrying every AggregateRow field exactly."""
-    lines = [list(_ROW_FIELDS)]
-    for row in rows:
-        lines.append([
-            row.algorithm,
-            ",".join(str(v) for v in row.group_key),
-            "-" if row.mean_value is None else repr(row.mean_value),
-            "-" if row.mean_queries is None else repr(row.mean_queries),
-            "-" if row.mean_wall_time_s is None else repr(row.mean_wall_time_s),
-            str(row.run_count),
-            str(row.timeout_count),
-        ])
-    return _align(lines)
+    names = [f.name for f in fields(AggregateRow)]
+    return _align([names] + [[_cell(getattr(row, name)) for name in names] for row in rows])
+
+
+def _cell(value) -> str:
+    """One table cell: - for a missing mean, keys comma-joined, full-precision numbers."""
+    if value is None:
+        return "-"
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
 def _align(lines) -> str:

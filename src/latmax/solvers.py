@@ -151,7 +151,7 @@ def t_bar(n: int, s: int) -> float:
 def guarantee_bound(algorithm: str, n: int, r: int, epsilon: float) -> float:
     """The approximation ratio reported for one run of algorithm.
 
-    sgl: 1 - 1/e - t_bar * epsilon, with t_bar at the clamped sample size;
+    sgl: 1 - 1/e - t_bar * epsilon, t_bar at the clamped sample size (1 if r = 0);
     soma-dr-i and ssg: 1 - 1/e - epsilon; greedy: 1 - 1/e; exact: 1.
     """
     if algorithm not in ALGORITHMS:
@@ -160,7 +160,7 @@ def guarantee_bound(algorithm: str, n: int, r: int, epsilon: float) -> float:
         return 1.0
     if algorithm == GREEDY:
         return 1.0 - 1.0 / math.e
-    if algorithm == SGL:  # each pass samples only part of the ground set
+    if algorithm == SGL and r > 0:  # each pass samples only part of the ground set
         epsilon = t_bar(n, max(1, sample_size(n, r, epsilon))) * epsilon
     return 1.0 - 1.0 / math.e - epsilon
 

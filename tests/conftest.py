@@ -25,18 +25,3 @@ settings.load_profile("ci")
 def rng():
     return np.random.Generator(np.random.PCG64(20240817))
 
-
-def random_tiny_instance(rng, max_n=5, max_b=3, max_r=6, kinds=("weighted-linear",)):
-    """Small random instance for oracle-equivalence suites."""
-    from latmax import ProblemInstance, weighted_concave_sqrt, weighted_linear
-
-    n = int(rng.integers(1, max_n + 1))
-    w = rng.integers(1, 101, size=n)
-    kind = kinds[int(rng.integers(len(kinds)))]
-    objective = weighted_linear(w) if kind == "weighted-linear" else weighted_concave_sqrt(w)
-    return ProblemInstance(
-        n=n,
-        b=rng.integers(1, max_b + 1, size=n),
-        r=int(rng.integers(1, max_r + 1)),
-        objective=objective,
-    )

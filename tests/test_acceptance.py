@@ -13,8 +13,6 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import random_tiny_instance
-from test_solvers import probes_of, scan_step, tiny_tuple
 
 from latmax import (
     AlgorithmConfig,
@@ -22,25 +20,20 @@ from latmax import (
     ExperimentGrid,
     ProblemInstance,
     aggregate_by_n,
-    check_dr_submodular,
-    check_lattice_submodular,
-    check_monotone,
-    coordinate_product,
     exact_bruteforce,
     expand_grid,
     generate_instance,
-    greedy_lattice,
     guarantee_bound,
     read_records,
     run_matrix,
     series_queries_vs_b,
     sgl,
     soma_dr_i,
-    unit,
     weighted_concave_sqrt,
     weighted_linear,
     write_grid_file,
 )
+from latmax import checks
 from latmax.cli import main
 
 DESK_MASTER_SEED = 20240817
@@ -66,27 +59,9 @@ def desk_records(tmp_path_factory):
     return read_records(out), elapsed
 
 
-def test_criterion_1_deterministic_solvers_match_bruteforce(rng):
-    t0 = time.perf_counter()
-    config = AlgorithmConfig(epsilon=0.01)
-    mismatches = 0
-    checked = 0
-    for kind, count in (("weighted-linear", 100), ("weighted-concave-sqrt", 30)):
-        for _ in range(count):
-            instance = random_tiny_instance(rng, max_n=5, max_b=3, max_r=6,
-                                            kinds=(kind,))
-            opt = exact_bruteforce(instance)
-            for solver in (soma_dr_i, greedy_lattice):
-                sol = solver(instance, config)
-                assert instance.is_feasible(sol.x)
-                if kind == "weighted-linear":
-                    checked += 1
-                    if sol.value != opt.value:
-                        mismatches += 1
-    elapsed = time.perf_counter() - t0
+def test_criterion_1_deterministic_solvers_match_bruteforce():
     _report(1, "deterministic solvers exactly match brute force",
-            mismatches == 0 and checked == 200 and elapsed < 60.0,
-            f"{checked} modular comparisons, {mismatches} mismatches, {elapsed:.1f}s")
+            *checks.deterministic_solvers_match_bruteforce())
 
 
 def test_criterion_2_probabilistic_approximation_bound():
@@ -114,22 +89,8 @@ def test_criterion_2_probabilistic_approximation_bound():
 
 
 def test_criterion_3_binary_search_equals_linear_scan():
-    t0 = time.perf_counter()
-    rng = np.random.Generator(np.random.PCG64(13579))
-    disagreements = over_budget = 0
-    for _ in range(1000):
-        objective, x, e, k_max, theta = tiny_tuple(rng)
-        expected = scan_step(objective, x, e, k_max, theta)
-        hit, probes = probes_of(objective, x, e, k_max, theta)
-        if (None if hit is None else hit[0]) != expected:
-            disagreements += 1
-        if probes > math.ceil(math.log2(k_max + 1)):
-            over_budget += 1
-    elapsed = time.perf_counter() - t0
     _report(3, "step search agrees with exhaustive scan under the probe budget",
-            disagreements == 0 and over_budget == 0 and elapsed < 30.0,
-            f"1000 calls, {disagreements} disagreements, "
-            f"{over_budget} probe overruns, {elapsed:.1f}s")
+            *checks.step_search_matches_scan())
 
 
 def test_criterion_4_step_cap_and_per_pass_query_bounds():
@@ -204,30 +165,8 @@ def test_criterion_7_query_growth_in_availability(desk_records):
 
 
 def test_criterion_8_structure_checkers():
-    t0 = time.perf_counter()
-    weights = [3, 17, 41, 76, 100]
-    boxes = [np.array([9, 9]), np.array([4, 4, 4, 4]), np.full(5, 9)]
-    all_good = True
-    for make in (weighted_linear, weighted_concave_sqrt):
-        for box in boxes:
-            objective = make(weights[:len(box)])
-            for check in (check_monotone, check_dr_submodular,
-                          check_lattice_submodular):
-                ok, witness = check(objective, box)
-                all_good = all_good and ok and witness is None
-
-    bad = coordinate_product(2)
-    dr_ok, dr_witness = check_dr_submodular(bad, np.array([2, 2]))
-    x, y, e = dr_witness
-    dr_genuine = (bad(x + unit(2, int(e))) - bad(x)) < (bad(y + unit(2, int(e))) - bad(y))
-    lat_ok, lat_witness = check_lattice_submodular(bad, np.array([1, 1]))
-    u, v = lat_witness
-    lat_genuine = bad(u) + bad(v) < bad(np.minimum(u, v)) + bad(np.maximum(u, v))
-    elapsed = time.perf_counter() - t0
     _report(8, "checkers certify the built-ins and reject the planted product",
-            all_good and not dr_ok and dr_genuine and not lat_ok and lat_genuine
-            and elapsed < 30.0,
-            f"6 objective/box certifications, both rejections witnessed, {elapsed:.1f}s")
+            *checks.structure_checkers())
 
 
 def test_criterion_9_bench_run_reproducibility(tmp_path):

@@ -140,6 +140,8 @@ class TestGridValidation:
         dict(r_fractions=(math.inf,)),
         dict(timeout_s=math.nan),
         dict(b_high_divisor=0),
+        dict(n_values=(6.5,)),
+        dict(n_values=(25, 50.0)),
     ])
     def test_rejects_out_of_range_values(self, bad):
         with pytest.raises(ValueError):
@@ -176,6 +178,18 @@ class TestRecordRoundTrip:
         row = record_to_row(rec)
         assert row[6] == "" and row[7] == "" and row[8] == ""
         assert row_to_record(row) == rec
+        for i in (0, 9, 11):  # algorithm, stalled and guarantee_bound are not Optional
+            with pytest.raises(ValueError, match="not Optional"):
+                row_to_record(row[:i] + [""] + row[i + 1:])
+
+    def test_row_bytes_are_pinned(self):
+        rec = RunRecord(algorithm="ssg", n=25, r=12, b_pivot=3, seed=2 ** 64 - 1,
+                        instance_hash="ab12cd34ef56ab78", value=None, queries=None,
+                        wall_time_s=0.1 + 0.2, stalled=True, timed_out=True,
+                        guarantee_bound=1.0 - 1.0 / math.e)
+        assert ",".join(record_to_row(rec)).encode() == (
+            b"ssg,25,12,3,18446744073709551615,ab12cd34ef56ab78,,,"
+            b"0.30000000000000004,true,true,0.6321205588285577")
 
     def test_rejects_wrong_width(self):
         with pytest.raises(ValueError):
@@ -325,11 +339,12 @@ class TestGridFiles:
             b"timeout_s = 600.0\n")
 
     @pytest.mark.parametrize("line", ["n_values = 0", "n_values = 0,25",
-                                      "r_fractions = -0.5", "timeout_s = nan"])
+                                      "r_fractions = -0.5", "timeout_s = nan",
+                                      "b_high_divisor = 0"])
     def test_out_of_range_value_is_an_error(self, tmp_path, line):
         path = tmp_path / "grid.txt"
         path.write_text(line + "\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"grid\.txt: "):
             parse_grid_file(path)
 
     def test_bad_value_names_line_and_key(self, tmp_path):

@@ -2,10 +2,12 @@
 
 import csv
 import io
+import math
 
 import pytest
 
-from latmax import CSV_HEADER, ExperimentGrid, read_records, write_grid_file
+from latmax import ALGORITHMS, CSV_HEADER, ExperimentGrid, read_records, write_grid_file
+from latmax import checks
 from latmax.bench import row_to_record
 from latmax.cli import main
 
@@ -87,6 +89,18 @@ class TestSolve:
             main(["solve", "--n", "4", "--r", "2", "--b-pivot", "1",
                   "--algorithm", "anneal", "--seed", "0"])
 
+    def test_zero_budget_prints_a_row_for_every_algorithm(self, capsys):
+        rows = []
+        for algorithm in ALGORITHMS:
+            assert main(["solve", "--n", "5", "--r", "0", "--b-pivot", "2",
+                         "--algorithm", algorithm, "--seed", "1"]) == 0
+            rows += csv.reader(io.StringIO(capsys.readouterr().out))
+        records = [row_to_record(row) for row in rows]
+        assert [rec.algorithm for rec in records] == list(ALGORITHMS)
+        assert all(rec.value == 0.0 and rec.r == 0 for rec in records)
+        # t_bar's full-coverage convention: sgl reports the epsilon of soma-dr-i
+        assert records[0].guarantee_bound == 1.0 - 1.0 / math.e - 1.0 / 20.0
+
     def test_rejects_bad_repeats(self, capsys):
         code = main(["solve", "--n", "4", "--r", "2", "--b-pivot", "1",
                      "--algorithm", "sgl", "--seed", "0", "--repeats", "0"])
@@ -121,6 +135,14 @@ def test_bench_check_passes(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 4
     assert all(line.startswith("[check] ") and ": PASS" in line for line in lines)
+
+
+def test_bench_check_reports_a_failing_check(capsys, monkeypatch):
+    monkeypatch.setattr(checks, "step_search_matches_scan", lambda: (False, "planted"))
+    assert main(["bench", "check"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "[check] binary search vs linear scan: FAIL  (planted)" in lines
+    assert sum(": PASS" in line for line in lines) == 3
 
 
 def test_missing_subcommand_exits():

@@ -30,9 +30,8 @@ from latmax import (
     weighted_concave_sqrt,
     weighted_linear,
 )
+from latmax.checks import random_tiny_instance, scan_step
 from latmax.solvers import _sample_without_replacement, _unit_step_values
-
-from conftest import random_tiny_instance
 
 
 def probes_of(objective, x, e, k_max, theta):
@@ -41,36 +40,6 @@ def probes_of(objective, x, e, k_max, theta):
     fx = float(objective(x))
     hit = max_feasible_step(oracle, x, e, k_max, theta, fx=fx)
     return hit, oracle.queries
-
-
-def scan_step(objective, x, e, k_max, theta):
-    # reference: exhaustive scan for the largest k with f(k*1_e|x) >= k*theta
-    fx = float(objective(x))
-    best = None
-    for k in range(1, k_max + 1):
-        y = x.copy()
-        y[e] += k
-        if float(objective(y)) - fx >= k * theta:
-            best = k
-    return best
-
-
-def tiny_tuple(rng):
-    """Random (objective, x, e, k_max, theta) with a DR objective."""
-    n = int(rng.integers(1, 6))
-    w = rng.integers(1, 101, size=n)
-    if rng.integers(2):
-        objective = weighted_linear(w)
-    else:
-        objective = weighted_concave_sqrt(w)
-    x = rng.integers(0, 5, size=n).astype(np.int64)
-    e = int(rng.integers(n))
-    k_max = int(rng.integers(0, 13))
-    y = x.copy()
-    y[e] += 1
-    marginal = float(objective(y)) - float(objective(x))
-    theta = max(1e-6, marginal * float(rng.uniform(0.3, 1.7)))
-    return objective, x, e, k_max, theta
 
 
 class TestMaxFeasibleStep:
@@ -112,15 +81,6 @@ class TestMaxFeasibleStep:
         stepped[1] += k
         assert val == float(obj(stepped))
         assert list(x) == [2, 0]  # probe evaluations restore x
-
-    def test_agrees_with_scan_on_random_tuples(self, rng):
-        for _ in range(300):
-            obj, x, e, k_max, theta = tiny_tuple(rng)
-            expected = scan_step(obj, x, e, k_max, theta)
-            hit, probes = probes_of(obj, x, e, k_max, theta)
-            got = None if hit is None else hit[0]
-            assert got == expected
-            assert probes <= math.ceil(math.log2(k_max + 1))
 
 
 class TestGuaranteeReporting:
@@ -598,15 +558,6 @@ def test_builtin_objective_matches_its_custom_wrapper(name, case):
         runs.append((sol.x.tolist(), sol.value, sol.queries, sol.iterations,
                      sol.stalled, sol.timed_out, trace))
     assert runs[0] == runs[1]
-
-
-def test_modular_instances_solved_exactly_by_deterministic_solvers(rng):
-    for _ in range(30):
-        instance = random_tiny_instance(rng, max_n=4, max_b=3, max_r=6)
-        opt = exact_bruteforce(instance).value
-        config = AlgorithmConfig(epsilon=0.01)
-        assert soma_dr_i(instance, config).value == opt
-        assert greedy_lattice(instance, config).value == opt
 
 
 def test_solve_dispatches_every_algorithm():
