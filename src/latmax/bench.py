@@ -43,8 +43,9 @@ class ExperimentGrid:
     [max(1, r // b_low_divisor), r // b_high_divisor] (duplicates dropped).
     epsilon_rule is either the literal string "1/(4n)" or a fixed float
     rendered as text.  timeout_s caps each solver run's wall clock.  A value
-    out of range (n not an integer >= 1, an r fraction not positive and
-    finite, a NaN timeout) raises ValueError here rather than in the first run.
+    out of range (n, b_pivots, repetitions or a divisor not an integer >= 1,
+    an r fraction not positive and finite, a NaN timeout) raises ValueError
+    here rather than in the first run.
     """
 
     n_values: tuple = (25, 50, 100, 200)
@@ -63,6 +64,9 @@ class ExperimentGrid:
             raise ValueError(f"every n must be an integer >= 1: {self.n_values}")
         if not all(0 < f < math.inf for f in self.r_fractions):
             raise ValueError(f"r fractions must be positive and finite: {self.r_fractions}")
+        counts = (self.b_pivots, self.repetitions, self.b_low_divisor, self.b_high_divisor)
+        if not all(isinstance(v, (int, np.integer)) for v in counts):
+            raise ValueError(f"b_pivots, repetitions and divisors must be integers: {counts}")
         if self.b_pivots < 1 or self.repetitions < 1:
             raise ValueError("b_pivots and repetitions must be >= 1")
         if not 1 <= self.b_high_divisor <= self.b_low_divisor:
@@ -188,7 +192,15 @@ class RunRecord:
 _COLUMNS = [(name, (get_args(hint) or (hint,))[0], type(None) in get_args(hint))
             for name, hint in get_type_hints(RunRecord).items()]
 CSV_HEADER = [name for name, _, _ in _COLUMNS]
-_PARSE = {bool: "true".__eq__, int: int, float: float, str: str}
+
+
+def _parse_flag(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"flag cell must be 'true' or 'false', got {text!r}")
+    return text == "true"
+
+
+_PARSE = {bool: _parse_flag, int: int, float: float, str: str}
 
 
 def record_to_row(rec: RunRecord) -> list:

@@ -103,20 +103,13 @@ def _align(lines) -> str:
     return "\n".join(out) + "\n"
 
 
-def series_queries_vs_b(records, n: int, r: int, algorithms=None) -> dict:
+def series_queries_vs_b(records, n: int, r: int) -> dict:
     """Mean queries per b_pivot for the (n, r) slice, one series per algorithm.
 
     Points are sorted by b_pivot.  Groups whose runs all timed out are left
-    out of their series.  Raises when the slice has no records or when an
-    explicit algorithm filter matches nothing.
+    out of their series.  Raises when the slice has no records.
     """
     slice_recs = [rec for rec in records if rec.n == n and rec.r == r]
-    if algorithms is not None:
-        wanted = set(algorithms)
-        slice_recs = [rec for rec in slice_recs if rec.algorithm in wanted]
-        if not slice_recs:
-            raise ValueError(f"algorithm filter {sorted(wanted)} matches no records "
-                             f"in the n={n}, r={r} slice")
     if not slice_recs:
         raise ValueError(f"no records for n={n}, r={r}")
     rows = aggregate(slice_recs, key_fn=lambda rec: (rec.b_pivot,))

@@ -60,34 +60,34 @@ _BRUTE_FORCE_CHUNK = 1 << 16
 # stepped points per weighted-linear batch are capped at this many int64 cells
 # (256 KB), so an ssg round at n=200 scores its ~1,600 samples in ~10 chunks
 _STEP_BATCH_CELLS = 32768
+# sgl stops, flagged stalled, after this many zero-commit passes at the floor
+MAX_STALLED_PASSES = 2
 
 
 @dataclass(frozen=True)
 class AlgorithmConfig:
     """Run parameters shared by every solver.
 
-    epsilon=None means "use 1/(4n)" at solve time.  time_budget is a
-    cooperative wall-clock cap in seconds: solvers check it at pass/round
-    boundaries and return their current incumbent flagged ``timed_out``.
+    epsilon=None means "use 1/(4n)" at solve time.  seed is an integer in
+    [0, 2**64).  time_budget is a cooperative wall-clock cap in seconds (not
+    NaN): solvers check it at pass/round boundaries and return their current
+    incumbent flagged ``timed_out``.
     """
 
     epsilon: Optional[float] = None
     seed: int = 0
-    max_stalled_passes: int = 2
     algorithm: str = SGL
     time_budget: Optional[float] = None
 
     def __post_init__(self):
         if self.epsilon is not None and not (0.0 < self.epsilon < 1.0):
             raise ValueError("epsilon must lie in (0, 1)")
-        if not (0 <= self.seed < 2 ** 64):
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if self.max_stalled_passes < 1:
-            raise ValueError("max_stalled_passes must be >= 1")
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2 ** 64):
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.time_budget is not None and self.time_budget < 0:
-            raise ValueError("time_budget must be >= 0")
+        if self.time_budget is not None and not self.time_budget >= 0:  # also rejects NaN
+            raise ValueError(f"time_budget must be >= 0, got {self.time_budget}")
 
 
 @dataclass
@@ -313,7 +313,7 @@ def _threshold_run(instance: ProblemInstance, config: AlgorithmConfig,
     """The decreasing-threshold loop behind :func:`sgl` and :func:`soma_dr_i`.
 
     sampled=True draws each pass's elements from those below their caps and
-    stops after config.max_stalled_passes zero-commit passes at the floor;
+    stops after MAX_STALLED_PASSES zero-commit passes at the floor;
     sampled=False sweeps every element and stops after one pass at the floor.
     """
     start, oracle, early = _prologue(instance, config)
@@ -363,7 +363,7 @@ def _threshold_run(instance: ProblemInstance, config: AlgorithmConfig,
                 break  # the final sweep at the floor just completed
             # idle passes only accrue at the floor, where theta stays
             idle_at_floor = 0 if committed else idle_at_floor + 1
-            if idle_at_floor >= config.max_stalled_passes:
+            if idle_at_floor >= MAX_STALLED_PASSES:
                 stalled = True
                 break
         theta = max(theta * (1.0 - eps), theta_stop)
@@ -386,7 +386,7 @@ def _unit_step_run(instance: ProblemInstance, config: AlgorithmConfig,
     n, b, r = instance.n, instance.b, instance.r
     rng = np.random.Generator(np.random.PCG64(config.seed))
     copy_universe = cardinality(b)
-    s_raw = math.floor((copy_universe / r) * math.log(1.0 / resolve_epsilon(config, n)))
+    s_raw = sample_size(copy_universe, r, resolve_epsilon(config, n))
     x = zeros(n)
     fx = oracle.evaluate(x)
 
@@ -436,7 +436,7 @@ def sgl(instance: ProblemInstance, config: AlgorithmConfig,
     availability, the box maximum b is returned after a single query.
 
     A run that keeps completing zero-commit passes at the threshold floor
-    stops after config.max_stalled_passes of them and returns its incumbent
+    stops after MAX_STALLED_PASSES (two) of them and returns its incumbent
     flagged ``stalled``.
     """
     return _threshold_run(instance, config, trace, sampled=True)

@@ -142,6 +142,10 @@ class TestGridValidation:
         dict(b_high_divisor=0),
         dict(n_values=(6.5,)),
         dict(n_values=(25, 50.0)),
+        dict(b_pivots=2.5),
+        dict(repetitions=1.5),
+        dict(b_low_divisor=20.0),
+        dict(b_high_divisor=2.5),
     ])
     def test_rejects_out_of_range_values(self, bad):
         with pytest.raises(ValueError):
@@ -194,6 +198,15 @@ class TestRecordRoundTrip:
     def test_rejects_wrong_width(self):
         with pytest.raises(ValueError):
             row_to_record(["sgl", "1", "2"])
+
+    def test_rejects_flag_text_other_than_true_false(self):
+        row = record_to_row(RunRecord(algorithm="sgl", n=25, r=12, b_pivot=3, seed=1,
+                                      instance_hash="0" * 16, value=1.0, queries=4,
+                                      wall_time_s=0.5, stalled=False, timed_out=False,
+                                      guarantee_bound=0.5))
+        for i, text in ((9, "TRUE"), (10, "yes"), (9, "False"), (10, "1")):
+            with pytest.raises(ValueError, match=repr(text)):
+                row_to_record(row[:i] + [text] + row[i + 1:])
 
 
 @pytest.mark.parametrize("algorithm, expected", [

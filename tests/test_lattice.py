@@ -253,10 +253,12 @@ def test_lattice_checker_rejects_product():
 
 def test_checker_cap_refusal():
     f = lm.weighted_linear([1, 1, 1])
-    with pytest.raises(lm.ExhaustivenessCapError):
-        lm.check_monotone(f, (100, 100, 100), cap=1000)
-    # never subsampled: the same objective under a big enough cap is fine
-    assert lm.check_monotone(f, (3, 3, 3), cap=100)[0]
+    # 101**3 points exceed the fixed cap of 100,000; the checkers refuse
+    # rather than subsample, and a box under the cap is certified
+    for check in (lm.check_monotone, lm.check_dr_submodular, lm.check_lattice_submodular):
+        with pytest.raises(lm.ExhaustivenessCapError, match="100000"):
+            check(f, (100, 100, 100))
+        assert check(f, (3, 3, 3)) == (True, None)
 
 
 def test_dr_implies_lattice_submodular(rng):

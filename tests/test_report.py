@@ -166,14 +166,6 @@ class TestSeries:
         series = series_queries_vs_b(self.records, n=100, r=50)
         assert series["ssg"][0] == (2, 90 * 2 + 1.5)
 
-    def test_algorithm_filter(self):
-        series = series_queries_vs_b(self.records, 100, 50, algorithms=["sgl"])
-        assert set(series) == {"sgl"}
-        with pytest.raises(ValueError, match="matches no records"):
-            series_queries_vs_b(self.records, 100, 50, algorithms=[])
-        with pytest.raises(ValueError, match="matches no records"):
-            series_queries_vs_b(self.records, 100, 50, algorithms=["nope"])
-
     def test_missing_slice_is_an_error(self):
         with pytest.raises(ValueError, match="no records"):
             series_queries_vs_b(self.records, n=100, r=999)

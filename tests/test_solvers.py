@@ -137,12 +137,14 @@ class TestConfigAndThresholdState:
             AlgorithmConfig(seed=-1)
         with pytest.raises(ValueError):
             AlgorithmConfig(seed=2 ** 64)
-        with pytest.raises(ValueError):
-            AlgorithmConfig(max_stalled_passes=0)
+        with pytest.raises(ValueError, match="integer"):
+            AlgorithmConfig(seed=1.5)
         with pytest.raises(ValueError):
             AlgorithmConfig(algorithm="simulated-annealing")
         with pytest.raises(ValueError):
             AlgorithmConfig(time_budget=-1.0)
+        with pytest.raises(ValueError, match="nan"):
+            AlgorithmConfig(time_budget=math.nan)
 
     def test_threshold_schedule(self):
         # weight 1 never clears the floor (0.5 / 4) * 40 = 5 and element 0
