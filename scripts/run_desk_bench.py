@@ -8,8 +8,8 @@ Equivalent to:
     latmax report tables --in <dir>/results.csv --metric value
     latmax report series --in <dir>/results.csv --n 100 --r 50 --out <dir>
 
-Takes about 25 s single-threaded (24.4 s measured on a 2-CPU Xeon VM with
-Python 3.11 and numpy 2.4, default algorithms and seed).
+Takes under 10 s single-threaded (7.3-9.4 s measured on a 2-CPU Xeon VM
+with Python 3.11 and numpy 2.4, default algorithms and seed).
 """
 
 import argparse

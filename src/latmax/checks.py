@@ -79,9 +79,10 @@ def step_search_matches_scan():
         objective, x, e, k_max, theta = random_step_tuple(rng)
         expected = scan_step(objective, x, e, k_max, theta)
         oracle = CountingOracle(objective)
-        hit = max_feasible_step(oracle, x, e, k_max, theta, fx=float(objective(x)))
+        fx = oracle.follow(x)
+        hit = max_feasible_step(oracle, e, k_max, theta, fx=fx)
         disagreements += (None if hit is None else hit[0]) != expected
-        over_budget += oracle.queries > math.ceil(math.log2(k_max + 1))
+        over_budget += oracle.queries - 1 > math.ceil(math.log2(k_max + 1))
     elapsed = time.perf_counter() - t0
     return (disagreements == over_budget == 0 and elapsed < 30.0,
             f"1000 calls, {disagreements} disagreements, "

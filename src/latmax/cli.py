@@ -72,13 +72,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _input_error(exc: ValueError) -> int:
+    """Report a value that a config, instance or grid rejects as argparse reports its own."""
+    print(f"latmax: error: {exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_bench_run(args) -> int:
-    if args.grid is not None:
-        grid = bench.parse_grid_file(args.grid)
-    elif args.full_scale:
-        grid = bench.full_scale_grid()
-    else:
-        grid = bench.ExperimentGrid()
+    try:
+        if args.grid is not None:
+            grid = bench.parse_grid_file(args.grid)
+        elif args.full_scale:
+            grid = bench.full_scale_grid()
+        else:
+            grid = bench.ExperimentGrid()
+    except ValueError as exc:
+        return _input_error(exc)
     algorithms = [name.strip() for name in args.algorithms.split(",") if name.strip()]
     args.out.mkdir(parents=True, exist_ok=True)
     out_csv = args.out / "results.csv"
@@ -90,18 +99,19 @@ def _cmd_bench_run(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    if args.repeats < 1:
-        print("--repeats must be >= 1", file=sys.stderr)
-        return 2
-    instance = bench.generate_instance(args.n, args.r, args.b_pivot, args.seed)
-    best = best_config = None
-    for offset in range(args.repeats):  # independent seeds, keep the best value
-        config = solvers.AlgorithmConfig(epsilon=args.epsilon, seed=args.seed + offset,
-                                         algorithm=args.algorithm,
-                                         time_budget=args.timeout)
-        sol = solvers.solve(instance, config)
-        if best is None or sol.value > best.value:
-            best, best_config = sol, config
+    try:
+        if args.repeats < 1:
+            raise ValueError("--repeats must be >= 1")
+        instance = bench.generate_instance(args.n, args.r, args.b_pivot, args.seed)
+        runs = []
+        for offset in range(args.repeats):  # independent seeds, keep the best value
+            config = solvers.AlgorithmConfig(epsilon=args.epsilon, seed=args.seed + offset,
+                                             algorithm=args.algorithm,
+                                             time_budget=args.timeout)
+            runs.append((solvers.solve(instance, config), config))  # exact may refuse
+    except ValueError as exc:
+        return _input_error(exc)
+    best, best_config = max(runs, key=lambda run: run[0].value)  # the first best
     record = bench.make_record(instance, args.b_pivot, best_config, best)
     csv.writer(sys.stdout, lineterminator="\n").writerow(bench.record_to_row(record))
     return 0

@@ -200,39 +200,83 @@ class ProblemInstance:
 
 
 class CountingOracle:
-    """Wraps an objective and counts every evaluation.
+    """Wraps an objective, counts every evaluation and tracks an incumbent.
 
-    One oracle per solver run.  Every call that touches the objective bumps
-    ``queries`` by the number of points evaluated; a marginal gain costs a
-    single query when the caller supplies the cached incumbent value.  A NaN
-    or infinite objective value raises ``ValueError`` naming the point, since
-    no solver can rank it.
+    One oracle per solver run; every query is charged inside ``evaluate``,
+    ``evaluate_stepped`` or ``evaluate_batch``, one per point.  A solver
+    ``follow``s its incumbent x and ``commit``s each step, for free, so a probe
+    of x + k * 1_e is answered from cached state: in O(1) and exactly for
+    ``weighted-linear``, bit-identical to a full evaluation for
+    ``weighted-concave-sqrt``.  A ``custom`` probe calls the objective.  A NaN
+    or infinite value raises ``ValueError`` naming the point.
     """
 
-    __slots__ = ("objective", "queries")
+    # _state: exact int f(x) or sqrt(x) of the followed x; _weights: linear w as ints
+    __slots__ = ("objective", "queries", "x", "_state", "_weights")
 
     def __init__(self, objective: Objective):
         self.objective = objective
         self.queries = 0
 
     def evaluate(self, x: np.ndarray) -> float:
-        if x.shape[0] != self.objective.n:
-            raise ValueError(
-                f"point has {x.shape[0]} entries, objective expects {self.objective.n}"
-            )
+        self._check_width(x.shape[0])
         self.queries += 1
         value = self.objective(x)
         if not math.isfinite(value):
             raise _non_finite(value, x)
         return value
 
-    def evaluate_stepped(self, x: np.ndarray, e: int, k: int) -> float:
-        """f(x + k * 1_e) in one query, without copying x."""
-        if x.shape[0] != self.objective.n:
-            raise ValueError(
-                f"point has {x.shape[0]} entries, objective expects {self.objective.n}"
-            )
+    def follow(self, x: np.ndarray) -> float:
+        """f(x) in one query; x, kept by reference, is the incumbent from here on."""
+        value = self.evaluate(x)
+        self.x = x
+        if self.objective.kind == WEIGHTED_LINEAR:
+            self._state = int(self.objective.weights @ x)
+            self._weights = self.objective.weights.tolist()
+        elif self.objective.kind == WEIGHTED_CONCAVE_SQRT:
+            self._state = np.sqrt(x)
+        return value
+
+    def commit(self, e: int, k: int) -> None:
+        """Step the followed incumbent to x + k * 1_e; charges no query."""
+        self.x[e] += k
+        if self.objective.kind == WEIGHTED_LINEAR:
+            self._state += self._weights[e] * k
+        elif self.objective.kind == WEIGHTED_CONCAVE_SQRT:
+            self._state[e] = math.sqrt(self.x[e])
+
+    def evaluate_stepped(self, e: int, k: int) -> float:
+        """f(x + k * 1_e) for the followed x in one query; x is left unchanged."""
         self.queries += 1
+        if self.objective.kind == WEIGHTED_LINEAR:
+            return float(self._state + self._weights[e] * k)
+        return self._stepped(e, k)
+
+    def evaluate_batch(self, rows: np.ndarray) -> np.ndarray:
+        """One query per row: f of each (m, n) point, or f(x + 1_e) for each listed e."""
+        if rows.ndim == 1:
+            self.queries += len(rows)
+            if self.objective.kind == WEIGHTED_LINEAR:
+                return (self._state + self.objective.weights[rows]).astype(np.float64)
+            return np.array([self._stepped(e, 1) for e in rows.tolist()], dtype=np.float64)
+        self._check_width(rows.shape[1])
+        self.queries += len(rows)
+        values = self.objective.batch(rows)
+        finite = np.isfinite(values)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise _non_finite(values[row], rows[row], f" (row {row} of the batch)")
+        return values
+
+    def _stepped(self, e: int, k: int) -> float:
+        """f(x + k * 1_e) for the followed x of a sqrt or custom objective, uncharged."""
+        x = self.x
+        if self.objective.kind == WEIGHTED_CONCAVE_SQRT:
+            roots = self._state
+            root, roots[e] = roots[e], math.sqrt(x[e] + k)
+            value = float(roots @ self.objective.weights)
+            roots[e] = root
+            return value
         x[e] += k
         try:
             value = self.objective(x)
@@ -242,18 +286,9 @@ class CountingOracle:
         finally:
             x[e] -= k
 
-    def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
-        if points.shape[1] != self.objective.n:
-            raise ValueError(
-                f"points have {points.shape[1]} entries, objective expects {self.objective.n}"
-            )
-        self.queries += len(points)
-        values = self.objective.batch(points)
-        finite = np.isfinite(values)
-        if not finite.all():
-            row = int(np.argmin(finite))
-            raise _non_finite(values[row], points[row], f" (row {row} of the batch)")
-        return values
+    def _check_width(self, width: int) -> None:
+        if width != self.objective.n:
+            raise ValueError(f"points have {width} entries, objective expects {self.objective.n}")
 
 
 def _non_finite(value: float, x: np.ndarray, where: str = "") -> ValueError:

@@ -29,9 +29,7 @@ class AggregateRow:
 
 def _mean(values) -> Optional[float]:
     values = list(values)
-    if not values:
-        return None
-    return sum(values) / len(values)
+    return sum(values) / len(values) if values else None
 
 
 def aggregate(records, key_fn) -> list:
@@ -106,8 +104,8 @@ def _align(lines) -> str:
 def series_queries_vs_b(records, n: int, r: int) -> dict:
     """Mean queries per b_pivot for the (n, r) slice, one series per algorithm.
 
-    Points are sorted by b_pivot.  Groups whose runs all timed out are left
-    out of their series.  Raises when the slice has no records.
+    Points come sorted by b_pivot from aggregate.  Groups whose runs all timed
+    out are left out of their series.  Raises when the slice has no records.
     """
     slice_recs = [rec for rec in records if rec.n == n and rec.r == r]
     if not slice_recs:
@@ -118,8 +116,6 @@ def series_queries_vs_b(records, n: int, r: int) -> dict:
         if row.mean_queries is None:
             continue
         series.setdefault(row.algorithm, []).append((row.group_key[0], row.mean_queries))
-    for points in series.values():
-        points.sort()
     return series
 
 

@@ -12,11 +12,11 @@ all of them.  The unit-step loop (:func:`_unit_step_run`) adds one copy per
 round: :func:`ssg` samples copy slots, :func:`greedy_lattice` scans every
 element.
 
-Both loops score unit steps f(x + 1_e) in batches through
-:func:`_unit_step_values`: weighted-linear objectives are evaluated as integer
-matrix products over chunks of at most _STEP_BATCH_CELLS stepped-point cells,
-which are exact, and every other kind is evaluated one point at a time, so
-each value matches the scalar evaluation bit for bit.
+Both loops ``follow`` their incumbent on the oracle from the zero point and
+``commit`` each accepted step to it, so every probe of a point one coordinate
+away is answered from the oracle's cached state: O(1) for weighted-linear
+objectives (unit-step scans are one integer vector sum), one dot product for
+weighted-concave-sqrt.  Each value equals a full evaluation bit for bit.
 
 Randomized solvers draw from a PCG64 generator seeded with ``config.seed``,
 so runs are bit-reproducible for a fixed seed.
@@ -39,7 +39,6 @@ import numpy as np
 from .lattice import (
     CountingOracle,
     ExhaustivenessCapError,
-    WEIGHTED_LINEAR,
     ProblemInstance,
     cardinality,
     zeros,
@@ -57,9 +56,6 @@ DETERMINISTIC_ALGORITHMS = frozenset({SOMA_DR_I, GREEDY, EXACT})
 # exact enumeration refuses instances with more feasible-box points than this
 BRUTE_FORCE_POINT_CAP = 10 ** 6
 _BRUTE_FORCE_CHUNK = 1 << 16
-# stepped points per weighted-linear batch are capped at this many int64 cells
-# (256 KB), so an ssg round at n=200 scores its ~1,600 samples in ~10 chunks
-_STEP_BATCH_CELLS = 32768
 # sgl stops, flagged stalled, after this many zero-commit passes at the floor
 MAX_STALLED_PASSES = 2
 
@@ -194,50 +190,26 @@ def _sample_without_replacement(rng: np.random.Generator, m: int, k: int) -> np.
     return picks
 
 
-def _unit_step_values(oracle: CountingOracle, x: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    """f(x + 1_e) for each listed e, one query per entry; x is left unchanged.
-
-    Weighted-linear values are integer matrix products over chunks of stepped
-    points, exact and bounded to _STEP_BATCH_CELLS cells per chunk.  Other
-    kinds go through evaluate_stepped one element at a time, because a batched
-    float evaluation need not round like the scalar one.
-    """
-    if oracle.objective.kind != WEIGHTED_LINEAR:
-        return np.array([oracle.evaluate_stepped(x, e, 1) for e in elements.tolist()],
-                        dtype=np.float64)
-    rows = max(1, _STEP_BATCH_CELLS // x.size)
-    buffer = np.empty((min(rows, elements.size), x.size), dtype=np.int64)
-    values = np.empty(elements.size, dtype=np.float64)
-    for lo in range(0, elements.size, rows):
-        chunk = elements[lo:lo + rows]
-        points = buffer[:chunk.size]
-        points[:] = x
-        points[np.arange(chunk.size), chunk] += 1
-        values[lo:lo + chunk.size] = oracle.evaluate_batch(points)
-    return values
-
-
-def max_feasible_step(oracle: CountingOracle, x: np.ndarray, e: int, k_max: int,
-                      theta: float, fx: float):
+def max_feasible_step(oracle: CountingOracle, e: int, k_max: int, theta: float,
+                      fx: float):
     """Largest k in [1, k_max] whose cumulative gain clears k * theta.
 
     Binary search over the step count, probing the acceptance predicate
-    f(x + k * 1_e) - f(x) >= k * theta.  The predicate set is a prefix of
-    [1, k_max] whenever the objective has diminishing returns, which makes
-    the search exact; for other objectives it is a heuristic.
+    f(x + k * 1_e) - f(x) >= k * theta for the incumbent x the oracle follows.
+    The predicate set is a prefix of [1, k_max] whenever the objective has
+    diminishing returns, which makes the search exact; for other objectives
+    it is a heuristic.
 
     Returns (k, f(x + k * 1_e)) for the accepted step, or None.  fx is the
     caller's cached f(x).  Costs at most ceil(log2(k_max + 1)) queries; the
     returned objective value lets the caller update its incumbent and apply
     acceptance guards without re-querying.
     """
-    if k_max <= 0:
-        return None
     lo, hi = 1, k_max
     best = None
     while lo <= hi:
         mid = (lo + hi) // 2
-        val = oracle.evaluate_stepped(x, e, mid)
+        val = oracle.evaluate_stepped(e, mid)
         if val - fx >= mid * theta:
             best = (mid, val)
             lo = mid + 1
@@ -250,15 +222,9 @@ def _finish(instance: ProblemInstance, x: np.ndarray, oracle: CountingOracle,
             iterations: int, start: float, stalled: bool = False,
             timed_out: bool = False) -> Solution:
     # value re-checked directly against the objective, outside the counter
-    return Solution(
-        x=x,
-        value=float(instance.objective(x)),
-        queries=oracle.queries,
-        iterations=iterations,
-        wall_time=time.perf_counter() - start,
-        stalled=stalled,
-        timed_out=timed_out,
-    )
+    return Solution(x=x, value=float(instance.objective(x)), queries=oracle.queries,
+                    iterations=iterations, wall_time=time.perf_counter() - start,
+                    stalled=stalled, timed_out=timed_out)
 
 
 def _out_of_time(start: float, budget: Optional[float]) -> bool:
@@ -291,17 +257,16 @@ def _threshold_pass(oracle, x, fx, card, b, r, theta, elements):
     """
     committed = False
     max_cap_seen = 0
-    for e in elements:
-        e = int(e)
+    for e in elements.tolist():
         k_cap = min(int(b[e]) - int(x[e]), r - card)
         if k_cap <= 0:
             continue
         max_cap_seen = max(max_cap_seen, k_cap)
-        hit = max_feasible_step(oracle, x, e, k_cap, theta, fx=fx)
+        hit = max_feasible_step(oracle, e, k_cap, theta, fx=fx)
         if hit is not None:
             k, val = hit
             if val >= fx:
-                x[e] += k
+                oracle.commit(e, k)
                 card += k
                 fx = val
                 committed = True
@@ -327,9 +292,9 @@ def _threshold_run(instance: ProblemInstance, config: AlgorithmConfig,
     eps = resolve_epsilon(config, n)
     rng = np.random.Generator(np.random.PCG64(config.seed))
     x = zeros(n)
-    fx = oracle.evaluate(x)
+    fx = oracle.follow(x)
     everything = np.arange(n)
-    theta = d = float(_unit_step_values(oracle, x, everything).max())
+    theta = d = float(oracle.evaluate_batch(everything).max())
     theta_stop = (eps / r) * d
     s_raw = sample_size(n, r, eps)
 
@@ -385,10 +350,9 @@ def _unit_step_run(instance: ProblemInstance, config: AlgorithmConfig,
         return early
     n, b, r = instance.n, instance.b, instance.r
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    copy_universe = cardinality(b)
-    s_raw = sample_size(copy_universe, r, resolve_epsilon(config, n))
+    s_raw = sample_size(cardinality(b), r, resolve_epsilon(config, n))  # over copy slots
     x = zeros(n)
-    fx = oracle.evaluate(x)
+    fx = oracle.follow(x)
 
     iterations = 0
     timed_out = False
@@ -407,13 +371,13 @@ def _unit_step_run(instance: ProblemInstance, config: AlgorithmConfig,
         else:
             candidates = np.flatnonzero(gaps)
         before = oracle.queries
-        vals = _unit_step_values(oracle, x, candidates)
+        vals = oracle.evaluate_batch(candidates)
         best_val = float(vals.max())
         # sampled slots come unsorted and may repeat an element: smallest id wins
         best_e = int(candidates[vals == best_val].min())
         if not sampled and best_val - fx <= 0:
             break
-        x[best_e] += 1
+        oracle.commit(best_e, 1)
         fx = best_val
         iterations += 1
         if trace is not None:
@@ -485,9 +449,9 @@ def exact_bruteforce(instance: ProblemInstance,
                      time_budget: Optional[float] = None) -> Solution:
     """Exhaustive reference solver for small instances.
 
-    Enumerates every x <= b with |x|_1 <= r in lexicographic order and keeps
-    the first maximizer, so ties resolve to the lexicographically smallest
-    point.  Only budget-feasible points are built.  Refuses instances whose
+    Enumerates every x <= b with |x|_1 <= r in lexicographic order, building
+    one evaluation chunk at a time, and keeps the first maximizer, so ties go
+    to the lexicographically smallest point.  Refuses instances whose
     enumeration box prod(min(b_e, r) + 1) exceeds BRUTE_FORCE_POINT_CAP.
     """
     n, b, r = instance.n, instance.b, instance.r
@@ -497,29 +461,45 @@ def exact_bruteforce(instance: ProblemInstance,
         raise ExhaustivenessCapError(
             f"enumeration box holds {total} points, cap is {BRUTE_FORCE_POINT_CAP}")
     oracle = CountingOracle(instance.objective)
-    feasible = _budget_feasible_points(b, r)
 
     best_val = -math.inf
-    best_x = None
-    seen = 0
+    best_x = zeros(n)  # kept if the run times out before the first chunk
     timed_out = False
-    for lo in range(0, len(feasible), _BRUTE_FORCE_CHUNK):
+    for chunk in _budget_feasible_blocks(b.tolist(), r):
         if _out_of_time(start, time_budget):
             timed_out = True
             break
-        chunk = feasible[lo:lo + _BRUTE_FORCE_CHUNK]
         vals = oracle.evaluate_batch(chunk)
         i = int(np.argmax(vals))
         if float(vals[i]) > best_val:
             best_val = float(vals[i])
-            best_x = chunk[i]
-        seen += len(chunk)
-    if best_x is None:  # timed out before the first chunk
-        best_x = zeros(n)
-    return _finish(instance, best_x.copy(), oracle, seen, start, timed_out=timed_out)
+            best_x = chunk[i].copy()
+    return _finish(instance, best_x, oracle, oracle.queries, start, timed_out=timed_out)
 
 
-def _budget_feasible_points(b: np.ndarray, r: int) -> np.ndarray:
+def _budget_feasible_blocks(b: list, r: int, prefix: tuple = ()):
+    """Every x <= b with |x|_1 <= r in lexicographic order, in blocks of at most
+    _BRUTE_FORCE_CHUNK points; r is the budget left after the fixed `prefix`.
+
+    A block is as long a run of values of the first free coordinate as the box
+    of the remaining ones allows; past a chunk, each value is fixed in turn.
+    """
+    head, tail = min(b[0], r), b[1:]
+    tail_box = math.prod(min(cap, r) + 1 for cap in tail)
+    if tail_box > _BRUTE_FORCE_CHUNK:
+        for v in range(head + 1):
+            yield from _budget_feasible_blocks(tail, r - v, prefix + (v,))
+        return
+    run = _BRUTE_FORCE_CHUNK // tail_box
+    for lo in range(0, head + 1, run):
+        # fixed coordinates get cap 0 and are added back with the run's start
+        caps = [0] * len(prefix) + [min(run, head + 1 - lo) - 1] + tail
+        block = _budget_feasible_points(caps, r - lo)
+        block[:, :len(prefix) + 1] += (*prefix, lo)
+        yield block
+
+
+def _budget_feasible_points(b: list, r: int) -> np.ndarray:
     """Every x <= b with |x|_1 <= r, one per row, in lexicographic order.
 
     Built coordinate by coordinate: each prefix is followed by the values its
@@ -529,7 +509,7 @@ def _budget_feasible_points(b: np.ndarray, r: int) -> np.ndarray:
     """
     levels = []  # per coordinate: (value, parent prefix index) of each prefix
     used = np.zeros(1, dtype=np.int64)  # |prefix|_1 of each prefix so far
-    for cap in b.tolist():
+    for cap in b:
         counts = np.minimum(cap, r - used) + 1
         parent = np.repeat(np.arange(used.size), counts)
         value = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)

@@ -43,6 +43,16 @@ class TestBenchRun:
         assert "wrote" in out
         assert "mean_queries" in out
 
+    def test_rejected_grid_file_is_one_error_line(self, tmp_path, capsys):
+        grid_file = tmp_path / "grid.txt"
+        grid_file.write_text("b_pivots = 0\n")
+        code = main(["bench", "run", "--grid", str(grid_file),
+                     "--master-seed", "1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"latmax: error: {grid_file}: b_pivots and repetitions must be >= 1\n"
+        assert not (tmp_path / "o").exists()
+
     def test_algorithm_subset(self, tmp_path):
         grid_file = tmp_path / "grid.txt"
         write_grid_file(TINY_GRID, grid_file)
@@ -105,6 +115,20 @@ class TestSolve:
         code = main(["solve", "--n", "4", "--r", "2", "--b-pivot", "1",
                      "--algorithm", "sgl", "--seed", "0", "--repeats", "0"])
         assert code == 2
+
+    @pytest.mark.parametrize("algorithm, extra, message", [
+        ("sgl", ["--timeout", "nan"], "time_budget must be >= 0, got nan"),
+        ("sgl", ["--epsilon", "2"], "epsilon must lie in (0, 1)"),
+        ("sgl", ["--repeats", "0"], "--repeats must be >= 1"),
+        ("exact", ["--n", "30", "--r", "30"], "cap is 1000000"),
+    ])
+    def test_rejected_value_is_one_error_line(self, capsys, algorithm, extra, message):
+        code = main(["solve", "--n", "8", "--r", "6", "--b-pivot", "2",
+                     "--algorithm", algorithm, "--seed", "7", *extra])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        [line] = captured.err.splitlines()  # no traceback
+        assert line.startswith("latmax: error: ") and message in line
 
 
 class TestReport:

@@ -107,10 +107,10 @@ def test_oracle_counts_each_evaluation():
     f = lm.weighted_linear([5, 7])
     oracle = lm.CountingOracle(f)
     x = lm.as_point([2, 1])
-    assert oracle.evaluate(x) == 17.0
+    assert oracle.follow(x) == 17.0
     assert oracle.queries == 1
     # marginal with cached incumbent costs one query
-    assert oracle.evaluate_stepped(x, 1, 2) - 17.0 == 14.0
+    assert oracle.evaluate_stepped(1, 2) - 17.0 == 14.0
     assert oracle.queries == 2
     oracle.evaluate_batch(np.array([[0, 0], [1, 1], [2, 2]], dtype=np.int64))
     assert oracle.queries == 5
@@ -125,7 +125,8 @@ def test_oracle_dimension_mismatch():
 def test_evaluate_stepped_leaves_point_unchanged():
     oracle = lm.CountingOracle(lm.weighted_linear([5, 7]))
     x = lm.as_point([2, 1])
-    assert oracle.evaluate_stepped(x, 0, 3) == 32.0
+    oracle.follow(x)
+    assert oracle.evaluate_stepped(0, 3) == 32.0
     assert list(x) == [2, 1]
 
 
@@ -133,11 +134,11 @@ def test_evaluate_stepped_leaves_point_unchanged():
 def test_oracle_rejects_non_finite_values(bad):
     oracle = lm.CountingOracle(lm.custom_objective(3, lambda x: bad if x[2] else 1.0))
     x = lm.as_point([0, 4, 0])
-    assert oracle.evaluate(x) == 1.0
+    assert oracle.follow(x) == 1.0
     with pytest.raises(ValueError, match=r"\[0, 4, 1\]"):
         oracle.evaluate(lm.as_point([0, 4, 1]))
     with pytest.raises(ValueError, match=r"at \[0, 4, 2\].*element 2"):
-        oracle.evaluate_stepped(x, 2, 2)
+        oracle.evaluate_stepped(2, 2)
     assert list(x) == [0, 4, 0]
     with pytest.raises(ValueError, match=r"at \[5, 0, 1\].*row 1"):
         oracle.evaluate_batch(np.array([[0, 0, 0], [5, 0, 1], [0, 0, 2]], dtype=np.int64))
@@ -155,15 +156,53 @@ def test_marginal_telescoping(w, xs, k):
     e = 0
     for f in (lm.weighted_linear(w), lm.weighted_concave_sqrt(w)):
         oracle = lm.CountingOracle(f)
-        fx = f(x)
-        total = oracle.evaluate_stepped(x, e, k) - fx
+        fx = oracle.follow(x.copy())
+        total = oracle.evaluate_stepped(e, k) - fx
         steps = 0.0
-        y = x.copy()
         for _ in range(k):
-            fy = f(y)
-            steps += oracle.evaluate_stepped(y, e, 1) - fy
-            y[e] += 1
+            fy = f(oracle.x)
+            steps += oracle.evaluate_stepped(e, 1) - fy
+            oracle.commit(e, 1)
         assert abs(total - steps) <= 1e-9 * max(1.0, abs(total))
+
+
+followed_runs = st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.sampled_from(["linear", "linear above 2**53", "sqrt", "custom"]),
+    st.lists(st.integers(1, 100), min_size=n, max_size=n),                # weights
+    st.lists(st.integers(0, 6), min_size=n, max_size=n),                  # start point
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 3)), max_size=6),  # commits
+))
+
+
+@given(followed_runs)
+def test_followed_state_matches_full_evaluations(case):
+    # every cached probe equals a full evaluation of the stepped point, bit for bit
+    kind, w, start, commits = case
+    if kind == "linear above 2**53":  # caps near 2**55; two elements keep w @ x in int64
+        w, start = w[:2], [2 ** 55 - v for v in start[:2]]
+    n = len(w)
+    f = {"sqrt": lm.weighted_concave_sqrt(w),
+         "custom": lm.custom_objective(n, lambda x: float(np.log1p(x) @ w + x[0] * x[-1]))
+         }.get(kind) or lm.weighted_linear(w)
+    x = lm.as_point(start)
+    expected = x.copy()
+    oracle = lm.CountingOracle(f)
+    assert oracle.follow(x) == f(expected)
+    charged = 1
+    elements = np.array([*range(n), n - 1, 0])
+    for step in [None, *commits]:
+        if step is not None:
+            e, k = step[0] % n, step[1]
+            oracle.commit(e, k)
+            expected[e] += k
+        assert oracle.queries == charged  # follow charges one query, commit none
+        stepped = [f(expected + k * lm.unit(n, e)) for e in range(n) for k in (1, 2, 3)]
+        assert [oracle.evaluate_stepped(e, k) for e in range(n) for k in (1, 2, 3)] == stepped
+        assert oracle.evaluate_batch(elements).tolist() == \
+            [f(expected + lm.unit(n, e)) for e in elements.tolist()]
+        charged += 3 * n + elements.size
+        assert oracle.queries == charged
+        assert oracle.x is x and x.tolist() == expected.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -31,15 +31,15 @@ from latmax import (
     weighted_linear,
 )
 from latmax.checks import random_tiny_instance, scan_step
-from latmax.solvers import _sample_without_replacement, _unit_step_values
+from latmax.solvers import _sample_without_replacement
 
 
 def probes_of(objective, x, e, k_max, theta):
-    """Run max_feasible_step on a fresh counter with fx precomputed."""
+    """Run max_feasible_step from x on a fresh oracle; count the probes after f(x)."""
     oracle = CountingOracle(objective)
-    fx = float(objective(x))
-    hit = max_feasible_step(oracle, x, e, k_max, theta, fx=fx)
-    return hit, oracle.queries
+    fx = oracle.follow(x)
+    hit = max_feasible_step(oracle, e, k_max, theta, fx=fx)
+    return hit, oracle.queries - 1
 
 
 class TestMaxFeasibleStep:
@@ -499,7 +499,7 @@ def test_non_finite_objective_is_rejected(name, bad):
 
 @pytest.mark.parametrize("kind", ["linear", "sqrt", "custom"])
 def test_unit_step_values_match_scalar_evaluations(kind, rng):
-    n = 3000  # several bounded chunks per call
+    n = 3000
     w = rng.integers(1, 101, size=n)
     objective = {"linear": weighted_linear(w), "sqrt": weighted_concave_sqrt(w),
                  "custom": custom_objective(n, lambda x: float(np.sqrt(x) @ w))}[kind]
@@ -507,8 +507,9 @@ def test_unit_step_values_match_scalar_evaluations(kind, rng):
     before = x.copy()
     elements = np.concatenate([rng.integers(0, n, size=40), [0, n - 1, 7, 7]])
     oracle = CountingOracle(objective)
-    values = _unit_step_values(oracle, x, elements)
-    assert oracle.queries == elements.size
+    oracle.follow(x)
+    values = oracle.evaluate_batch(elements)
+    assert oracle.queries == 1 + elements.size
     assert x.tolist() == before.tolist()
     assert values.tolist() == [objective(x + np.eye(1, n, e, dtype=np.int64)[0])
                                for e in elements.tolist()]
@@ -533,6 +534,30 @@ def test_trace_accounts_for_every_query(name, r):
         assert trace
     if not threshold:
         assert all(stats.theta is None and stats.max_step_cap == 1 for stats in trace)
+
+
+@pytest.mark.parametrize("name, kind", [
+    *((name, kind) for name in sorted(ITERATIVE_RUNNERS)
+      for kind in ("linear", "sqrt", "custom")),
+    # only multi-copy steps reach values above 2**53 within a test's time
+    ("sgl", "linear above 2**53"), ("soma-dr-i", "linear above 2**53"),
+])
+def test_last_traced_value_is_the_solution_value(name, kind):
+    # the trace carries the oracle's cached values, Solution.value a full evaluation
+    w = [3, 14, 15, 92, 65, 35, 89]
+    b, r = [2, 3, 1, 4, 3, 2, 5], 9
+    if kind == "linear above 2**53":
+        b, r = [2 ** 54, 3, 2 ** 54 + 1, 4, 2 ** 53 + 7, 2, 5], 2 ** 55 - 3
+    objective = {"sqrt": weighted_concave_sqrt(w),
+                 "custom": custom_objective(7, lambda x: float(np.sqrt(x + 1) @ w))
+                 }.get(kind) or weighted_linear(w)
+    instance = ProblemInstance(n=7, b=as_point(b), r=r, objective=objective)
+    trace = []
+    sol = ITERATIVE_RUNNERS[name](instance, AlgorithmConfig(algorithm=name, seed=11),
+                                  trace=trace)
+    assert trace[-1].value == sol.value
+    if kind == "linear above 2**53":
+        assert sol.value > 2 ** 53 and cardinality(sol.x) == r
 
 
 tiny_builtin_cases = st.integers(1, 5).flatmap(lambda n: st.tuples(
