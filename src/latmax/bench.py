@@ -1,9 +1,10 @@
 """Seeded benchmark harness: instance generation, grid expansion, run matrix.
 
 Every run is reproducible from a master seed.  Per-cell seeds come from a
-SplitMix64 mix of (master_seed, cell index), instances are generated from the
-cell seed alone, and all algorithms scheduled on a cell consume an instance
-with identical bytes (verified by the recorded instance hash).
+SplitMix64 mix of (master_seed, cell index), and instances are generated from
+the cell seed alone.  run_matrix runs serially, cell by cell: it generates each
+cell's instance once and runs every algorithm scheduled on the cell on it, so
+all of them see identical bytes (certified by the recorded instance hash).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import hashlib
 import logging
 import math
 import struct
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence, get_args, get_type_hints
 
@@ -241,79 +241,47 @@ def make_record(instance: ProblemInstance, b_pivot: int, config: AlgorithmConfig
     )
 
 
-def _execute_task(grid: ExperimentGrid, cell: GridCell, algorithm: str) -> RunRecord:
-    instance = generate_instance(cell.n, cell.r, cell.b_pivot, cell.seed)
-    config = AlgorithmConfig(epsilon=grid.epsilon_for(cell.n), seed=cell.seed,
-                             algorithm=algorithm, time_budget=grid.timeout_s)
-    return make_record(instance, cell.b_pivot, config, solve(instance, config))
-
-
 def run_matrix(grid: ExperimentGrid, algorithms: Sequence[str], master_seed: int,
                out_path, workers: int = 1) -> list:
     """Run every algorithm over the expanded grid, streaming rows to CSV.
 
-    Deterministic algorithms run once per (n, r, b_pivot) cell group
-    (repetition 0 only); randomized ones run every repetition.  Rows are
-    written incrementally in task order and flushed after each run, so a
-    crash leaves a readable partial CSV.  Returns the per-(algorithm, n)
-    aggregate rows for the completed matrix.
+    Cells run in grid order, and each cell's instance is generated once and
+    given to the algorithms in the order listed.  Deterministic algorithms run
+    once per (n, r, b_pivot) cell group (repetition 0 only); randomized ones
+    run every repetition.  Each row is written and flushed as its run ends, so
+    a crash leaves a readable partial CSV.  Returns the RunRecords written.
+    Runs are serial: workers stays for callers that pass it, and must be 1.
     """
-    from .report import aggregate_by_n  # local import keeps report decoupled
-
-    for name in algorithms:
+    if workers != 1:
+        raise ValueError(f"runs are serial, so workers must be 1, got {workers}")
+    for i, name in enumerate(algorithms):
         if name not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {name!r}")
+        if name in algorithms[:i]:
+            raise ValueError(f"algorithm {name!r} is listed twice")
     if not algorithms:
         raise ValueError("no algorithms requested")
     cells = expand_grid(grid, master_seed)
-    tasks = [(cell, name)
-             for cell in cells
-             for name in algorithms
-             if not (name in DETERMINISTIC_ALGORITHMS and cell.repetition > 0)]
 
     records = []
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         fh.flush()
-
-        def emit(rec: RunRecord):
-            records.append(rec)
-            writer.writerow(record_to_row(rec))
-            fh.flush()
-
-        if workers <= 1:
-            for cell, name in tasks:
-                emit(_execute_task(grid, cell, name))
-        else:
-            _run_parallel(grid, tasks, workers, emit)
-    return aggregate_by_n(records)
-
-
-def _run_parallel(grid, tasks, workers, emit):
-    # rows are buffered and flushed in task order so reruns diff cleanly.  The
-    # first failed task cancels every task not yet started; the rows finished
-    # by then are still emitted, in task order, before the error propagates.
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        pending = {pool.submit(_execute_task, grid, cell, name): i
-                   for i, (cell, name) in enumerate(tasks)}
-        done_buf = {}
-        next_out = 0
-        try:
-            while pending:
-                finished, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in finished:
-                    done_buf[pending.pop(fut)] = fut.result()
-                while next_out in done_buf:
-                    emit(done_buf.pop(next_out))
-                    next_out += 1
-        except BaseException:
-            pool.shutdown(cancel_futures=True)  # waits for the running tasks
-            done_buf.update((i, fut.result()) for fut, i in pending.items()
-                            if not fut.cancelled() and fut.exception() is None)
-            for i in sorted(done_buf):
-                emit(done_buf[i])
-            raise
+        for cell in cells:
+            names = [name for name in algorithms
+                     if not (name in DETERMINISTIC_ALGORITHMS and cell.repetition > 0)]
+            if not names:
+                continue
+            instance = generate_instance(cell.n, cell.r, cell.b_pivot, cell.seed)
+            for name in names:
+                config = AlgorithmConfig(epsilon=grid.epsilon_for(cell.n), seed=cell.seed,
+                                         algorithm=name, time_budget=grid.timeout_s)
+                records.append(make_record(instance, cell.b_pivot, config,
+                                           solve(instance, config)))
+                writer.writerow(record_to_row(records[-1]))
+                fh.flush()
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +306,13 @@ def _parse_value(default, text: str):
 
 
 def parse_grid_file(path) -> ExperimentGrid:
-    """Parse a flat key=value grid file; unknown keys and bad values are errors.
+    """Parse a flat key=value grid file; unknown or repeated keys and bad values are errors.
 
     Keys and value types come from the ExperimentGrid fields and their
     defaults; missing keys keep the default.
     """
     defaults = {f.name: f.default for f in fields(ExperimentGrid)}
-    updates = {}
+    updates, set_on = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -356,6 +324,9 @@ def parse_grid_file(path) -> ExperimentGrid:
             key, value = key.strip(), value.strip()
             if key not in defaults:
                 raise ValueError(f"{path}:{lineno}: unknown grid key {key!r}")
+            if key in set_on:
+                raise ValueError(f"{path}:{lineno}: {key} already set on line {set_on[key]}")
+            set_on[key] = lineno
             try:
                 updates[key] = _parse_value(defaults[key], value)
             except ValueError as exc:

@@ -33,7 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated algorithm names")
     p_run.add_argument("--master-seed", type=int, required=True)
     p_run.add_argument("--out", type=Path, required=True, help="output directory")
-    p_run.add_argument("--workers", type=int, default=1)
     p_run.add_argument("--full-scale",
                        action="store_true",
                        help="use the full-scale grid defaults (n up to 750)")
@@ -72,45 +71,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _input_error(exc: ValueError) -> int:
-    """Report a value that a config, instance or grid rejects as argparse reports its own."""
-    print(f"latmax: error: {exc}", file=sys.stderr)
-    return 2
-
-
 def _cmd_bench_run(args) -> int:
-    try:
-        if args.grid is not None:
-            grid = bench.parse_grid_file(args.grid)
-        elif args.full_scale:
-            grid = bench.full_scale_grid()
-        else:
-            grid = bench.ExperimentGrid()
-    except ValueError as exc:
-        return _input_error(exc)
+    if args.grid is not None:
+        grid = bench.parse_grid_file(args.grid)
+    elif args.full_scale:
+        grid = bench.full_scale_grid()
+    else:
+        grid = bench.ExperimentGrid()
     algorithms = [name.strip() for name in args.algorithms.split(",") if name.strip()]
     args.out.mkdir(parents=True, exist_ok=True)
     out_csv = args.out / "results.csv"
-    rows = bench.run_matrix(grid, algorithms, args.master_seed, out_csv,
-                            workers=args.workers)
+    records = bench.run_matrix(grid, algorithms, args.master_seed, out_csv)
     print(f"wrote {out_csv}")
-    print(report.render_rows(rows), end="")
+    print(report.render_rows(report.aggregate_by_n(records)), end="")
     return 0
 
 
 def _cmd_solve(args) -> int:
-    try:
-        if args.repeats < 1:
-            raise ValueError("--repeats must be >= 1")
-        instance = bench.generate_instance(args.n, args.r, args.b_pivot, args.seed)
-        runs = []
-        for offset in range(args.repeats):  # independent seeds, keep the best value
-            config = solvers.AlgorithmConfig(epsilon=args.epsilon, seed=args.seed + offset,
-                                             algorithm=args.algorithm,
-                                             time_budget=args.timeout)
-            runs.append((solvers.solve(instance, config), config))  # exact may refuse
-    except ValueError as exc:
-        return _input_error(exc)
+    if args.repeats < 1:
+        raise ValueError("--repeats must be >= 1")
+    instance = bench.generate_instance(args.n, args.r, args.b_pivot, args.seed)
+    runs = []
+    for offset in range(args.repeats):  # independent seeds, keep the best value
+        config = solvers.AlgorithmConfig(epsilon=args.epsilon, seed=args.seed + offset,
+                                         algorithm=args.algorithm, time_budget=args.timeout)
+        runs.append((solvers.solve(instance, config), config))  # exact may refuse
     best, best_config = max(runs, key=lambda run: run[0].value)  # the first best
     record = bench.make_record(instance, args.b_pivot, best_config, best)
     csv.writer(sys.stdout, lineterminator="\n").writerow(bench.record_to_row(record))
@@ -153,7 +138,11 @@ def _cmd_bench_check(_args) -> int:
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError, csv.Error) as exc:  # rejected input or an unreadable file
+        print(f"latmax: error: {exc}", file=sys.stderr)  # as argparse reports its own
+        return 2
 
 
 if __name__ == "__main__":

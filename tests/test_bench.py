@@ -3,6 +3,7 @@ and end-to-end run_matrix determinism on a micro grid."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from latmax import (
     ExperimentGrid,
     GridCell,
     RunRecord,
+    aggregate_by_n,
     expand_grid,
     full_scale_grid,
     generate_instance,
@@ -226,8 +228,8 @@ def test_guarantee_bound_column_is_per_algorithm(algorithm, expected):
 @pytest.fixture(scope="module")
 def micro_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("bench") / "results.csv"
-    aggregates = run_matrix(MICRO_GRID, MICRO_ALGOS, master_seed=2024, out_path=out)
-    return out, aggregates
+    records = run_matrix(MICRO_GRID, MICRO_ALGOS, master_seed=2024, out_path=out)
+    return out, records
 
 
 class TestRunMatrix:
@@ -251,8 +253,9 @@ class TestRunMatrix:
         assert len(per_algo["greedy"]) == cells
 
     def test_rows_round_trip(self, micro_run):
-        out, _ = micro_run
-        for rec in read_records(out):
+        out, records = micro_run
+        assert read_records(out) == records  # the returned records are the rows
+        for rec in records:
             assert row_to_record(record_to_row(rec)) == rec
 
     def test_instance_hash_constant_within_cell(self, micro_run):
@@ -272,8 +275,8 @@ class TestRunMatrix:
             assert 0.0 < rec.guarantee_bound < 1.0
 
     def test_aggregates_cover_algorithm_by_n(self, micro_run):
-        _, aggregates = micro_run
-        keys = {(row.algorithm, row.group_key) for row in aggregates}
+        _, records = micro_run
+        keys = {(row.algorithm, row.group_key) for row in aggregate_by_n(records)}
         assert keys == {(a, (n,)) for a in MICRO_ALGOS for n in MICRO_GRID.n_values}
 
     def test_rerun_identical_modulo_wall_time(self, micro_run, tmp_path):
@@ -285,10 +288,16 @@ class TestRunMatrix:
         assert first == second
 
     def test_unknown_algorithm_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            run_matrix(MICRO_GRID, ("sgl", "mystery"), 0, tmp_path / "x.csv")
-        with pytest.raises(ValueError):
-            run_matrix(MICRO_GRID, (), 0, tmp_path / "x.csv")
+        out = tmp_path / "x.csv"
+        for algorithms, workers, message in [
+            (("sgl", "mystery"), 1, "unknown algorithm 'mystery'"),
+            ((), 1, "no algorithms requested"),
+            (("sgl", "ssg", "sgl"), 1, "algorithm 'sgl' is listed twice"),
+            (("sgl",), 2, "workers must be 1, got 2"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                run_matrix(MICRO_GRID, algorithms, 0, out, workers=workers)
+            assert not out.exists()
 
     def test_zero_timeout_marks_every_row(self, tmp_path):
         grid = dataclasses.replace(MICRO_GRID, timeout_s=0.0, repetitions=1,
@@ -301,30 +310,15 @@ class TestRunMatrix:
             assert rec.timed_out
             assert rec.wall_time_s == 0.0  # configured timeout is reported
 
-    def test_parallel_workers_match_serial_output(self, micro_run, tmp_path):
-        out, _ = micro_run
-        par = tmp_path / "par.csv"
-        run_matrix(MICRO_GRID, MICRO_ALGOS, master_seed=2024, out_path=par, workers=2)
-        serial = [dataclasses.replace(r, wall_time_s=0.0) for r in read_records(out)]
-        parallel = [dataclasses.replace(r, wall_time_s=0.0) for r in read_records(par)]
-        assert serial == parallel
-
-    def test_parallel_failure_keeps_finished_rows(self, tmp_path):
-        # exact refuses every n=30 box, so each exact task fails and each ssg
-        # task succeeds; the serial run stops after its first row
+    def test_failure_keeps_finished_rows(self, tmp_path):
+        # exact refuses every n=30 box: the run stops at the first cell's exact
+        # task, and the CSV keeps the ssg row finished before it
         grid = dataclasses.replace(MICRO_GRID, n_values=(30,), r_fractions=(1.0,),
                                    repetitions=1)
-        rows = {}
-        for workers in (1, 2):
-            out = tmp_path / f"w{workers}.csv"
-            with pytest.raises(ExhaustivenessCapError):
-                run_matrix(grid, ("ssg", "exact"), master_seed=7, out_path=out,
-                           workers=workers)
-            rows[workers] = [dataclasses.replace(r, wall_time_s=0.0)
-                             for r in read_records(out)]
-        assert [r.algorithm for r in rows[1]] == ["ssg"]
-        assert rows[2][:1] == rows[1]
-        assert {r.algorithm for r in rows[2]} == {"ssg"}
+        out = tmp_path / "results.csv"
+        with pytest.raises(ExhaustivenessCapError):
+            run_matrix(grid, ("ssg", "exact"), master_seed=7, out_path=out)
+        assert [r.algorithm for r in read_records(out)] == ["ssg"]
 
 
 class TestGridFiles:
@@ -382,6 +376,12 @@ class TestGridFiles:
         path = tmp_path / "grid.txt"
         path.write_text("n_values = 10\nworkers = 4\n")
         with pytest.raises(ValueError, match="unknown grid key"):
+            parse_grid_file(path)
+
+    def test_repeated_key_is_an_error(self, tmp_path):
+        path = tmp_path / "grid.txt"
+        path.write_text("n_values = 6\n# later\nn_values = 8\n")
+        with pytest.raises(ValueError, match=r"grid\.txt:3: n_values already set on line 1"):
             parse_grid_file(path)
 
     def test_malformed_line_is_an_error(self, tmp_path):

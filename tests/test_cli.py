@@ -3,6 +3,9 @@
 import csv
 import io
 import math
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,16 @@ from latmax.cli import main
 
 TINY_GRID = ExperimentGrid(n_values=(6,), r_fractions=(0.5,), b_pivots=2,
                            repetitions=2, epsilon_rule="0.1", timeout_s=60.0)
+DESK_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_desk_bench.py"
+
+
+def error_line(capsys) -> str:
+    """The single stderr line of a command that failed before printing anything."""
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    [line] = captured.err.splitlines()
+    assert line.startswith("latmax: error: ")
+    return line
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +65,25 @@ class TestBenchRun:
         assert capsys.readouterr().err == \
             f"latmax: error: {grid_file}: b_pivots and repetitions must be >= 1\n"
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--algorithms", "sgl,mystery"], "unknown algorithm 'mystery'"),
+        (["--grid", "missing.txt"], "No such file or directory: 'missing.txt'"),
+    ])
+    def test_bad_input_is_one_error_line(self, tmp_path, capsys, monkeypatch, extra,
+                                         message):
+        monkeypatch.chdir(tmp_path)
+        code = main(["bench", "run", *extra, "--master-seed", "1", "--out", "o"])
+        assert code == 2
+        assert message in error_line(capsys)
+
+    def test_refused_run_keeps_csv_header(self, tmp_path, capsys):
+        # exact refuses the first desk cell, before any row is written
+        code = main(["bench", "run", "--algorithms", "exact",
+                     "--master-seed", "1", "--out", str(tmp_path)])
+        assert code == 2
+        assert "cap is 1000000" in error_line(capsys)
+        assert read_records(tmp_path / "results.csv") == []
 
     def test_algorithm_subset(self, tmp_path):
         grid_file = tmp_path / "grid.txt"
@@ -148,10 +180,26 @@ class TestReport:
         data = (tmp_path / "queries_vs_b_n6_r3.dat").read_text()
         assert "# algorithm: sgl" in data
 
-    def test_series_missing_slice_fails_loudly(self, bench_run_dir, tmp_path):
-        with pytest.raises(ValueError):
-            main(["report", "series", "--in", str(bench_run_dir / "results.csv"),
-                  "--n", "999", "--r", "3", "--out", str(tmp_path)])
+    def test_series_missing_slice_fails_loudly(self, bench_run_dir, tmp_path, capsys):
+        code = main(["report", "series", "--in", str(bench_run_dir / "results.csv"),
+                     "--n", "999", "--r", "3", "--out", str(tmp_path)])
+        assert code == 2
+        assert error_line(capsys) == "latmax: error: no records for n=999, r=3"
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,b\n1,2\n", "unexpected CSV header"),
+        (",".join(CSV_HEADER) + "\n" + "x" * 200_000 + "\n",
+         "field larger than field limit"),  # a csv.Error, not a ValueError
+        (None, "No such file or directory"),
+    ])
+    def test_unreadable_tables_input_is_one_error_line(self, tmp_path, capsys, text,
+                                                       message):
+        path = tmp_path / "results.csv"
+        if text is not None:
+            path.write_text(text)
+        code = main(["report", "tables", "--in", str(path), "--metric", "queries"])
+        assert code == 2
+        assert message in error_line(capsys)
 
 
 def test_bench_check_passes(capsys):
@@ -174,3 +222,10 @@ def test_missing_subcommand_exits():
         main([])
     with pytest.raises(SystemExit):
         main(["report"])
+
+
+def test_desk_script_stops_at_the_first_failed_step(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", [str(DESK_SCRIPT), "--algorithms", "exact",
+                                      "--out", str(tmp_path)])
+    assert runpy.run_path(str(DESK_SCRIPT))["main"]() == 2
+    assert "cap is 1000000" in error_line(capsys)  # and no "== mean" table
