@@ -11,7 +11,7 @@ Equivalent to:
 Stops at the first step that fails (its `latmax: error:` line is on stderr)
 and exits with that step's status, so no table is printed from a partial CSV.
 
-Takes under 10 s (7.3-9.4 s measured on a 2-CPU Xeon VM with Python 3.11 and
+Takes under 6 s (3.6-4.9 s measured on a 2-CPU Xeon VM with Python 3.11 and
 numpy 2.4, default algorithms and seed).
 """
 

@@ -211,7 +211,8 @@ class CountingOracle:
     or infinite value raises ``ValueError`` naming the point.
     """
 
-    # _state: exact int f(x) or sqrt(x) of the followed x; _weights: linear w as ints
+    # _state: exact int f(x) or sqrt(x) of the followed x; _weights: w as ints
+    # (linear) or as floats (sqrt), so a probe casts nothing
     __slots__ = ("objective", "queries", "x", "_state", "_weights")
 
     def __init__(self, objective: Objective):
@@ -235,6 +236,7 @@ class CountingOracle:
             self._weights = self.objective.weights.tolist()
         elif self.objective.kind == WEIGHTED_CONCAVE_SQRT:
             self._state = np.sqrt(x)
+            self._weights = self.objective.weights.astype(np.float64)
         return value
 
     def commit(self, e: int, k: int) -> None:
@@ -274,7 +276,7 @@ class CountingOracle:
         if self.objective.kind == WEIGHTED_CONCAVE_SQRT:
             roots = self._state
             root, roots[e] = roots[e], math.sqrt(x[e] + k)
-            value = float(roots @ self.objective.weights)
+            value = float(roots @ self._weights)
             roots[e] = root
             return value
         x[e] += k

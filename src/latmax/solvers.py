@@ -19,12 +19,15 @@ objectives (unit-step scans are one integer vector sum), one dot product for
 weighted-concave-sqrt.  Each value equals a full evaluation bit for bit.
 
 Randomized solvers draw from a PCG64 generator seeded with ``config.seed``,
-so runs are bit-reproducible for a fixed seed.
-:func:`_sample_without_replacement` returns positions, not pool entries: ssg
-samples copy-slot positions directly and sgl indexes its available elements
-with them.  Its partial Fisher-Yates shuffle settles the regular steps in
-one vectorized pass and replays only the irregular ones, so its stream
-equals that of a shuffle over a copied pool.
+so runs are bit-reproducible for a fixed seed.  Both sample positions by a
+partial Fisher-Yates shuffle, in the stream of a shuffle over a copied pool.
+sgl needs the shuffle's order, so :func:`_sample_without_replacement`
+settles the regular steps in one vectorized pass and replays only the
+irregular ones, and sgl indexes its available elements with the positions.
+ssg needs only the set of copy slots each round picks, and every round
+commits one copy, so all its pool sizes are known in advance:
+:func:`_sample_slot_sets` draws a block of rounds at once and resolves each
+round to its sorted slot set without a replay.
 """
 
 from __future__ import annotations
@@ -56,6 +59,8 @@ DETERMINISTIC_ALGORITHMS = frozenset({SOMA_DR_I, GREEDY, EXACT})
 # exact enumeration refuses instances with more feasible-box points than this
 BRUTE_FORCE_POINT_CAP = 10 ** 6
 _BRUTE_FORCE_CHUNK = 1 << 16
+# ssg draws the copy slots of a block of rounds at once, up to this many slots
+_SLOT_BLOCK = 4096
 # sgl stops, flagged stalled, after this many zero-commit passes at the floor
 MAX_STALLED_PASSES = 2
 
@@ -188,6 +193,75 @@ def _sample_without_replacement(rng: np.random.Generator, m: int, k: int) -> np.
         displaced[j] = displaced.get(i, i)  # position i is final from here on
     picks[irregular] = held
     return picks
+
+
+def _sample_slot_sets(rng: np.random.Generator, pools: np.ndarray, k: int) -> np.ndarray:
+    """Row t: the k positions :func:`_sample_without_replacement` picks from
+    [0, pools[t]), sorted, drawn in the stream of one such call per row.
+
+    Step i swaps position i with its target j >= i, and positions below i
+    never move again.  So every target of at least k is picked once, and its
+    last drawer pushes out of [0, k) what it held: position i itself, unless
+    an earlier step drew i and handed it its own holding.  Pointer jumping
+    over those hand-overs finds it.
+    """
+    rows = len(pools)
+    if not 0 <= k <= int(pools.min()):
+        raise ValueError(f"cannot sample {k} items from a pool of {int(pools.min())}")
+    if k == 0:
+        return np.empty((rows, 0), dtype=np.int64)
+    size = rows * k
+    steps = np.arange(k)
+    targets = rng.integers(0, pools[:, None] - steps) + steps
+    # each row sorted by target, then step; the low bits hold the step's flat index
+    shift = size.bit_length()
+    cells = np.sort(targets << shift | np.arange(size).reshape(rows, k), axis=1).ravel()
+    target, step = cells >> shift, cells & ((1 << shift) - 1)
+    last = np.ones(size, dtype=bool)  # last[c]: cell c ends a run of equal targets
+    np.not_equal(target[1:], target[:-1], out=last[:-1])
+    last[k - 1::k] = True
+    high = target >= k
+    picked = last & high  # one cell per distinct target of at least k
+    kept = np.ones(size, dtype=bool)  # kept[row * k + i]: position i < k stays picked
+    kept[step[picked]] = False
+    # the last drawer of a target below k hands that position what it held;
+    # position i's holding is read only if step i draws a target of at least
+    # k, so a self-swap, which hands i its own holding, needs no special case
+    handed = np.flatnonzero(last & ~high)
+    if handed.size:
+        held = step[handed]
+        spot = held - held % k + target[handed]
+        holder = np.arange(size)
+        holder[spot] = held
+        while True:
+            up = holder[held]
+            if (up == held).all():
+                break
+            held = up
+        pushed = ~kept[spot]  # these drawers pushed out their holding, not themselves
+        kept[spot[pushed]] = True
+        kept[held[pushed]] = False
+    values = np.empty((rows, 2 * k), dtype=np.int64)
+    values[:, :k] = steps
+    values[:, k:] = target.reshape(rows, k)
+    chosen = np.concatenate([kept.reshape(rows, k), picked.reshape(rows, k)], axis=1)
+    return values[chosen].reshape(rows, k)
+
+
+def _ssg_slot_sets(rng: np.random.Generator, total: int, s: int, rounds: int):
+    """The sorted copy slots of each ssg round, drawn a block of rounds at a time.
+
+    Each round commits one copy, so round t samples min(s, total - t) of the
+    total - t slots left.  A block shares one sample size and holds up to
+    _SLOT_BLOCK slots.
+    """
+    t = 0
+    while t < rounds:
+        remaining = total - t
+        k = min(s, remaining)
+        block = min(max(1, _SLOT_BLOCK // k), rounds - t, remaining - k + 1)
+        yield from _sample_slot_sets(rng, remaining - np.arange(block), k)
+        t += block
 
 
 def max_feasible_step(oracle: CountingOracle, e: int, k_max: int, theta: float,
@@ -349,35 +423,37 @@ def _unit_step_run(instance: ProblemInstance, config: AlgorithmConfig,
     if early is not None:
         return early
     n, b, r = instance.n, instance.b, instance.r
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    s_raw = sample_size(cardinality(b), r, resolve_epsilon(config, n))  # over copy slots
     x = zeros(n)
     fx = oracle.follow(x)
+    rounds = r
+    if sampled:
+        rng = np.random.Generator(np.random.PCG64(config.seed))
+        s = max(1, sample_size(cardinality(b), r, resolve_epsilon(config, n)))
+        ends = np.cumsum(b)  # ends[e]: remaining slots of the elements up to e
+        rounds = min(r, int(ends[-1]))
+        slot_sets = _ssg_slot_sets(rng, int(ends[-1]), s, rounds)
 
     iterations = 0
     timed_out = False
-    for _ in range(r):
+    for _ in range(rounds):
         if _out_of_time(start, config.time_budget):
             timed_out = True
             break
-        gaps = b - x
-        remaining = int(gaps.sum())
-        if remaining == 0:
-            break
         if sampled:
-            s = min(max(1, s_raw), remaining)
-            slots = _sample_without_replacement(rng, remaining, s)
-            candidates = np.searchsorted(np.cumsum(gaps), slots, side="right")
+            candidates = np.searchsorted(ends, next(slot_sets), side="right")
         else:
-            candidates = np.flatnonzero(gaps)
+            candidates = np.flatnonzero(x < b)
+            if candidates.size == 0:
+                break
         before = oracle.queries
         vals = oracle.evaluate_batch(candidates)
-        best_val = float(vals.max())
-        # sampled slots come unsorted and may repeat an element: smallest id wins
-        best_e = int(candidates[vals == best_val].min())
+        best = int(vals.argmax())  # candidates ascend, so ties go to the smallest id
+        best_e, best_val = int(candidates[best]), float(vals[best])
         if not sampled and best_val - fx <= 0:
             break
         oracle.commit(best_e, 1)
+        if sampled:
+            ends[best_e:] -= 1
         fx = best_val
         iterations += 1
         if trace is not None:

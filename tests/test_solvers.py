@@ -27,11 +27,12 @@ from latmax import (
     soma_dr_i,
     ssg,
     t_bar,
+    unit,
     weighted_concave_sqrt,
     weighted_linear,
 )
 from latmax.checks import random_tiny_instance, scan_step
-from latmax.solvers import _sample_without_replacement
+from latmax.solvers import PassStats, _sample_slot_sets, _sample_without_replacement
 
 
 def probes_of(objective, x, e, k_max, theta):
@@ -270,6 +271,34 @@ class TestSomaDrI:
         assert (a.value, a.queries, a.iterations) == (b.value, b.queries, b.iterations)
 
 
+def assert_ssg_matches_reference(instance, seed, eps):
+    """ssg commits, charges and traces as a round-by-round loop over the
+    ordered shuffle, mapping slots with searchsorted, smallest id on ties."""
+    trace = []
+    got = ssg(instance, AlgorithmConfig(seed=seed, epsilon=eps), trace=trace)
+    n, b, r, f = instance.n, instance.b, instance.r, instance.objective
+    rng = np.random.Generator(np.random.PCG64(seed))
+    s_raw = sample_size(cardinality(b), r, eps if eps is not None else 1.0 / (4.0 * n))
+    x = np.zeros(n, dtype=np.int64)
+    queries, expected = 1, []
+    for _ in range(r):
+        gaps = b - x
+        remaining = int(gaps.sum())
+        if remaining == 0:
+            break
+        slots = _sample_without_replacement(rng, remaining, min(max(1, s_raw), remaining))
+        picked = np.searchsorted(np.cumsum(gaps), slots, side="right").tolist()
+        vals = [f(x + unit(n, e)) for e in picked]
+        best = max(vals)
+        x[min(e for e, v in zip(picked, vals) if v == best)] += 1
+        queries += len(picked)
+        expected.append(PassStats(queries=len(picked), sample_size=len(picked),
+                                  max_step_cap=1, committed=True, value=best))
+    assert got.x.tolist() == x.tolist()
+    assert (got.value, got.queries) == (f(x), queries)
+    assert trace == expected
+
+
 class TestSsg:
     def test_finds_optimum_with_high_frequency(self):
         instance = ProblemInstance(**LINEAR_123)
@@ -332,6 +361,30 @@ class TestSsg:
                 x[int(picked.min())] += 1
             assert got.x.tolist() == x.tolist()
         assert repeated and above_zero
+
+    @given(st.data())
+    def test_matches_per_round_reference(self, data):
+        n = data.draw(st.integers(1, 6))
+        b = as_point(data.draw(st.lists(st.integers(1, 8), min_size=n, max_size=n)))
+        total = cardinality(b)
+        # budgets near |b|_1 end with pools smaller than the sample size
+        r = data.draw(st.integers(1, total + 2) | st.integers(max(1, total - 3), total + 2))
+        w = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        make = data.draw(st.sampled_from([weighted_linear, weighted_concave_sqrt]))
+        instance = ProblemInstance(n=n, b=b, r=r, objective=make(w))
+        eps = data.draw(st.sampled_from([None, 0.01, 0.3, 0.9]))
+        seed = data.draw(st.integers(0, 2 ** 32))
+        assert_ssg_matches_reference(instance, seed, eps)
+
+        late = ssg(instance, AlgorithmConfig(seed=seed, epsilon=eps, time_budget=0))
+        assert late.timed_out and late.x.tolist() == [0] * n and late.value == 0.0
+
+    def test_block_spanning_every_round_matches_reference(self):
+        # s = 1 over 60 slots: one block serves all 50 rounds
+        instance = ProblemInstance(n=3, b=as_point([20, 20, 20]), r=50,
+                                   objective=weighted_linear([1, 2, 3]))
+        for seed in range(5):
+            assert_ssg_matches_reference(instance, seed, 0.9)
 
     def test_equal_seeds_reproduce_exactly(self):
         instance = ProblemInstance(n=5, b=as_point([2, 3, 1, 4, 2]), r=6,
@@ -654,3 +707,45 @@ class TestSampleWithoutReplacement:
             assert ours.bit_generator.state == theirs.bit_generator.state
 
 
+def copying_fisher_yates(gen, m, k):
+    """The partial Fisher-Yates shuffle swapping entries of a copy of the pool."""
+    pool = np.arange(m)
+    draws = gen.integers(0, m - np.arange(k)) if k else ()
+    for i in range(k):
+        j = i + int(draws[i])
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k]
+
+
+class TestSampleSlotSets:
+    def test_rows_are_sorted_copying_shuffles(self, rng):
+        # one block call: each row equals the sorted reference drawn row by
+        # row, and the generator ends where the reference calls end
+        for trial in range(2000):
+            kind = trial % 8
+            if kind == 0:  # ssg scale: few irregular steps among many regular ones
+                m, k = int(rng.integers(50_000, 120_000)), int(rng.integers(1000, 2001))
+            elif kind == 1:  # tiny pools: most targets below k or shared
+                m = int(rng.integers(1, 4))
+                k = int(rng.integers(0, m + 1))
+            elif kind == 2:  # k = m: every step is irregular
+                m = k = int(rng.integers(1, 80))
+            elif kind == 3:  # one step, irregular only when it draws 0
+                m, k = int(rng.integers(1, 80)), 1
+            else:
+                m = int(rng.integers(1, 80)) if trial % 10 else int(rng.integers(1000, 5000))
+                k = (0, m, int(rng.integers(0, m + 1)))[trial % 3]
+            rows = int(rng.integers(1, 21 if m < 1000 else 4))  # the reference loops in Python
+            # shrinking pools as in ssg (the last row draws from m), or equal ones
+            pools = m + np.arange(rows)[::-1] if trial % 2 else np.full(rows, m)
+            seed = int(rng.integers(0, 2 ** 32))
+            ours, theirs = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+            got = _sample_slot_sets(ours, pools, k)
+            assert got.shape == (rows, k)
+            for row, pool in zip(got.tolist(), pools.tolist()):
+                assert row == np.sort(copying_fisher_yates(theirs, pool, k)).tolist()
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_rejects_oversized_draw(self, rng):
+        with pytest.raises(ValueError):
+            _sample_slot_sets(rng, np.array([5, 4, 3]), 4)
