@@ -211,10 +211,12 @@ def _sample_slot_sets(rng: np.random.Generator, pools: np.ndarray, k: int) -> np
     if k == 0:
         return np.empty((rows, 0), dtype=np.int64)
     size = rows * k
+    shift = size.bit_length()
+    if int(pools.max()) >= 1 << (63 - shift):  # its sort keys would overflow int64
+        return np.sort([_sample_without_replacement(rng, int(m), k) for m in pools], axis=1)
     steps = np.arange(k)
     targets = rng.integers(0, pools[:, None] - steps) + steps
     # each row sorted by target, then step; the low bits hold the step's flat index
-    shift = size.bit_length()
     cells = np.sort(targets << shift | np.arange(size).reshape(rows, k), axis=1).ravel()
     target, step = cells >> shift, cells & ((1 << shift) - 1)
     last = np.ones(size, dtype=bool)  # last[c]: cell c ends a run of equal targets

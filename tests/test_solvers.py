@@ -749,3 +749,14 @@ class TestSampleSlotSets:
     def test_rejects_oversized_draw(self, rng):
         with pytest.raises(ValueError):
             _sample_slot_sets(rng, np.array([5, 4, 3]), 4)
+
+    @pytest.mark.parametrize("top", [2 ** 59 - 1, 2 ** 59 + 2 ** 58, 2 ** 62])
+    def test_pools_too_large_for_sort_keys(self, top):
+        # 3 rows of 5 steps shift the sort keys by 4 bits, so targets from
+        # 2**59 on do not fit them in int64; any pool gives the ordered stream
+        pools = top - np.arange(3)
+        ours, theirs = (np.random.Generator(np.random.PCG64(7)) for _ in range(2))
+        got = _sample_slot_sets(ours, pools, 5)
+        for row, pool in zip(got.tolist(), pools.tolist()):
+            assert row == sorted(_sample_without_replacement(theirs, pool, 5).tolist())
+        assert ours.bit_generator.state == theirs.bit_generator.state
