@@ -33,9 +33,19 @@ class ExhaustivenessCapError(ValueError):
 # lattice points
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """values as an int64 array; a fractional, NaN, infinite or oversized entry raises."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "biu":
+        f = a.astype(np.float64)
+        if not (np.all(np.abs(f) < 2.0 ** 63) and np.all(f == np.trunc(f))):  # NaN fails too
+            raise ValueError(f"{what} must be integers, got {a.tolist()}")
+    return a.astype(np.int64, copy=False)
+
+
 def as_point(values, n: Optional[int] = None) -> np.ndarray:
-    """Coerce to a 1-D int64 point and validate nonnegativity (and length)."""
-    x = np.asarray(values, dtype=np.int64)
+    """Coerce to a 1-D int64 point and validate integrality, nonnegativity (and length)."""
+    x = _integers(values, "lattice point entries")
     if x.ndim != 1:
         raise ValueError(f"lattice point must be 1-D, got shape {x.shape}")
     if n is not None and x.size != n:
@@ -82,7 +92,7 @@ CUSTOM = "custom"
 
 
 def _checked_weights(weights) -> np.ndarray:
-    w = np.asarray(weights, dtype=np.int64)
+    w = _integers(weights, "weights")
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a non-empty 1-D integer array")
     if int(w.min()) < 1 or int(w.max()) > 100:
@@ -185,6 +195,8 @@ class ProblemInstance:
             raise ValueError("instance needs n >= 1")
         if int(self.b.min()) < 1:
             raise ValueError("every availability cap b_e must be >= 1")
+        if not isinstance(self.r, (int, np.integer)):
+            raise ValueError(f"copy budget r must be an integer, got {self.r!r}")
         if self.r < 0:
             raise ValueError("copy budget r must be >= 0")
         if self.objective.n != self.n:
@@ -207,13 +219,19 @@ class CountingOracle:
     ``follow``s its incumbent x and ``commit``s each step, for free, so a probe
     of x + k * 1_e is answered from cached state: in O(1) and exactly for
     ``weighted-linear``, bit-identical to a full evaluation for
-    ``weighted-concave-sqrt``.  A ``custom`` probe calls the objective.  A NaN
-    or infinite value raises ``ValueError`` naming the point.
+    ``weighted-concave-sqrt``.  A sqrt probe given the bar its gain must clear
+    takes that O(n) dot product only when an O(1) certified interval around
+    the value straddles the bar, so decisions still match it bit for bit.  A
+    ``custom`` probe calls the objective.  A NaN or infinite value raises
+    ``ValueError`` naming the point.
     """
 
     # _state: exact int f(x) or sqrt(x) of the followed x; _weights: w as ints
-    # (linear) or as floats (sqrt), so a probe casts nothing
-    __slots__ = ("objective", "queries", "x", "_state", "_weights")
+    # (linear) or as floats (sqrt), so a probe casts nothing.  The sqrt mirrors,
+    # as Python numbers: _fx = f(x) as the dot product gives it, and _xs, _roots
+    # and _ws = x, sqrt(x) and w; _tol scales the certified interval.
+    __slots__ = ("objective", "queries", "x", "_state", "_weights",
+                 "_fx", "_xs", "_roots", "_ws", "_tol")
 
     def __init__(self, objective: Objective):
         self.objective = objective
@@ -228,7 +246,11 @@ class CountingOracle:
         return value
 
     def follow(self, x: np.ndarray) -> float:
-        """f(x) in one query; x, kept by reference, is the incumbent from here on."""
+        """f(x) in one query; x, kept by reference, is the incumbent from here on.
+
+        The incumbent may change only through :meth:`commit`, which keeps the
+        cached state in step with it; a write to x from outside is not seen.
+        """
         value = self.evaluate(x)
         self.x = x
         if self.objective.kind == WEIGHTED_LINEAR:
@@ -237,6 +259,21 @@ class CountingOracle:
         elif self.objective.kind == WEIGHTED_CONCAVE_SQRT:
             self._state = np.sqrt(x)
             self._weights = self.objective.weights.astype(np.float64)
+            self._fx = value
+            self._xs = x.tolist()
+            self._roots = self._state.tolist()
+            self._ws = self._weights.tolist()
+            # Certified interval.  A float dot product of n terms, in any order
+            # and with or without FMA, is within n*u/(1 - n*u) * sum|terms| of
+            # the real sum of its terms, u = 2**-53 (Higham, Accuracy and
+            # Stability of Numerical Algorithms, 3.1).  The terms are w_i times
+            # roots rounded once or twice, so the followed f(x) and the stepped
+            # value lie within (n + 2) * u times F and F + D of their real values
+            # F and F + D; D = w_e * (sqrt(x_e + k) - sqrt(x_e)) in O(1) is within
+            # 4 * u * (F + D), and f(x) + D rounds by u * (F + D) more.  The
+            # stepped value thus lies within (2n + 9) * u * (F + D) of the O(1)
+            # estimate, and B = 4 * (n + 4) * u * (f(x) + |D|) covers that twice.
+            self._tol = 4 * (x.size + 4) * 2.0 ** -53
         return value
 
     def commit(self, e: int, k: int) -> None:
@@ -245,14 +282,46 @@ class CountingOracle:
         if self.objective.kind == WEIGHTED_LINEAR:
             self._state += self._weights[e] * k
         elif self.objective.kind == WEIGHTED_CONCAVE_SQRT:
-            self._state[e] = math.sqrt(self.x[e])
+            self._xs[e] += k
+            self._roots[e] = self._state[e] = math.sqrt(self._xs[e])
+            self._fx = float(self._state @ self._weights)
 
-    def evaluate_stepped(self, e: int, k: int) -> float:
-        """f(x + k * 1_e) for the followed x in one query; x is left unchanged."""
+    def evaluate_stepped(self, e: int, k: int, fx: Optional[float] = None,
+                         need: Optional[float] = None) -> float:
+        """f(x + k * 1_e) for the followed x in one query; x is left unchanged.
+
+        Given the caller's fx and need, a sqrt probe may instead return an end
+        of a certified interval around the value: its lower end when even that
+        satisfies value - fx >= need, its upper end when even that does not.
+        Rounding is monotone, so the caller's float test then decides as it
+        would on the exact value, which it must fetch with
+        :meth:`settle_stepped` before keeping it.
+        """
         self.queries += 1
         if self.objective.kind == WEIGHTED_LINEAR:
             return float(self._state + self._weights[e] * k)
+        if need is not None and self.objective.kind == WEIGHTED_CONCAVE_SQRT:
+            base = self._fx
+            gain = self._ws[e] * (math.sqrt(self._xs[e] + k) - self._roots[e])
+            value = base + gain
+            slack = self._tol * (base + abs(gain))
+            low = value - slack
+            if low - fx >= need:
+                return low
+            high = value + slack
+            if high - fx < need:
+                return high
         return self._stepped(e, k)
+
+    def settle_stepped(self, e: int, k: int, value: float) -> float:
+        """The exact f(x + k * 1_e) behind a charged probe that returned value.
+
+        Charges nothing: the query was paid for.  Only a sqrt probe given a
+        bar may have answered with an interval end, so only it is re-evaluated.
+        """
+        if self.objective.kind == WEIGHTED_CONCAVE_SQRT:
+            return self._stepped(e, k)
+        return value
 
     def evaluate_batch(self, rows: np.ndarray) -> np.ndarray:
         """One query per row: f of each (m, n) point, or f(x + 1_e) for each listed e."""

@@ -16,7 +16,10 @@ Both loops ``follow`` their incumbent on the oracle from the zero point and
 ``commit`` each accepted step to it, so every probe of a point one coordinate
 away is answered from the oracle's cached state: O(1) for weighted-linear
 objectives (unit-step scans are one integer vector sum), one dot product for
-weighted-concave-sqrt.  Each value equals a full evaluation bit for bit.
+weighted-concave-sqrt.  A threshold step probe passes its bar, so a sqrt
+probe takes the dot product only when an O(1) certified interval cannot
+decide it.  Every decision, and every value a solver keeps, equals that of
+a full evaluation bit for bit.
 
 Randomized solvers draw from a PCG64 generator seeded with ``config.seed``,
 so runs are bit-reproducible for a fixed seed.  Both sample positions by a
@@ -279,19 +282,25 @@ def max_feasible_step(oracle: CountingOracle, e: int, k_max: int, theta: float,
     Returns (k, f(x + k * 1_e)) for the accepted step, or None.  fx is the
     caller's cached f(x).  Costs at most ceil(log2(k_max + 1)) queries; the
     returned objective value lets the caller update its incumbent and apply
-    acceptance guards without re-querying.
+    acceptance guards without re-querying.  Each probe is given its bar, so
+    the oracle may settle it from a certified interval; the accepted step's
+    value is then fetched exactly, for free, since its query was paid for.
     """
     lo, hi = 1, k_max
     best = None
     while lo <= hi:
         mid = (lo + hi) // 2
-        val = oracle.evaluate_stepped(e, mid)
-        if val - fx >= mid * theta:
+        need = mid * theta
+        # positional, so a wrapper taking only *args sees every probe
+        val = oracle.evaluate_stepped(e, mid, fx, need)
+        if val - fx >= need:
             best = (mid, val)
             lo = mid + 1
         else:
             hi = mid - 1
-    return best
+    if best is None:
+        return None
+    return best[0], oracle.settle_stepped(e, *best)
 
 
 def _finish(instance: ProblemInstance, x: np.ndarray, oracle: CountingOracle,
@@ -334,7 +343,7 @@ def _threshold_pass(oracle, x, fx, card, b, r, theta, elements):
     committed = False
     max_cap_seen = 0
     for e in elements.tolist():
-        k_cap = min(int(b[e]) - int(x[e]), r - card)
+        k_cap = min(b[e] - int(x[e]), r - card)
         if k_cap <= 0:
             continue
         max_cap_seen = max(max_cap_seen, k_cap)
@@ -367,6 +376,7 @@ def _threshold_run(instance: ProblemInstance, config: AlgorithmConfig,
 
     eps = resolve_epsilon(config, n)
     rng = np.random.Generator(np.random.PCG64(config.seed))
+    caps = b.tolist()  # a list, so the pass reads a cap without a numpy scalar
     x = zeros(n)
     fx = oracle.follow(x)
     everything = np.arange(n)
@@ -391,7 +401,7 @@ def _threshold_run(instance: ProblemInstance, config: AlgorithmConfig,
             elements = everything
         before = oracle.queries
         fx, card, committed, cap_seen = _threshold_pass(
-            oracle, x, fx, card, b, r, theta, elements)
+            oracle, x, fx, card, caps, r, theta, elements)
         iterations += 1
         if trace is not None:
             trace.append(PassStats(queries=oracle.queries - before,

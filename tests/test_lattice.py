@@ -1,5 +1,7 @@
 """Lattice vocabulary: points, objectives, counting oracle, checkers."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -31,6 +33,19 @@ def test_as_point_rejects_negative_and_bad_shape():
         lm.as_point([[1, 2]])
     with pytest.raises(ValueError):
         lm.as_point([1, 2], n=3)
+
+
+@pytest.mark.parametrize("bad", [1.7, -0.5, float("nan"), float("inf"), 2.0 ** 63])
+def test_non_integral_entries_are_rejected(bad):
+    # each used to be truncated or cast to an arbitrary integer
+    with pytest.raises(ValueError, match="lattice point entries must be integers"):
+        lm.as_point([bad, 2])
+    with pytest.raises(ValueError, match="weights must be integers"):
+        lm.weighted_linear([bad, 99])
+    with pytest.raises(ValueError, match="weights must be integers"):
+        lm.weighted_concave_sqrt(np.array([bad, 99.0]))
+    assert lm.as_point([3.0, 2]).tolist() == [3, 2]
+    assert lm.weighted_linear([1.0, 99.0]).weights.tolist() == [1, 99]
 
 
 @given(points, points)
@@ -205,6 +220,54 @@ def test_followed_state_matches_full_evaluations(case):
         assert oracle.x is x and x.tolist() == expected.tolist()
 
 
+certified_probes = st.tuples(
+    st.integers(1, 300),                                    # n
+    st.integers(1, 4),                                      # distinct weights
+    st.sampled_from([0, 10, 1000, 10 ** 6]),                # largest start entry
+    st.integers(0, 2 ** 32 - 1),                            # seed of the arrays
+    st.lists(st.tuples(st.integers(0, 299), st.integers(1, 1000)), max_size=5),  # commits
+    st.lists(st.floats(-1e3, 1e3), max_size=3),             # random bars
+)
+
+
+@given(certified_probes)
+def test_certified_sqrt_probe_decides_as_the_exact_value(case):
+    # a probe given a bar may return an interval end; that end must bracket the
+    # exact value and fall on its side of the bar, even at the bar itself
+    n, distinct, top, seed, commits, bars = case
+    rng = np.random.Generator(np.random.PCG64(seed))
+    w = rng.choice(rng.integers(1, 101, size=distinct), size=n)
+    x = lm.as_point(rng.integers(0, top + 1, size=n))
+    f = lm.weighted_concave_sqrt(w)
+    oracle = lm.CountingOracle(f)
+    oracle.follow(x)
+    for e, k in commits:
+        oracle.commit(e % n, k)
+    fx = f(x)
+
+    def probe(*args):
+        before = oracle.queries
+        value = oracle.evaluate_stepped(*args)
+        assert oracle.queries == before + 1
+        return value
+
+    for e in {0, n - 1, int(rng.integers(n))}:
+        for k in (1, 2, int(rng.integers(1, 10 ** 4))):
+            exact = probe(e, k)
+            assert exact == f(x + k * lm.unit(n, e))
+            low, high = probe(e, k, fx, -math.inf), probe(e, k, fx, math.inf)
+            assert low <= exact <= high
+            assert high - low <= 1e-12 * exact  # narrow enough to settle most probes
+            gain = exact - fx
+            needs = [gain, math.nextafter(gain, -math.inf), math.nextafter(gain, math.inf),
+                     gain * (1 + 1e-13), gain * (1 - 1e-13), *bars, *(gain + b for b in bars)]
+            for need in needs:
+                assert (probe(e, k, fx, need) - fx >= need) == (exact - fx >= need)
+            charged = oracle.queries
+            assert oracle.settle_stepped(e, k, low) == exact
+            assert oracle.queries == charged
+
+
 # ---------------------------------------------------------------------------
 # problem instances
 
@@ -217,6 +280,12 @@ def test_instance_validation():
         lm.ProblemInstance(n=2, b=[1, 1], r=-1, objective=f)
     with pytest.raises(ValueError):
         lm.ProblemInstance(n=3, b=[1, 1, 1], r=1, objective=f)  # dim mismatch
+    for r in (2.5, 2.0, "2", None):
+        with pytest.raises(ValueError, match="copy budget r must be an integer"):
+            lm.ProblemInstance(n=2, b=[1, 1], r=r, objective=f)
+    with pytest.raises(ValueError, match="must be integers"):
+        lm.ProblemInstance(n=2, b=[1.5, 1], r=1, objective=f)
+    assert lm.ProblemInstance(n=2, b=[1, 1], r=np.int64(2), objective=f).r == 2
     inst = lm.ProblemInstance(n=2, b=[2, 3], r=4, objective=f)
     assert inst.is_feasible(lm.as_point([2, 2]))
     assert not inst.is_feasible(lm.as_point([2, 3]))  # cardinality 5 > 4

@@ -541,6 +541,50 @@ def test_queries_match_oracle_call_tally(name, kind, monkeypatch):
     assert tally[0] == sol.queries
 
 
+@pytest.mark.parametrize("name", ["sgl", "soma-dr-i"])
+@pytest.mark.parametrize("weights", ["equal", "duplicated"])
+def test_certified_probes_keep_trajectories(name, weights, monkeypatch):
+    # tie-heavy sqrt instances put gains exactly on the bar, where the certified
+    # interval cannot decide; the run must match one on exact probes throughout
+    rng = np.random.Generator(np.random.PCG64(29))
+    n = 60
+    w = np.full(n, 7) if weights == "equal" else rng.choice([3, 40, 97], size=n)
+    instances = [ProblemInstance(n=n, b=rng.integers(1, 13, size=n), r=r,
+                                 objective=weighted_concave_sqrt(w)) for r in (15, 120)]
+
+    def runs():
+        out = []
+        for seed, instance in enumerate(instances):
+            trace = []
+            sol = ITERATIVE_RUNNERS[name](instance, AlgorithmConfig(algorithm=name, seed=seed),
+                                          trace=trace)
+            out.append((sol.x.tolist(), sol.value, sol.queries, trace))
+        return out
+
+    probe, stepped = CountingOracle.evaluate_stepped, CountingOracle._stepped
+    probes, fallbacks, probing = [0], [0], [False]
+
+    def counted_probe(self, *args):
+        probes[0] += 1
+        probing[0] = True
+        try:
+            return probe(self, *args)
+        finally:
+            probing[0] = False
+
+    def counted_stepped(self, e, k):
+        fallbacks[0] += probing[0]
+        return stepped(self, e, k)
+
+    monkeypatch.setattr(CountingOracle, "evaluate_stepped", counted_probe)
+    monkeypatch.setattr(CountingOracle, "_stepped", counted_stepped)
+    certified = runs()
+    assert 1 <= fallbacks[0] < probes[0] / 2
+    monkeypatch.setattr(CountingOracle, "evaluate_stepped",
+                        lambda self, e, k, *bar: probe(self, e, k))
+    assert runs() == certified
+
+
 @pytest.mark.parametrize("name", sorted(SOLVER_RUNNERS))
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_objective_is_rejected(name, bad):
