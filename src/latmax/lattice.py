@@ -201,6 +201,13 @@ class ProblemInstance:
             raise ValueError("copy budget r must be >= 0")
         if self.objective.n != self.n:
             raise ValueError("objective dimension does not match the instance")
+        if self.objective.kind == WEIGHTED_LINEAR:
+            # bounds every feasible value, which int64 arithmetic must hold exactly
+            w = self.objective.weights.tolist()
+            top = min(sum(we * be for we, be in zip(w, self.b.tolist())), max(w) * int(self.r))
+            if top >= 2 ** 63:
+                raise ValueError(f"weighted-linear values up to {top} overflow int64 "
+                                 "(min(w . b, max(w) * r) must be below 2**63)")
 
     def is_feasible(self, x: np.ndarray) -> bool:
         return x.shape[0] == self.n and bool(np.all(x >= 0)) and leq(x, self.b) \
@@ -222,8 +229,11 @@ class CountingOracle:
     ``weighted-concave-sqrt``.  A sqrt probe given the bar its gain must clear
     takes that O(n) dot product only when an O(1) certified interval around
     the value straddles the bar, so decisions still match it bit for bit.  A
-    ``custom`` probe calls the objective.  A NaN or infinite value raises
-    ``ValueError`` naming the point.
+    ``custom`` probe calls the objective.  ``evaluate_batch`` answers a list
+    of probes as the same ``evaluate_stepped`` calls would, vectorized, and
+    ``stepped_bounds`` gives those answers uncharged where no O(n)
+    evaluation is needed.  A NaN or infinite value raises ``ValueError``
+    naming the point.
     """
 
     # _state: exact int f(x) or sqrt(x) of the followed x; _weights: w as ints
@@ -323,13 +333,27 @@ class CountingOracle:
             return self._stepped(e, k)
         return value
 
-    def evaluate_batch(self, rows: np.ndarray) -> np.ndarray:
-        """One query per row: f of each (m, n) point, or f(x + 1_e) for each listed e."""
+    def evaluate_batch(self, rows: np.ndarray, steps: Optional[np.ndarray] = None,
+                       fx: Optional[float] = None,
+                       need: Optional[np.ndarray] = None) -> np.ndarray:
+        """One query per row: f of each (m, n) point, or of x + k * 1_e for each listed e.
+
+        Listed elements are probed as :meth:`evaluate_stepped` probes them,
+        answer for answer: steps (k, or None for unit steps) and need (one bar
+        per probe, or None) align with the elements.  Only probes that
+        :meth:`stepped_bounds` leaves undecided take the scalar evaluation.
+        """
         if rows.ndim == 1:
             self.queries += len(rows)
-            if self.objective.kind == WEIGHTED_LINEAR:
-                return (self._state + self.objective.weights[rows]).astype(np.float64)
-            return np.array([self._stepped(e, 1) for e in rows.tolist()], dtype=np.float64)
+            values = self.stepped_bounds(rows, steps, fx, need)
+            if self.objective.kind == WEIGHTED_LINEAR:  # exact, so nothing is undecided
+                return values
+            undecided = np.flatnonzero(np.isnan(values))
+            if undecided.size:
+                ks = [1] * undecided.size if steps is None else steps[undecided].tolist()
+                values[undecided] = [self._stepped(e, k)
+                                     for e, k in zip(rows[undecided].tolist(), ks)]
+            return values
         self._check_width(rows.shape[1])
         self.queries += len(rows)
         values = self.objective.batch(rows)
@@ -338,6 +362,33 @@ class CountingOracle:
             row = int(np.argmin(finite))
             raise _non_finite(values[row], rows[row], f" (row {row} of the batch)")
         return values
+
+    def stepped_bounds(self, rows: np.ndarray, steps: Optional[np.ndarray] = None,
+                       fx: Optional[float] = None,
+                       need: Optional[np.ndarray] = None) -> np.ndarray:
+        """:meth:`evaluate_stepped`'s answer to each probe, bit for bit, where it
+        takes no O(n) evaluation, and NaN where it does; uncharged.
+
+        Arguments align as in :meth:`evaluate_batch`.  Linear probes are exact.
+        A sqrt probe with a bar is the certified interval end that decides it,
+        from the scalar probe's float operations in the same order.
+        """
+        kind = self.objective.kind
+        if kind == WEIGHTED_LINEAR:  # exact: every feasible value is below 2**63
+            gains = self.objective.weights[rows]
+            if steps is not None:
+                gains = gains * steps
+            return (gains + self._state).astype(np.float64)
+        if need is None or kind != WEIGHTED_CONCAVE_SQRT:
+            return np.full(len(rows), np.nan)
+        base = self._fx
+        stepped = self.x[rows] + (1 if steps is None else steps)
+        gain = self._weights[rows] * (np.sqrt(stepped) - self._state[rows])
+        value = base + gain
+        slack = self._tol * (base + np.abs(gain))
+        low = value - slack
+        high = value + slack
+        return np.where(low - fx >= need, low, np.where(high - fx < need, high, np.nan))
 
     def _stepped(self, e: int, k: int) -> float:
         """f(x + k * 1_e) for the followed x of a sqrt or custom objective, uncharged."""

@@ -21,6 +21,11 @@ probe takes the dot product only when an O(1) certified interval cannot
 decide it.  Every decision, and every value a solver keeps, equals that of
 a full evaluation bit for bit.
 
+sgl and custom objectives make one ``evaluate_stepped`` call per probe.
+soma-dr-i on a built-in objective (:func:`_sweep_pass`) answers the
+searches that reject every probe a segment of elements at a time, in one
+charged ``evaluate_batch`` call.
+
 Randomized solvers draw from a PCG64 generator seeded with ``config.seed``,
 so runs are bit-reproducible for a fixed seed.  Both sample positions by a
 partial Fisher-Yates shuffle, in the stream of a shuffle over a copied pool.
@@ -43,6 +48,7 @@ from typing import Optional
 import numpy as np
 
 from .lattice import (
+    CUSTOM,
     CountingOracle,
     ExhaustivenessCapError,
     ProblemInstance,
@@ -332,13 +338,24 @@ def _prologue(instance: ProblemInstance, config: AlgorithmConfig):
     return start, oracle, early
 
 
+def _search_and_commit(oracle, e, k_cap, theta, fx):
+    """Binary-search element e's step and commit it unless it lowers f(x).
+
+    The guard reads the value the search already paid for, so it is
+    query-free.  Returns (f(x), k) after the step, k = 0 if none was taken.
+    """
+    hit = max_feasible_step(oracle, e, k_cap, theta, fx=fx)
+    if hit is None or hit[1] < fx:
+        return fx, 0
+    oracle.commit(e, hit[0])
+    return hit[1], hit[0]
+
+
 def _threshold_pass(oracle, x, fx, card, b, r, theta, elements):
     """One acceptance sweep: binary-search a step for each listed element.
 
     Commits accepted steps immediately, so later elements in the same pass
-    see the updated incumbent.  A step is committed only if it does not
-    decrease the incumbent value (checked against the value the binary
-    search already paid for, so the guard is query-free).
+    see the updated incumbent.
     """
     committed = False
     max_cap_seen = 0
@@ -347,15 +364,52 @@ def _threshold_pass(oracle, x, fx, card, b, r, theta, elements):
         if k_cap <= 0:
             continue
         max_cap_seen = max(max_cap_seen, k_cap)
-        hit = max_feasible_step(oracle, e, k_cap, theta, fx=fx)
-        if hit is not None:
-            k, val = hit
-            if val >= fx:
-                oracle.commit(e, k)
-                card += k
-                fx = val
-                committed = True
+        fx, k = _search_and_commit(oracle, e, k_cap, theta, fx)
+        card += k
+        committed = committed or k > 0
     return fx, card, committed, max_cap_seen
+
+
+def _sweep_pass(oracle, x, fx, card, b, r, theta):
+    """:func:`_threshold_pass` over every element, a segment at a time.
+
+    A search that rejects every probe tries k = ceil(K / 2) and then halves
+    k down to 1, where K = min(b_e - x_e, r - |x|).  The oracle's uncharged
+    bounds find the first element whose path may not reject.  The paths
+    before it are charged in one batch, in the scalar order, and it runs the
+    scalar search, so queries, decisions and values match the scalar pass.
+    """
+    committed = False
+    max_cap_seen = 0
+    start = 0
+    while True:
+        caps = np.minimum(b[start:] - x[start:], r - card)
+        live = np.flatnonzero(caps > 0)
+        if live.size == 0:
+            return fx, card, committed, max_cap_seen
+        caps = caps[live]
+        first = caps - (caps >> 1)  # (K + 1) // 2 without overflow
+        probes = first[:, None] >> np.arange(int(first.max()).bit_length())
+        on_path = probes > 0
+        elements = np.repeat(live + start, on_path.sum(axis=1))
+        steps = probes[on_path]
+        needs = steps * theta
+        # probes that may not reject; a NaN bound is undecided
+        open_ = np.flatnonzero(~(oracle.stepped_bounds(elements, steps, fx, needs) - fx < needs))
+        cut = int(np.searchsorted(elements, elements[open_[0]])) if open_.size else steps.size
+        # charge the probes of the elements before the stopping one; each must reject
+        if cut and not (oracle.evaluate_batch(elements[:cut], steps[:cut], fx, needs[:cut])
+                        - fx < needs[:cut]).all():
+            raise RuntimeError("a charged probe accepted where its bound rejected")
+        if cut == steps.size:
+            return fx, card, committed, max(max_cap_seen, int(caps.max()))
+        e = int(elements[cut])
+        stop = int(np.searchsorted(live, e - start))
+        max_cap_seen = max(max_cap_seen, int(caps[:stop + 1].max()))
+        fx, k = _search_and_commit(oracle, e, int(caps[stop]), theta, fx)
+        card += k
+        committed = committed or k > 0
+        start = e + 1
 
 
 def _threshold_run(instance: ProblemInstance, config: AlgorithmConfig,
@@ -377,6 +431,7 @@ def _threshold_run(instance: ProblemInstance, config: AlgorithmConfig,
     eps = resolve_epsilon(config, n)
     rng = np.random.Generator(np.random.PCG64(config.seed))
     caps = b.tolist()  # a list, so the pass reads a cap without a numpy scalar
+    sweep = not sampled and instance.objective.kind != CUSTOM
     x = zeros(n)
     fx = oracle.follow(x)
     everything = np.arange(n)
@@ -400,8 +455,11 @@ def _threshold_run(instance: ProblemInstance, config: AlgorithmConfig,
         else:
             elements = everything
         before = oracle.queries
-        fx, card, committed, cap_seen = _threshold_pass(
-            oracle, x, fx, card, caps, r, theta, elements)
+        if sweep:
+            fx, card, committed, cap_seen = _sweep_pass(oracle, x, fx, card, b, r, theta)
+        else:
+            fx, card, committed, cap_seen = _threshold_pass(
+                oracle, x, fx, card, caps, r, theta, elements)
         iterations += 1
         if trace is not None:
             trace.append(PassStats(queries=oracle.queries - before,

@@ -6,6 +6,7 @@ Each criterion asserts its stated tolerance; a failing line still reports
 the measured quantity so the shortfall is visible in the output.
 """
 
+import hashlib
 import math
 import time
 
@@ -34,10 +35,13 @@ from latmax import (
     write_grid_file,
 )
 from latmax import checks
+from latmax.bench import record_to_row
 from latmax.cli import main
 
 DESK_MASTER_SEED = 20240817
 DESK_ALGORITHMS = ("sgl", "soma-dr-i", "ssg")
+# sha256 of the desk run's trajectory columns, one line per row
+DESK_DIGEST = "ca274bf160808aedab0d2ce10f0604940ee982a5ae5b63c7b21bc76b9f90b0a5"
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -162,6 +166,18 @@ def test_criterion_7_query_growth_in_availability(desk_records):
             ssg_increasing and sgl_ratio <= 1.5,
             f"ssg strictly increasing: {ssg_increasing}; "
             f"sgl max/min ratio {sgl_ratio:.3f} (tolerance 1.5)")
+
+
+def test_desk_trajectories_are_pinned(desk_records):
+    # a faster hot path must leave every run's value, queries and flags as they were
+    records, _ = desk_records
+    columns = [CSV_HEADER.index(name) for name in (
+        "algorithm", "seed", "instance_hash", "value", "queries", "stalled", "timed_out")]
+    digest = hashlib.sha256()
+    for record in records:
+        row = record_to_row(record)
+        digest.update((",".join(row[i] for i in columns) + "\n").encode())
+    assert (len(records), digest.hexdigest()) == (1023, DESK_DIGEST)
 
 
 def test_criterion_8_structure_checkers():

@@ -268,6 +268,53 @@ def test_certified_sqrt_probe_decides_as_the_exact_value(case):
             assert oracle.queries == charged
 
 
+batched_probes = st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.sampled_from(["linear", "linear above 2**53", "sqrt", "custom"]),
+    st.lists(st.sampled_from([3, 40, 97]), min_size=n, max_size=n),       # duplicated weights
+    st.integers(0, 2 ** 32 - 1),                                          # seed of the arrays
+    st.booleans(),                                                        # probes have bars
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 60),
+                       st.sampled_from(["below", "at", "above", "far"])),
+             min_size=1, max_size=12),                                    # probes and bars
+))
+
+
+@given(batched_probes)
+def test_batched_probes_match_scalar_probes(case):
+    # evaluate_batch answers each probe as evaluate_stepped would, bit for bit,
+    # including bars one ulp from the exact gain, where a sqrt bound is undecided
+    kind, w, seed, with_bars, probes = case
+    n = len(w)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    top = 2 ** 53 if kind == "linear above 2**53" else 50  # 97 * (8 + 1) * 2**53 < 2**63
+    f = {"sqrt": lm.weighted_concave_sqrt(w),
+         "custom": lm.custom_objective(n, lambda x: float(np.sqrt(x + 1) @ w))
+         }.get(kind) or lm.weighted_linear(w)
+    oracle = lm.CountingOracle(f)
+    fx = oracle.follow(lm.as_point(rng.integers(0, top + 1, size=n)))
+    elements = np.array([e for e, _, _ in probes])
+    steps = np.array([k for _, k, _ in probes])
+    if kind == "linear above 2**53":
+        steps += rng.integers(0, 2 ** 53, size=steps.size)
+    needs = []
+    for e, k, bar in zip(elements.tolist(), steps.tolist(), [b for _, _, b in probes]):
+        gain = f(oracle.x + k * lm.unit(n, e)) - fx
+        needs.append({"at": gain, "far": gain * rng.uniform(-2, 2),
+                      "below": math.nextafter(gain, -math.inf),
+                      "above": math.nextafter(gain, math.inf)}[bar])
+    bars = [(fx, need) if with_bars else () for need in needs]
+    scalar = [oracle.evaluate_stepped(e, k, *bar)
+              for e, k, bar in zip(elements.tolist(), steps.tolist(), bars)]
+    needs = np.array(needs) if with_bars else None
+    before = oracle.queries
+    bound = oracle.stepped_bounds(elements, steps, fx, needs)
+    assert oracle.queries == before
+    batch = oracle.evaluate_batch(elements, steps, fx, needs)
+    assert oracle.queries == before + elements.size
+    assert [v.hex() for v in batch.tolist()] == [v.hex() for v in scalar]
+    assert all(math.isnan(b) or b == v for b, v in zip(bound.tolist(), scalar))
+
+
 # ---------------------------------------------------------------------------
 # problem instances
 
@@ -289,6 +336,27 @@ def test_instance_validation():
     inst = lm.ProblemInstance(n=2, b=[2, 3], r=4, objective=f)
     assert inst.is_feasible(lm.as_point([2, 2]))
     assert not inst.is_feasible(lm.as_point([2, 3]))  # cardinality 5 > 4
+
+
+def test_linear_instance_beyond_int64_is_rejected():
+    # min(w . b, max(w) * r) bounds every feasible value; from 2**63 on, int64 wraps
+    # (weighted_linear([100, 3]) at [2**62, 5] evaluates to 15.0)
+    f = lm.weighted_linear([100, 3])
+    with pytest.raises(ValueError, match="overflow int64"):
+        lm.ProblemInstance(n=2, b=[2 ** 62, 5], r=2 ** 62 + 5, objective=f)
+    with pytest.raises(ValueError, match="overflow int64"):
+        lm.ProblemInstance(n=1, b=[2 ** 62], r=2 ** 62, objective=lm.weighted_linear([2]))
+    edge = lm.ProblemInstance(n=1, b=[2 ** 63 - 1], r=2 ** 63 - 1,
+                              objective=lm.weighted_linear([1]))
+    assert lm.soma_dr_i(edge).value == float(2 ** 63 - 1)
+    # either factor of the bound may be the small one
+    small_r = lm.ProblemInstance(n=2, b=[2 ** 62, 5], r=7, objective=f)
+    assert lm.soma_dr_i(small_r).value == 700.0
+    small_b = lm.ProblemInstance(n=2, b=[2 ** 56, 5], r=2 ** 62, objective=f)
+    assert lm.soma_dr_i(small_b).value == float(100 * 2 ** 56 + 15)
+    # sqrt values are floats and have no such limit
+    lm.ProblemInstance(n=2, b=[2 ** 62, 5], r=2 ** 62 + 5,
+                       objective=lm.weighted_concave_sqrt([100, 3]))
 
 
 def test_instance_and_objective_keep_their_own_arrays():

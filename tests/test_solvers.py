@@ -684,6 +684,80 @@ def test_builtin_objective_matches_its_custom_wrapper(name, case):
     assert runs[0] == runs[1]
 
 
+def sweep_instances():
+    """Wide soma-dr-i instances: equal, duplicated and spread weights, budgets
+    that run out mid-pass, and caps and linear values near 2**63."""
+    rng = np.random.Generator(np.random.PCG64(20240817))
+    for i in range(24):
+        n = int(rng.integers(1, 61))
+        w = (np.full(n, 7), rng.choice([3, 40, 97], size=n), rng.integers(1, 101, size=n))[i % 3]
+        b = rng.integers(1, 41, size=n)
+        r = int(rng.integers(1, int(b.sum()) + 1))
+        make = weighted_concave_sqrt if i % 2 else weighted_linear
+        yield make(w), b, r, (None, 0.05, 0.2, 0.5)[i % 4] if n <= 20 else 0.2
+    # a light element rejects every probe of up to 2**60 copies while theta is high
+    yield weighted_linear([1, 100, 1]), [2 ** 60, 2 ** 56, 3], 2 ** 60, 0.25
+    yield weighted_concave_sqrt([1, 100, 3]), [2 ** 62 - 1, 2 ** 55, 7], 2 ** 62 - 2, 0.3
+
+
+def test_sweep_matches_the_scalar_pass(monkeypatch):
+    # the custom wrapper takes the scalar pass; the built-in sweep answers each
+    # all-reject search in a batch and must give the same x, value, queries,
+    # iterations and traces
+    from latmax import solvers
+
+    search, probe, stepped, batch = (solvers._search_and_commit,
+                                     CountingOracle.evaluate_stepped, CountingOracle._stepped,
+                                     CountingOracle.evaluate_batch)
+    # counted over the built-in runs: searches that end a segment, those that
+    # commit, sqrt probes the certified bound leaves undecided, batched probes
+    seen = dict(stops=0, commits=0, undecided=0, batched=0)
+    probing, builtin_run, filled = [False], [False], 0
+
+    def counted_search(*args):
+        fx, k = search(*args)
+        seen["stops"] += builtin_run[0]
+        seen["commits"] += builtin_run[0] and k > 0
+        return fx, k
+
+    def counted_probe(self, *args):
+        probing[0] = True
+        try:
+            return probe(self, *args)
+        finally:
+            probing[0] = False
+
+    def counted_stepped(self, e, k):
+        seen["undecided"] += probing[0] and builtin_run[0]
+        return stepped(self, e, k)
+
+    def counted_batch(self, rows, *args):
+        if args:  # multi-copy steps: the sweep's all-reject searches
+            seen["batched"] += len(rows)
+        return batch(self, rows, *args)
+
+    monkeypatch.setattr(solvers, "_search_and_commit", counted_search)
+    monkeypatch.setattr(CountingOracle, "evaluate_stepped", counted_probe)
+    monkeypatch.setattr(CountingOracle, "_stepped", counted_stepped)
+    monkeypatch.setattr(CountingOracle, "evaluate_batch", counted_batch)
+    for builtin, b, r, eps in sweep_instances():
+        runs = []
+        for objective in (builtin, custom_objective(builtin.n, builtin)):
+            instance = ProblemInstance(n=builtin.n, b=as_point(b), r=r, objective=objective)
+            trace = []
+            builtin_run[0] = objective is builtin
+            sol = soma_dr_i(instance, AlgorithmConfig(epsilon=eps, algorithm="soma-dr-i"),
+                            trace=trace)
+            runs.append((sol.x.tolist(), sol.value, sol.queries, sol.iterations, trace))
+        assert runs[0] == runs[1]
+        assert runs[0][0] != [0] * builtin.n
+        filled += sum(runs[0][0]) == r < sum(b)  # the budget ran out during a pass
+    assert filled >= 10
+    # segments end on commits and on undecided sqrt probes, and batches carry most probes
+    assert seen["batched"] > seen["stops"] >= seen["commits"] > 0
+    assert seen["undecided"] > 0
+
+
 def test_solve_dispatches_every_algorithm():
     instance = ProblemInstance(**LINEAR_123)
     for name in SOLVER_RUNNERS:
