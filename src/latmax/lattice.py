@@ -201,10 +201,13 @@ class ProblemInstance:
             raise ValueError("copy budget r must be >= 0")
         if self.objective.n != self.n:
             raise ValueError("objective dimension does not match the instance")
+        caps = self.b.tolist()
+        if sum(caps) >= 2 ** 63:  # int64 cardinalities, |b|_1 among them, must not wrap
+            raise ValueError(f"total availability |b|_1 = {sum(caps)} overflows int64")
         if self.objective.kind == WEIGHTED_LINEAR:
             # bounds every feasible value, which int64 arithmetic must hold exactly
             w = self.objective.weights.tolist()
-            top = min(sum(we * be for we, be in zip(w, self.b.tolist())), max(w) * int(self.r))
+            top = min(sum(we * be for we, be in zip(w, caps)), max(w) * int(self.r))
             if top >= 2 ** 63:
                 raise ValueError(f"weighted-linear values up to {top} overflow int64 "
                                  "(min(w . b, max(w) * r) must be below 2**63)")

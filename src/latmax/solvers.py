@@ -29,9 +29,12 @@ charged ``evaluate_batch`` call.
 Randomized solvers draw from a PCG64 generator seeded with ``config.seed``,
 so runs are bit-reproducible for a fixed seed.  Both sample positions by a
 partial Fisher-Yates shuffle, in the stream of a shuffle over a copied pool.
-sgl needs the shuffle's order, so :func:`_sample_without_replacement`
-settles the regular steps in one vectorized pass and replays only the
-irregular ones, and sgl indexes its available elements with the positions.
+sgl needs the shuffle's order, so each pass replays its steps in plain
+Python (:func:`_replay`) and indexes its available elements with the
+positions.  Its pool changes only when a commit fills an element, so sgl
+draws a block of same-pool passes in one generator call, and rewinds the
+generator when a pool shrinks mid-block, so that the stream stays that of
+one :func:`_sample_without_replacement` call per pass.
 ssg needs only the set of copy slots each round picks, and every round
 commits one copy, so all its pool sizes are known in advance:
 :func:`_sample_slot_sets` draws a block of rounds at once and resolves each
@@ -70,6 +73,8 @@ BRUTE_FORCE_POINT_CAP = 10 ** 6
 _BRUTE_FORCE_CHUNK = 1 << 16
 # ssg draws the copy slots of a block of rounds at once, up to this many slots
 _SLOT_BLOCK = 4096
+# sgl draws the samples of a block of same-pool passes at once, up to this many draws
+_PASS_BLOCK = 256
 # sgl stops, flagged stalled, after this many zero-commit passes at the floor
 MAX_STALLED_PASSES = 2
 
@@ -175,33 +180,31 @@ def guarantee_bound(algorithm: str, n: int, r: int, epsilon: float) -> float:
     return 1.0 - 1.0 / math.e - epsilon
 
 
+def _replay(offsets) -> list:
+    """The positions a partial Fisher-Yates shuffle picks, step by step.
+
+    Step i swaps position i with target i + offsets[i] and picks what the
+    target holds.  Only displaced positions are tracked, in a dict, so no
+    pool is built.
+    """
+    displaced = {}  # position -> original position now held there
+    picks = []
+    for i, offset in enumerate(offsets):
+        j = i + offset
+        picks.append(displaced.get(j, j))
+        displaced[j] = displaced.get(i, i)  # position i is final from here on
+    return picks
+
+
 def _sample_without_replacement(rng: np.random.Generator, m: int, k: int) -> np.ndarray:
     """k distinct positions in [0, m) by a partial Fisher-Yates shuffle.
 
-    Step i swaps position i with a uniform target in [i, m) and picks what
-    the target holds.  A regular step, whose target is at least k and drawn
-    by no other step, picks its own target: nothing has moved there, and
-    nothing reads it later.  Only the irregular steps, about k**2 / m of
-    them, replay the shuffle in step order, tracking displaced positions.
+    One generator call draws step i's offset into [i, m) for every step,
+    and :func:`_replay` plays the steps in order.
     """
     if not (0 <= k <= m):
         raise ValueError(f"cannot sample {k} items from a pool of {m}")
-    steps = np.arange(k)
-    picks = rng.integers(0, m - steps) + steps
-    order = picks.argsort()  # unstable is enough: only equal neighbours matter
-    ranked = picks[order]
-    irregular = ranked < k
-    repeated = ranked[1:] == ranked[:-1]
-    irregular[1:] |= repeated
-    irregular[:-1] |= repeated
-    irregular = np.sort(order[irregular])
-    displaced = {}  # position -> original position now held there
-    held = []
-    for i, j in zip(irregular.tolist(), picks[irregular].tolist()):
-        held.append(displaced.get(j, j))
-        displaced[j] = displaced.get(i, i)  # position i is final from here on
-    picks[irregular] = held
-    return picks
+    return np.array(_replay(rng.integers(0, m - np.arange(k)).tolist()), dtype=np.int64)
 
 
 def _sample_slot_sets(rng: np.random.Generator, pools: np.ndarray, k: int) -> np.ndarray:
@@ -352,14 +355,14 @@ def _search_and_commit(oracle, e, k_cap, theta, fx):
 
 
 def _threshold_pass(oracle, x, fx, card, b, r, theta, elements):
-    """One acceptance sweep: binary-search a step for each listed element.
+    """One acceptance sweep: binary-search a step for each listed element id.
 
     Commits accepted steps immediately, so later elements in the same pass
     see the updated incumbent.
     """
     committed = False
     max_cap_seen = 0
-    for e in elements.tolist():
+    for e in elements:
         k_cap = min(b[e] - int(x[e]), r - card)
         if k_cap <= 0:
             continue
@@ -434,10 +437,11 @@ def _threshold_run(instance: ProblemInstance, config: AlgorithmConfig,
     sweep = not sampled and instance.objective.kind != CUSTOM
     x = zeros(n)
     fx = oracle.follow(x)
-    everything = np.arange(n)
-    theta = d = float(oracle.evaluate_batch(everything).max())
+    theta = d = float(oracle.evaluate_batch(np.arange(n)).max())
     theta_stop = (eps / r) * d
-    s_raw = sample_size(n, r, eps)
+    s_raw = max(1, sample_size(n, r, eps))
+    available = elements = range(n)  # the elements below their caps
+    used = passes = 0  # passes of the current block served, and drawn
 
     card = 0
     iterations = 0
@@ -449,11 +453,15 @@ def _threshold_run(instance: ProblemInstance, config: AlgorithmConfig,
             timed_out = True
             break
         if sampled:
-            available = np.flatnonzero(x < b)
-            s = min(max(1, s_raw), available.size)
-            elements = available[_sample_without_replacement(rng, available.size, s)]
-        else:
-            elements = everything
+            if used == passes:  # draw the next block of same-pool passes
+                m = len(available)
+                s = min(s_raw, m)
+                passes, used = max(1, _PASS_BLOCK // s), 0
+                highs = m - np.arange(passes * s) % s  # pass after pass: m, m - 1, ...
+                saved = rng.bit_generator.state
+                draws = rng.integers(0, highs).tolist()
+            elements = [available[p] for p in _replay(draws[used * s:(used + 1) * s])]
+            used += 1
         before = oracle.queries
         if sweep:
             fx, card, committed, cap_seen = _sweep_pass(oracle, x, fx, card, b, r, theta)
@@ -463,10 +471,17 @@ def _threshold_run(instance: ProblemInstance, config: AlgorithmConfig,
         iterations += 1
         if trace is not None:
             trace.append(PassStats(queries=oracle.queries - before,
-                                   sample_size=elements.size, max_step_cap=cap_seen,
+                                   sample_size=len(elements), max_step_cap=cap_seen,
                                    committed=committed, value=fx, theta=theta))
         if card >= r:
             break
+        if sampled and committed:  # only a commit changes x
+            available = np.flatnonzero(x < b).tolist()
+            if len(available) < m:
+                if used < passes:  # rewind, and redraw only what the served passes drew
+                    rng.bit_generator.state = saved
+                    rng.integers(0, highs[:used * s])
+                passes = used
         if theta <= theta_stop:
             if not sampled:
                 break  # the final sweep at the floor just completed

@@ -42,6 +42,8 @@ DESK_MASTER_SEED = 20240817
 DESK_ALGORITHMS = ("sgl", "soma-dr-i", "ssg")
 # sha256 of the desk run's trajectory columns, one line per row
 DESK_DIGEST = "ca274bf160808aedab0d2ce10f0604940ee982a5ae5b63c7b21bc76b9f90b0a5"
+# sha256 of x, queries, iterations and stalled of each seeded sqrt sgl run
+SGL_SQRT_DIGEST = "4a0d0366d0fe15b406c5960f52b9a9679c192ecc9e713c8eb9290be62103527f"
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -205,3 +207,31 @@ def test_criterion_9_bench_run_reproducibility(tmp_path):
     _report(9, "repeated bench runs are identical outside wall-time",
             len(first) > 1 and stripped[0] == stripped[1],
             f"{len(first) - 1} rows compared")
+
+
+def sqrt_sgl_instances():
+    """Seeded weighted-concave-sqrt sgl runs, n up to 200: caps low enough
+    that commits fill elements and shrink the pool, and high enough that most
+    commits leave it unchanged."""
+    rng = np.random.Generator(np.random.PCG64(DESK_MASTER_SEED))
+    for i in range(60):
+        n = int(rng.integers(1, 201))
+        w = rng.integers(1, 101, size=n)
+        b = rng.integers(1, (4, 12, 60)[i % 3] + 1, size=n)
+        r = int(rng.integers(1, int(b.sum()) + 1))
+        eps = (None, 0.05, 0.3, 0.9)[i % 4]
+        yield (ProblemInstance(n=n, b=b, r=r, objective=weighted_concave_sqrt(w)),
+               AlgorithmConfig(epsilon=eps, seed=int(rng.integers(0, 2 ** 32))))
+
+
+def test_sgl_sqrt_trajectories_are_pinned():
+    # a faster sampler must leave every sqrt run's point, queries and flags as they were
+    digest = hashlib.sha256()
+    partial = 0  # elements left strictly between 0 and their caps
+    for instance, config in sqrt_sgl_instances():
+        sol = sgl(instance, config)
+        partial += int(((sol.x > 0) & (sol.x < instance.b)).sum())
+        digest.update(f"{sol.x.tolist()},{sol.queries},{sol.iterations},{sol.stalled}\n"
+                      .encode())
+    assert partial > 0
+    assert digest.hexdigest() == SGL_SQRT_DIGEST

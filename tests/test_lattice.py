@@ -359,6 +359,20 @@ def test_linear_instance_beyond_int64_is_rejected():
                        objective=lm.weighted_concave_sqrt([100, 3]))
 
 
+def test_total_availability_beyond_int64_is_rejected():
+    # an int64 |b|_1 would wrap to -2**62 here, and the threshold solvers'
+    # box shortcut r >= |b|_1 would return x = b, far over the budget
+    for b in ([2 ** 62] * 3, [2 ** 63 - 1, 1], [2 ** 62, 2 ** 62]):
+        with pytest.raises(ValueError, match="total availability"):
+            lm.ProblemInstance(n=len(b), b=b, r=5,
+                               objective=lm.weighted_concave_sqrt([1] * len(b)))
+    widest = lm.ProblemInstance(n=3, b=[2 ** 62, 2 ** 61, 2 ** 61 - 1], r=5,
+                                objective=lm.weighted_concave_sqrt([1, 2, 3]))
+    assert lm.cardinality(widest.b) == 2 ** 63 - 1
+    for sol in (lm.soma_dr_i(widest), lm.sgl(widest, lm.AlgorithmConfig(seed=1))):
+        assert widest.is_feasible(sol.x) and lm.cardinality(sol.x) == 5
+
+
 def test_instance_and_objective_keep_their_own_arrays():
     b = np.array([2, 3], dtype=np.int64)
     w = np.array([5, 7], dtype=np.int64)

@@ -32,7 +32,12 @@ from latmax import (
     weighted_linear,
 )
 from latmax.checks import random_tiny_instance, scan_step
-from latmax.solvers import PassStats, _sample_slot_sets, _sample_without_replacement
+from latmax.solvers import (
+    MAX_STALLED_PASSES,
+    PassStats,
+    _sample_slot_sets,
+    _sample_without_replacement,
+)
 
 
 def probes_of(objective, x, e, k_max, theta):
@@ -166,6 +171,61 @@ LINEAR_123 = dict(n=3, b=as_point([2, 2, 2]), r=3,
                   objective=weighted_linear([1, 2, 3]))
 
 
+def assert_sgl_matches_reference(instance, seed, eps):
+    """sgl commits, charges and traces as a pass-by-pass loop that re-lists
+    the elements below their caps and draws each pass's sample by its own
+    sampler call, probing with full evaluations."""
+    trace = []
+    got = sgl(instance, AlgorithmConfig(seed=seed, epsilon=eps), trace=trace)
+    n, b, r, f = instance.n, instance.b, instance.r, instance.objective
+    eps = eps if eps is not None else 1.0 / (4.0 * n)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x = np.zeros(n, dtype=np.int64)
+    fx = f(x)
+    theta = d = max(f(unit(n, e)) for e in range(n))
+    theta_stop = (eps / r) * d
+    s_raw = max(1, sample_size(n, r, eps))
+    queries, card, idle, stalled, expected = 1 + n, 0, 0, False, []
+    while card < r:
+        available = np.flatnonzero(x < b)
+        s = min(s_raw, available.size)
+        before, committed, cap_seen = queries, False, 0
+        for e in available[_sample_without_replacement(rng, available.size, s)].tolist():
+            k_cap = min(int(b[e] - x[e]), r - card)
+            if k_cap <= 0:
+                continue
+            cap_seen = max(cap_seen, k_cap)
+            lo, hi, best = 1, k_cap, None
+            while lo <= hi:
+                mid = (lo + hi) // 2
+                val = f(x + mid * unit(n, e))
+                queries += 1
+                if val - fx >= mid * theta:
+                    best, lo = (mid, val), mid + 1
+                else:
+                    hi = mid - 1
+            if best is not None and best[1] >= fx:
+                x[e] += best[0]
+                fx = best[1]
+                card += best[0]
+                committed = True
+        expected.append(PassStats(queries=queries - before, sample_size=s,
+                                  max_step_cap=cap_seen, committed=committed, value=fx,
+                                  theta=theta))
+        if card >= r:
+            break
+        if theta <= theta_stop:
+            idle = 0 if committed else idle + 1
+            if idle >= MAX_STALLED_PASSES:
+                stalled = True
+                break
+        theta = max(theta * (1.0 - eps), theta_stop)
+    assert got.x.tolist() == x.tolist()
+    assert (got.value, got.queries, got.iterations, got.stalled) == \
+        (f(x), queries, len(expected), stalled)
+    assert trace == expected
+
+
 class TestSgl:
     def test_reaches_optimum_on_small_modular_instance(self):
         instance = ProblemInstance(**LINEAR_123)
@@ -238,6 +298,52 @@ class TestSgl:
         for stats in trace:
             assert stats.max_step_cap <= cap
             assert stats.queries <= stats.sample_size * math.ceil(math.log2(cap + 1)) + 1
+
+
+    @given(st.data())
+    def test_matches_pass_by_pass_reference(self, data):
+        # small caps fill elements and shrink the pool mid-block, large sqrt
+        # caps take commits that fill nothing, small budgets give s >= m, and
+        # eps = 0.9 stalls at the floor
+        n = data.draw(st.integers(1, 40))
+        top = data.draw(st.sampled_from([1, 3, 30]))
+        b = as_point(data.draw(st.lists(st.integers(1, top), min_size=n, max_size=n)))
+        total = cardinality(b)
+        r = data.draw(st.integers(1, max(1, total - 1)) | st.integers(1, 4))
+        w = data.draw(st.lists(st.integers(1, 100), min_size=n, max_size=n))
+        make = data.draw(st.sampled_from([weighted_linear, weighted_concave_sqrt]))
+        instance = ProblemInstance(n=n, b=b, r=r, objective=make(w))
+        eps = data.draw(st.sampled_from([None, 0.01, 0.05, 0.3, 0.9]))
+        seed = data.draw(st.integers(0, 2 ** 64 - 1))
+        if r < total:
+            assert_sgl_matches_reference(instance, seed, eps)
+
+        late = sgl(instance, AlgorithmConfig(seed=seed, epsilon=eps, time_budget=0))
+        assert late.timed_out and late.x.tolist() == [0] * n and late.value == 0.0
+
+    @pytest.mark.parametrize("n, r, eps", [
+        (600, 4, 0.1),     # s = 345 > 256: one pass a block
+        (300, 2, 0.1),     # s = 345 >= m = 300
+        (400, 3, 0.2),     # s = 214
+        (200, 10, 0.3),    # s = 24, near-full blocks
+    ])
+    def test_wide_samples_match_reference(self, n, r, eps):
+        rng = np.random.Generator(np.random.PCG64(n + r))
+        for make, top in ((weighted_linear, 1), (weighted_concave_sqrt, 20)):
+            instance = ProblemInstance(n=n, b=rng.integers(1, top + 1, size=n), r=r,
+                                       objective=make(rng.integers(1, 101, size=n)))
+            for seed in range(3):
+                assert_sgl_matches_reference(instance, seed, eps)
+
+    def test_shrinking_pools_match_reference(self):
+        # unit caps: every commit fills its element, mostly mid-block
+        rng = np.random.Generator(np.random.PCG64(41))
+        for trial in range(30):
+            n = int(rng.integers(5, 80))
+            instance = ProblemInstance(
+                n=n, b=rng.integers(1, 3, size=n), r=int(rng.integers(2, n)),
+                objective=weighted_linear(rng.integers(1, 101, size=n)))
+            assert_sgl_matches_reference(instance, trial, (None, 0.05, 0.3)[trial % 3])
 
 
 class TestSomaDrI:
