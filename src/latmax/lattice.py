@@ -195,7 +195,7 @@ class ProblemInstance:
             raise ValueError("instance needs n >= 1")
         if int(self.b.min()) < 1:
             raise ValueError("every availability cap b_e must be >= 1")
-        if not isinstance(self.r, (int, np.integer)):
+        if not isinstance(self.r, (int, np.integer)) or isinstance(self.r, bool):
             raise ValueError(f"copy budget r must be an integer, got {self.r!r}")
         if self.r < 0:
             raise ValueError("copy budget r must be >= 0")
@@ -235,20 +235,25 @@ class CountingOracle:
     ``custom`` probe calls the objective.  ``evaluate_batch`` answers a list
     of probes as the same ``evaluate_stepped`` calls would, vectorized, and
     ``stepped_bounds`` gives those answers uncharged where no O(n)
-    evaluation is needed.  A NaN or infinite value raises ``ValueError``
-    naming the point.
+    evaluation is needed.  ``plan_stepped`` keeps a list of probes and their
+    intervals, uncharged, until the next commit: ``evaluate_batch`` answers a
+    slice of them from the kept intervals, so a solver that screens or plans
+    with them computes each interval once per incumbent.  A NaN or infinite
+    value raises ``ValueError`` naming the point.
     """
 
     # _state: exact int f(x) or sqrt(x) of the followed x; _weights: w as ints
     # (linear) or as floats (sqrt), so a probe casts nothing.  The sqrt mirrors,
     # as Python numbers: _fx = f(x) as the dot product gives it, and _xs, _roots
-    # and _ws = x, sqrt(x) and w; _tol scales the certified interval.
-    __slots__ = ("objective", "queries", "x", "_state", "_weights",
+    # and _ws = x, sqrt(x) and w; _tol scales the certified interval.  plan:
+    # (rows, steps, low, high) kept by plan_stepped for the followed x, or None.
+    __slots__ = ("objective", "queries", "x", "plan", "_state", "_weights",
                  "_fx", "_xs", "_roots", "_ws", "_tol")
 
     def __init__(self, objective: Objective):
         self.objective = objective
         self.queries = 0
+        self.plan = None
 
     def evaluate(self, x: np.ndarray) -> float:
         self._check_width(x.shape[0])
@@ -266,6 +271,7 @@ class CountingOracle:
         """
         value = self.evaluate(x)
         self.x = x
+        self.plan = None
         if self.objective.kind == WEIGHTED_LINEAR:
             self._state = int(self.objective.weights @ x)
             self._weights = self.objective.weights.tolist()
@@ -290,8 +296,12 @@ class CountingOracle:
         return value
 
     def commit(self, e: int, k: int) -> None:
-        """Step the followed incumbent to x + k * 1_e; charges no query."""
+        """Step the followed incumbent to x + k * 1_e; charges no query.
+
+        Drops the kept plan, whose intervals were for the old x.
+        """
         self.x[e] += k
+        self.plan = None
         if self.objective.kind == WEIGHTED_LINEAR:
             self._state += self._weights[e] * k
         elif self.objective.kind == WEIGHTED_CONCAVE_SQRT:
@@ -343,7 +353,8 @@ class CountingOracle:
 
         Listed elements are probed as :meth:`evaluate_stepped` probes them,
         answer for answer: steps (k, or None for unit steps) and need (one bar
-        per probe, or None) align with the elements.  Only probes that
+        per probe, or None) align with the elements; a NaN bar decides
+        nothing, so its probe is exact.  Only probes that
         :meth:`stepped_bounds` leaves undecided take the scalar evaluation.
         """
         if rows.ndim == 1:
@@ -377,21 +388,61 @@ class CountingOracle:
         from the scalar probe's float operations in the same order.
         """
         kind = self.objective.kind
-        if kind == WEIGHTED_LINEAR:  # exact: every feasible value is below 2**63
+        if kind == CUSTOM or (need is None and kind == WEIGHTED_CONCAVE_SQRT):
+            return np.full(len(rows), np.nan)
+        low, high = self._kept_intervals(rows, steps)
+        if kind == WEIGHTED_LINEAR:
+            return low.copy()
+        return np.where(low - fx >= need, low, np.where(high - fx < need, high, np.nan))
+
+    def plan_stepped(self, rows: np.ndarray, steps: Optional[np.ndarray] = None):
+        """Keep built-in probes of x + k * 1_e and their intervals until the next
+        commit; uncharged.
+
+        Multi-step probes go in front of the multi-step probes already kept
+        for the followed x, so a plan grows without computing a kept interval
+        again; unit steps (steps None) replace the plan.  Returns the kept
+        (rows, steps, low, high), read-only: the probes, and the low and high
+        ends of each probe's value, equal for a linear objective and
+        certified for a sqrt one.  :meth:`evaluate_batch` and
+        :meth:`stepped_bounds` read the intervals of a slice of the kept rows
+        and steps instead of computing them again.
+        """
+        plan = (rows.copy(), None if steps is None else steps.copy(),
+                *self._intervals(rows, steps))
+        kept = self.plan
+        if steps is not None and kept is not None and kept[1] is not None:
+            plan = tuple(np.concatenate(pair) for pair in zip(plan, kept))
+        for a in plan:
+            if a is not None:
+                a.flags.writeable = False
+        self.plan = plan
+        return plan
+
+    def _kept_intervals(self, rows: np.ndarray, steps: Optional[np.ndarray]):
+        """(low, high) of each probe, read from the kept plan if the probes are a slice of it."""
+        if self.plan is not None:
+            kept_rows, kept_steps, low, high = self.plan
+            at = _slice_start(rows, kept_rows)
+            if at is not None and (steps is None if kept_steps is None
+                                   else _slice_start(steps, kept_steps) == at):
+                return low[at:at + len(rows)], high[at:at + len(rows)]
+        return self._intervals(rows, steps)
+
+    def _intervals(self, rows: np.ndarray, steps: Optional[np.ndarray]):
+        """(low, high) of each built-in probe, from the scalar probe's float operations."""
+        if self.objective.kind == WEIGHTED_LINEAR:  # exact: every feasible value is below 2**63
             gains = self.objective.weights[rows]
             if steps is not None:
                 gains = gains * steps
-            return (gains + self._state).astype(np.float64)
-        if need is None or kind != WEIGHTED_CONCAVE_SQRT:
-            return np.full(len(rows), np.nan)
+            values = (gains + self._state).astype(np.float64)
+            return values, values
         base = self._fx
         stepped = self.x[rows] + (1 if steps is None else steps)
         gain = self._weights[rows] * (np.sqrt(stepped) - self._state[rows])
         value = base + gain
         slack = self._tol * (base + np.abs(gain))
-        low = value - slack
-        high = value + slack
-        return np.where(low - fx >= need, low, np.where(high - fx < need, high, np.nan))
+        return value - slack, value + slack
 
     def _stepped(self, e: int, k: int) -> float:
         """f(x + k * 1_e) for the followed x of a sqrt or custom objective, uncharged."""
@@ -414,6 +465,16 @@ class CountingOracle:
     def _check_width(self, width: int) -> None:
         if width != self.objective.n:
             raise ValueError(f"points have {width} entries, objective expects {self.objective.n}")
+
+
+def _slice_start(part: np.ndarray, whole: np.ndarray) -> Optional[int]:
+    """The index in whole at which part starts, if part is a contiguous slice
+    of whole, which owns its data; else None."""
+    if part.base is not whole or part.strides != whole.strides or part.dtype != whole.dtype:
+        return 0 if part is whole else None
+    if part.size == whole.size:
+        return 0
+    return (part.ctypes.data - whole.ctypes.data) // whole.itemsize
 
 
 def _non_finite(value: float, x: np.ndarray, where: str = "") -> ValueError:

@@ -16,15 +16,19 @@ Both loops ``follow`` their incumbent on the oracle from the zero point and
 ``commit`` each accepted step to it, so every probe of a point one coordinate
 away is answered from the oracle's cached state: O(1) for weighted-linear
 objectives (unit-step scans are one integer vector sum), one dot product for
-weighted-concave-sqrt.  A threshold step probe passes its bar, so a sqrt
-probe takes the dot product only when an O(1) certified interval cannot
-decide it.  Every decision, and every value a solver keeps, equals that of
-a full evaluation bit for bit.
+weighted-concave-sqrt.  Sqrt probes are first bracketed by O(1) certified
+intervals.  A threshold step probe passes its bar, so it takes the dot
+product only when its interval straddles the bar.  A unit-step scan
+(:func:`_unit_step_values`) takes it only for candidates whose interval
+reaches the largest lower end, since no other candidate can be the best.
+Every decision, and every value a solver keeps, equals that of a full
+evaluation bit for bit.
 
 sgl and custom objectives make one ``evaluate_stepped`` call per probe.
 soma-dr-i on a built-in objective (:func:`_sweep_pass`) answers the
 searches that reject every probe a segment of elements at a time, in one
-charged ``evaluate_batch`` call.
+charged ``evaluate_batch`` call.  The oracle keeps those probes and their
+intervals until the next commit, so each is computed once per incumbent.
 
 Randomized solvers draw from a PCG64 generator seeded with ``config.seed``,
 so runs are bit-reproducible for a fixed seed.  Both sample positions by a
@@ -52,6 +56,7 @@ import numpy as np
 
 from .lattice import (
     CUSTOM,
+    WEIGHTED_CONCAVE_SQRT,
     CountingOracle,
     ExhaustivenessCapError,
     ProblemInstance,
@@ -84,9 +89,9 @@ class AlgorithmConfig:
     """Run parameters shared by every solver.
 
     epsilon=None means "use 1/(4n)" at solve time.  seed is an integer in
-    [0, 2**64).  time_budget is a cooperative wall-clock cap in seconds (not
-    NaN): solvers check it at pass/round boundaries and return their current
-    incumbent flagged ``timed_out``.
+    [0, 2**64), not a bool.  time_budget is a cooperative wall-clock cap in
+    seconds (not NaN): solvers check it at pass/round boundaries and return
+    their current incumbent flagged ``timed_out``.
     """
 
     epsilon: Optional[float] = None
@@ -97,7 +102,8 @@ class AlgorithmConfig:
     def __post_init__(self):
         if self.epsilon is not None and not (0.0 < self.epsilon < 1.0):
             raise ValueError("epsilon must lie in (0, 1)")
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2 ** 64):
+        if not (isinstance(self.seed, (int, np.integer)) and not isinstance(self.seed, bool)
+                and 0 <= self.seed < 2 ** 64):
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
@@ -312,6 +318,22 @@ def max_feasible_step(oracle: CountingOracle, e: int, k_max: int, theta: float,
     return best[0], oracle.settle_stepped(e, *best)
 
 
+def _unit_step_values(oracle: CountingOracle, elements: np.ndarray) -> np.ndarray:
+    """f(x + 1_e) for each listed e, one query each, exact wherever it may be the maximum.
+
+    A weighted-concave-sqrt scan plans the O(1) certified intervals first.
+    An element whose upper end lies below the largest lower end is beaten,
+    so the bar of that lower end lets it answer its upper end; the others
+    take no bar and so the exact value.  The first maximum, and its value,
+    are thus those of the exact scan.
+    """
+    if oracle.objective.kind != WEIGHTED_CONCAVE_SQRT:
+        return oracle.evaluate_batch(elements)
+    elements, _, low, high = oracle.plan_stepped(elements)
+    top = low.max()
+    return oracle.evaluate_batch(elements, None, 0.0, np.where(high < top, top, np.nan))
+
+
 def _finish(instance: ProblemInstance, x: np.ndarray, oracle: CountingOracle,
             iterations: int, start: float, stalled: bool = False,
             timed_out: bool = False) -> Solution:
@@ -373,43 +395,69 @@ def _threshold_pass(oracle, x, fx, card, b, r, theta, elements):
     return fx, card, committed, max_cap_seen
 
 
+def _all_reject_paths(gaps, room, offset):
+    """(elements, steps) of every probe of the searches that reject each probe.
+
+    Such a search tries k = ceil(K / 2) and then halves k down to 1, where
+    K = min(b_e - x_e, room), so its probes depend on K alone.  gaps holds
+    b_e - x_e of the elements from offset on.  Elements with K = 0 have no
+    probes; the others are listed element by element, in order.
+    """
+    caps = np.minimum(gaps, room)
+    live = np.flatnonzero(caps > 0)
+    if live.size == 0:
+        return live, live
+    caps = caps[live]
+    first = caps - (caps >> 1)  # (K + 1) // 2 without overflow
+    probes = first[:, None] >> np.arange(int(first.max()).bit_length())
+    on_path = probes > 0
+    return np.repeat(live + offset, on_path.sum(axis=1)), probes[on_path]
+
+
 def _sweep_pass(oracle, x, fx, card, b, r, theta):
     """:func:`_threshold_pass` over every element, a segment at a time.
 
-    A search that rejects every probe tries k = ceil(K / 2) and then halves
-    k down to 1, where K = min(b_e - x_e, r - |x|).  The oracle's uncharged
-    bounds find the first element whose path may not reject.  The paths
-    before it are charged in one batch, in the scalar order, and it runs the
-    scalar search, so queries, decisions and values match the scalar pass.
+    The oracle keeps the all-reject paths (:func:`_all_reject_paths`) and
+    their intervals until a commit changes x.  A commit plans the elements
+    after it, the next pass those before them, and a pass that commits
+    nothing plans nothing.  The first probe whose bound may not reject stops
+    a segment.  The paths before it are charged in one batch, in the scalar
+    order, and its element runs the scalar search, so queries, decisions and
+    values match the scalar pass.
     """
     committed = False
     max_cap_seen = 0
-    start = 0
+    start = 0  # the segment's first element
+    opened = None  # the plan whose open probes are listed, for this fx and theta
     while True:
-        caps = np.minimum(b[start:] - x[start:], r - card)
-        live = np.flatnonzero(caps > 0)
-        if live.size == 0:
-            return fx, card, committed, max_cap_seen
-        caps = caps[live]
-        first = caps - (caps >> 1)  # (K + 1) // 2 without overflow
-        probes = first[:, None] >> np.arange(int(first.max()).bit_length())
-        on_path = probes > 0
-        elements = np.repeat(live + start, on_path.sum(axis=1))
-        steps = probes[on_path]
-        needs = steps * theta
-        # probes that may not reject; a NaN bound is undecided
-        open_ = np.flatnonzero(~(oracle.stepped_bounds(elements, steps, fx, needs) - fx < needs))
-        cut = int(np.searchsorted(elements, elements[open_[0]])) if open_.size else steps.size
+        plan = oracle.plan
+        if plan is None or plan[1] is None:  # a commit, or a unit-step scan, came before
+            plan = oracle.plan_stepped(*_all_reject_paths(b[start:] - x[start:], r - card,
+                                                          start))
+        end = int(plan[0][0]) if plan[0].size else x.size  # the first planned element
+        if start < end:  # kept since a commit: a new pass plans the elements before it
+            head = _all_reject_paths(b[start:end] - x[start:end], r - card, start)
+            if head[0].size:
+                plan = oracle.plan_stepped(*head)
+        elements, steps, _, high = plan
+        if plan is not opened:  # probes that may not reject; only a commit changes fx
+            opened = plan
+            needs = steps * theta
+            open_ = np.flatnonzero(high - fx >= needs)
+        at = int(elements.searchsorted(start))
+        i = int(open_.searchsorted(at))
+        cut = int(elements.searchsorted(elements[open_[i]])) if i < open_.size else steps.size
         # charge the probes of the elements before the stopping one; each must reject
-        if cut and not (oracle.evaluate_batch(elements[:cut], steps[:cut], fx, needs[:cut])
-                        - fx < needs[:cut]).all():
+        if cut > at and not (oracle.evaluate_batch(elements[at:cut], steps[at:cut], fx,
+                                                   needs[at:cut]) - fx < needs[at:cut]).all():
             raise RuntimeError("a charged probe accepted where its bound rejected")
-        if cut == steps.size:
-            return fx, card, committed, max(max_cap_seen, int(caps.max()))
-        e = int(elements[cut])
-        stop = int(np.searchsorted(live, e - start))
-        max_cap_seen = max(max_cap_seen, int(caps[:stop + 1].max()))
-        fx, k = _search_and_commit(oracle, e, int(caps[stop]), theta, fx)
+        room = r - card
+        e = int(elements[cut]) if cut < steps.size else x.size  # the stopping element, if any
+        gaps = b[start:e + 1] - x[start:e + 1]
+        max_cap_seen = max(max_cap_seen, min(int(gaps.max(initial=0)), room))
+        if e == x.size:
+            return fx, card, committed, max_cap_seen
+        fx, k = _search_and_commit(oracle, e, min(int(b[e] - x[e]), room), theta, fx)
         card += k
         committed = committed or k > 0
         start = e + 1
@@ -437,7 +485,7 @@ def _threshold_run(instance: ProblemInstance, config: AlgorithmConfig,
     sweep = not sampled and instance.objective.kind != CUSTOM
     x = zeros(n)
     fx = oracle.follow(x)
-    theta = d = float(oracle.evaluate_batch(np.arange(n)).max())
+    theta = d = float(_unit_step_values(oracle, np.arange(n)).max())
     theta_stop = (eps / r) * d
     s_raw = max(1, sample_size(n, r, eps))
     available = elements = range(n)  # the elements below their caps
@@ -531,7 +579,7 @@ def _unit_step_run(instance: ProblemInstance, config: AlgorithmConfig,
             if candidates.size == 0:
                 break
         before = oracle.queries
-        vals = oracle.evaluate_batch(candidates)
+        vals = _unit_step_values(oracle, candidates)
         best = int(vals.argmax())  # candidates ascend, so ties go to the smallest id
         best_e, best_val = int(candidates[best]), float(vals[best])
         if not sampled and best_val - fx <= 0:

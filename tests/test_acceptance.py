@@ -23,6 +23,7 @@ from latmax import (
     aggregate_by_n,
     exact_bruteforce,
     expand_grid,
+    greedy_lattice,
     generate_instance,
     guarantee_bound,
     read_records,
@@ -44,6 +45,9 @@ DESK_ALGORITHMS = ("sgl", "soma-dr-i", "ssg")
 DESK_DIGEST = "ca274bf160808aedab0d2ce10f0604940ee982a5ae5b63c7b21bc76b9f90b0a5"
 # sha256 of x, queries, iterations and stalled of each seeded sqrt sgl run
 SGL_SQRT_DIGEST = "4a0d0366d0fe15b406c5960f52b9a9679c192ecc9e713c8eb9290be62103527f"
+# sha256 of x, value, queries, iterations and trace of each seeded sqrt greedy
+# and soma-dr-i run at the sqrt-library sizes
+UNIT_AND_SWEEP_SQRT_DIGEST = "e1a17bd9cc5c7a90046d20aee9c3bf6fce8ab08acadb4f4f5e4d09907315625e"
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -235,3 +239,29 @@ def test_sgl_sqrt_trajectories_are_pinned():
                       .encode())
     assert partial > 0
     assert digest.hexdigest() == SGL_SQRT_DIGEST
+
+
+def sqrt_library_instances():
+    """Weighted-concave-sqrt instances at perfbench's sqrt-library sizes,
+    (n, r) from (50, 12) to (200, 100), built as it builds them, at three seeds."""
+    for seed in (DESK_MASTER_SEED, 3, 17):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        for n, r in ((50, 12), (50, 25), (100, 25), (100, 50), (200, 50), (200, 100)):
+            w = 1 + (100 * np.arange(n) + rng.integers(0, 100, size=n)) // n
+            pivot = max(1, r // 4)
+            b = rng.integers(pivot, 4 * pivot + 1, size=n)
+            yield ProblemInstance(n=n, b=b, r=r, objective=weighted_concave_sqrt(w))
+
+
+def test_greedy_and_sweep_sqrt_trajectories_are_pinned():
+    # faster unit-step scans and sweeps must leave every point, value, count and trace row
+    digest = hashlib.sha256()
+    for instance in sqrt_library_instances():
+        for name, solver in (("greedy", greedy_lattice), ("soma-dr-i", soma_dr_i)):
+            trace = []
+            sol = solver(instance, AlgorithmConfig(algorithm=name), trace=trace)
+            rows = [(int(t.queries), int(t.sample_size), int(t.max_step_cap), bool(t.committed),
+                     t.value.hex(), None if t.theta is None else t.theta.hex()) for t in trace]
+            digest.update(f"{name},{sol.x.tolist()},{sol.value.hex()},{sol.queries},"
+                          f"{sol.iterations},{rows}\n".encode())
+    assert digest.hexdigest() == UNIT_AND_SWEEP_SQRT_DIGEST

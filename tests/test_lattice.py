@@ -315,6 +315,47 @@ def test_batched_probes_match_scalar_probes(case):
     assert all(math.isnan(b) or b == v for b, v in zip(bound.tolist(), scalar))
 
 
+def test_kept_plan_answers_its_slices_until_a_commit(monkeypatch):
+    # evaluate_batch reads the intervals of a slice of the kept probes from the
+    # plan; other probes, another oracle's and those after a commit are computed
+    computed = []
+    intervals = lm.CountingOracle._intervals
+
+    def counted(self, rows, steps):
+        computed.append(len(rows))
+        return intervals(self, rows, steps)
+
+    monkeypatch.setattr(lm.CountingOracle, "_intervals", counted)
+    f = lm.weighted_concave_sqrt([3, 40, 97, 40, 3])
+    x = lm.as_point([0, 2, 1, 0, 5])
+    oracle, other = lm.CountingOracle(f), lm.CountingOracle(f)
+    fx = oracle.follow(x)
+    other.follow(x.copy())
+    rows, steps, low, high = oracle.plan_stepped(np.array([0, 0, 1, 3, 4, 4]),
+                                                 np.array([4, 2, 1, 3, 2, 1]))
+    assert computed == [6] and not rows.flags.writeable and not steps.flags.writeable
+    assert oracle.queries == 1  # planning is uncharged
+    needs = np.full(6, 1e9)  # every probe rejects, so each answers its upper end
+    for part in (slice(None), slice(1, 4), slice(3, 6), slice(5, 6)):
+        fresh = oracle.stepped_bounds(rows[part].copy(), steps[part].copy(), fx, needs[part])
+        assert oracle.evaluate_batch(rows[part], steps[part], fx, needs[part]).tolist() \
+            == high[part].tolist() == fresh.tolist()
+    assert computed == [6, 6, 3, 3, 1]  # only the copies were computed
+    # misaligned steps, a strided slice and another oracle's plan are computed afresh
+    oracle.stepped_bounds(rows[1:3], steps[2:4], fx, needs[:2])
+    oracle.stepped_bounds(rows[::2], steps[::2], fx, needs[:3])
+    assert other.evaluate_batch(rows[1:4], steps[1:4], fx, needs[:3]).tolist() == \
+        high[1:4].tolist()
+    assert computed[5:] == [2, 3, 3] and other.plan is None
+    oracle.commit(2, 1)
+    assert oracle.plan is None
+    moved = oracle.evaluate_batch(rows, steps, f(x), needs)
+    assert computed[8:] == [6] and moved.tolist() != high.tolist()
+    oracle.plan_stepped(rows)
+    oracle.follow(x)  # a new incumbent drops the plan too
+    assert oracle.plan is None
+
+
 # ---------------------------------------------------------------------------
 # problem instances
 
@@ -336,6 +377,14 @@ def test_instance_validation():
     inst = lm.ProblemInstance(n=2, b=[2, 3], r=4, objective=f)
     assert inst.is_feasible(lm.as_point([2, 2]))
     assert not inst.is_feasible(lm.as_point([2, 3]))  # cardinality 5 > 4
+
+
+def test_bool_budget_is_rejected():
+    # bool is an int subclass, so True used to be stored as the budget
+    f = lm.weighted_linear([5, 7])
+    for r in (True, False, np.True_):
+        with pytest.raises(ValueError, match="copy budget r must be an integer"):
+            lm.ProblemInstance(n=2, b=[1, 1], r=r, objective=f)
 
 
 def test_linear_instance_beyond_int64_is_rejected():

@@ -152,6 +152,12 @@ class TestConfigAndThresholdState:
         with pytest.raises(ValueError, match="nan"):
             AlgorithmConfig(time_budget=math.nan)
 
+    def test_bool_seed_is_rejected(self):
+        # bool is an int subclass, so True used to be stored as the seed
+        for seed in (True, False):
+            with pytest.raises(ValueError, match="integer"):
+                AlgorithmConfig(seed=seed)
+
     def test_threshold_schedule(self):
         # weight 1 never clears the floor (0.5 / 4) * 40 = 5 and element 0
         # holds only 2 copies, so the budget never fills and both runs
@@ -647,11 +653,12 @@ def test_queries_match_oracle_call_tally(name, kind, monkeypatch):
     assert tally[0] == sol.queries
 
 
-@pytest.mark.parametrize("name", ["sgl", "soma-dr-i"])
+@pytest.mark.parametrize("name", sorted(ITERATIVE_RUNNERS))
 @pytest.mark.parametrize("weights", ["equal", "duplicated"])
 def test_certified_probes_keep_trajectories(name, weights, monkeypatch):
     # tie-heavy sqrt instances put gains exactly on the bar, where the certified
-    # interval cannot decide; the run must match one on exact probes throughout
+    # interval cannot decide, and make unit-step candidates tie exactly, where a
+    # screened scan cannot rule one out; the run must match one on exact probes
     rng = np.random.Generator(np.random.PCG64(29))
     n = 60
     w = np.full(n, 7) if weights == "equal" else rng.choice([3, 40, 97], size=n)
@@ -667,27 +674,41 @@ def test_certified_probes_keep_trajectories(name, weights, monkeypatch):
             out.append((sol.x.tolist(), sol.value, sol.queries, trace))
         return out
 
-    probe, stepped = CountingOracle.evaluate_stepped, CountingOracle._stepped
+    probe, stepped, batch = (CountingOracle.evaluate_stepped, CountingOracle._stepped,
+                             CountingOracle.evaluate_batch)
     probes, fallbacks, probing = [0], [0], [False]
 
-    def counted_probe(self, *args):
-        probes[0] += 1
-        probing[0] = True
-        try:
-            return probe(self, *args)
-        finally:
-            probing[0] = False
+    def counted(method, size):
+        def call(self, *args):
+            probes[0] += size(args)
+            probing[0] = True
+            try:
+                return method(self, *args)
+            finally:
+                probing[0] = False
+        return call
 
     def counted_stepped(self, e, k):
         fallbacks[0] += probing[0]
         return stepped(self, e, k)
 
-    monkeypatch.setattr(CountingOracle, "evaluate_stepped", counted_probe)
+    # threshold step probes, or unit-step scans, each of whose rows an exact
+    # scan answers with one dot product
+    unit_step = name in ("ssg", "greedy")
+    if unit_step:
+        monkeypatch.setattr(CountingOracle, "evaluate_batch", counted(batch, lambda a: len(a[0])))
+    else:
+        monkeypatch.setattr(CountingOracle, "evaluate_stepped", counted(probe, lambda a: 1))
     monkeypatch.setattr(CountingOracle, "_stepped", counted_stepped)
     certified = runs()
-    assert 1 <= fallbacks[0] < probes[0] / 2
+    # a candidate tied exactly with the best still needs its dot product, which
+    # may differ from the best's in the last bit, and equal weights tie whole
+    # levels of candidates: there the screen saves less than half
+    assert 1 <= fallbacks[0] < probes[0] / (1 if unit_step and weights == "equal" else 2)
     monkeypatch.setattr(CountingOracle, "evaluate_stepped",
                         lambda self, e, k, *bar: probe(self, e, k))
+    monkeypatch.setattr(CountingOracle, "evaluate_batch",
+                        lambda self, rows, steps=None, *bar: batch(self, rows, steps))
     assert runs() == certified
 
 
@@ -862,6 +883,79 @@ def test_sweep_matches_the_scalar_pass(monkeypatch):
     # segments end on commits and on undecided sqrt probes, and batches carry most probes
     assert seen["batched"] > seen["stops"] >= seen["commits"] > 0
     assert seen["undecided"] > 0
+
+
+def test_sweep_plans_each_probe_once_per_incumbent(monkeypatch):
+    # the sweep keeps its probes' intervals on the oracle until a commit, so no
+    # pass that leaves x as it was, and no charge, computes one again
+    seen = set()
+    computed = [0]
+    charged = [0]
+    intervals, batch = CountingOracle._intervals, CountingOracle.evaluate_batch
+
+    def counted(self, rows, steps):
+        if steps is not None:  # the sweep's probes; unit-step scans pass None
+            for e, k in zip(rows.tolist(), steps.tolist()):
+                key = (tuple(self.x.tolist()), e, k)
+                assert key not in seen, f"interval of {key} computed twice"
+                seen.add(key)
+            computed[0] += len(rows)
+        return intervals(self, rows, steps)
+
+    def counted_batch(self, rows, *args):
+        before = computed[0]
+        values = batch(self, rows, *args)
+        if args and args[0] is not None:  # a charge of the sweep's probes
+            assert computed[0] == before
+            charged[0] += len(rows)
+        return values
+
+    monkeypatch.setattr(CountingOracle, "_intervals", counted)
+    monkeypatch.setattr(CountingOracle, "evaluate_batch", counted_batch)
+    for builtin, b, r, eps in sweep_instances():
+        instance = ProblemInstance(n=builtin.n, b=as_point(b), r=r, objective=builtin)
+        seen.clear()  # x only grows within a run, so it names the incumbent
+        soma_dr_i(instance, AlgorithmConfig(epsilon=eps, algorithm="soma-dr-i"))
+    assert computed[0] > 0 and charged[0] > 0
+
+
+def test_interleaved_runs_match_fresh_runs():
+    # runs alternate between instances of equal n, budget and start point, so a
+    # plan kept anywhere but on its own oracle would be read by the next run
+    rng = np.random.Generator(np.random.PCG64(41))
+    n, r = 40, 30
+    instances = [ProblemInstance(n=n, b=np.full(n, 6), r=r, objective=make(w))
+                 for make in (weighted_concave_sqrt, weighted_linear)
+                 for w in (rng.integers(1, 101, size=n), rng.integers(1, 101, size=n))]
+
+    def run(name, instance):
+        trace = []
+        sol = ITERATIVE_RUNNERS[name](instance, AlgorithmConfig(algorithm=name, seed=3),
+                                      trace=trace)
+        return sol.x.tolist(), sol.value, sol.queries, trace
+
+    for name in ("soma-dr-i", "greedy"):
+        fresh = [run(name, ProblemInstance(n=n, b=i.b, r=r,
+                                           objective=custom_objective(n, i.objective)))
+                 for i in instances]
+        for _ in range(2):
+            assert [run(name, i) for i in instances] == fresh
+
+
+def test_charged_probe_that_accepts_is_an_error(monkeypatch):
+    # the sweep charges only probes its bounds reject; an oracle answering one of
+    # them above its bar is caught
+    batch = CountingOracle.evaluate_batch
+
+    def accepting(self, rows, steps=None, fx=None, need=None):
+        values = batch(self, rows, steps, fx, need)
+        return values if need is None else np.full(len(rows), math.inf)
+
+    monkeypatch.setattr(CountingOracle, "evaluate_batch", accepting)
+    instance = ProblemInstance(n=6, b=as_point([5, 5, 5, 5, 5, 5]), r=12,
+                               objective=weighted_linear([90, 1, 1, 1, 1, 1]))
+    with pytest.raises(RuntimeError, match="charged probe accepted"):
+        soma_dr_i(instance)
 
 
 def test_solve_dispatches_every_algorithm():
