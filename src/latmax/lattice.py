@@ -202,12 +202,15 @@ class ProblemInstance:
         if self.objective.n != self.n:
             raise ValueError("objective dimension does not match the instance")
         caps = self.b.tolist()
-        if sum(caps) >= 2 ** 63:  # int64 cardinalities, |b|_1 among them, must not wrap
-            raise ValueError(f"total availability |b|_1 = {sum(caps)} overflows int64")
-        if self.objective.kind == WEIGHTED_LINEAR:
-            # bounds every feasible value, which int64 arithmetic must hold exactly
-            w = self.objective.weights.tolist()
-            top = min(sum(we * be for we, be in zip(w, caps)), max(w) * int(self.r))
+        total = sum(caps)
+        if total >= 2 ** 63:  # int64 cardinalities, |b|_1 among them, must not wrap
+            raise ValueError(f"total availability |b|_1 = {total} overflows int64")
+        # min(w . b, max(w) * r) bounds every feasible value, which int64 arithmetic must
+        # hold exactly; it is summed only where its bound max(w) * min(|b|_1, r) reaches 2**63
+        w, r = self.objective.weights, int(self.r)
+        if self.objective.kind == WEIGHTED_LINEAR and int(w.max()) * min(total, r) >= 2 ** 63:
+            w = w.tolist()
+            top = min(sum(we * be for we, be in zip(w, caps)), max(w) * r)
             if top >= 2 ** 63:
                 raise ValueError(f"weighted-linear values up to {top} overflow int64 "
                                  "(min(w . b, max(w) * r) must be below 2**63)")

@@ -34,11 +34,12 @@ Randomized solvers draw from a PCG64 generator seeded with ``config.seed``,
 so runs are bit-reproducible for a fixed seed.  Both sample positions by a
 partial Fisher-Yates shuffle, in the stream of a shuffle over a copied pool.
 sgl needs the shuffle's order, so each pass replays its steps in plain
-Python (:func:`_replay`) and indexes its available elements with the
-positions.  Its pool changes only when a commit fills an element, so sgl
-draws a block of same-pool passes in one generator call, and rewinds the
-generator when a pool shrinks mid-block, so that the stream stays that of
-one :func:`_sample_without_replacement` call per pass.
+Python (:func:`_replay`) into its pool, the list of elements below their
+caps, and probes them against list mirrors of x and b.  The pool changes
+only when a commit fills an element, so sgl draws a block of same-pool
+passes in one generator call, and rewinds the generator when a pool shrinks
+mid-block, so that the stream stays that of one
+:func:`_sample_without_replacement` call per pass.
 ssg needs only the set of copy slots each round picks, and every round
 commits one copy, so all its pool sizes are known in advance:
 :func:`_sample_slot_sets` draws a block of rounds at once and resolves each
@@ -80,6 +81,10 @@ _BRUTE_FORCE_CHUNK = 1 << 16
 _SLOT_BLOCK = 4096
 # sgl draws the samples of a block of same-pool passes at once, up to this many draws
 _PASS_BLOCK = 256
+# a sqrt unit-step scan of L candidates over n elements screens them only when
+# L * (n + 10,000) reaches this: the screen's ~30 numpy calls cost about as much as
+# 15 exact probes, each a Python call and an O(n) dot product
+_SCREEN_WORK = 150_000
 # sgl stops, flagged stalled, after this many zero-commit passes at the floor
 MAX_STALLED_PASSES = 2
 
@@ -186,19 +191,19 @@ def guarantee_bound(algorithm: str, n: int, r: int, epsilon: float) -> float:
     return 1.0 - 1.0 / math.e - epsilon
 
 
-def _replay(offsets) -> list:
-    """The positions a partial Fisher-Yates shuffle picks, step by step.
+def _replay(offsets, pool) -> list:
+    """The entries of pool a partial Fisher-Yates shuffle picks, step by step.
 
     Step i swaps position i with target i + offsets[i] and picks what the
-    target holds.  Only displaced positions are tracked, in a dict, so no
-    pool is built.
+    target holds.  Only displaced positions are tracked, in a dict, so the
+    pool is read, never copied.
     """
-    displaced = {}  # position -> original position now held there
+    displaced = {}  # position -> pool entry now held there
     picks = []
     for i, offset in enumerate(offsets):
         j = i + offset
-        picks.append(displaced.get(j, j))
-        displaced[j] = displaced.get(i, i)  # position i is final from here on
+        picks.append(displaced.get(j, pool[j]))
+        displaced[j] = displaced.get(i, pool[i])  # position i is final from here on
     return picks
 
 
@@ -210,7 +215,7 @@ def _sample_without_replacement(rng: np.random.Generator, m: int, k: int) -> np.
     """
     if not (0 <= k <= m):
         raise ValueError(f"cannot sample {k} items from a pool of {m}")
-    return np.array(_replay(rng.integers(0, m - np.arange(k)).tolist()), dtype=np.int64)
+    return np.array(_replay(rng.integers(0, m - np.arange(k)).tolist(), range(m)), dtype=np.int64)
 
 
 def _sample_slot_sets(rng: np.random.Generator, pools: np.ndarray, k: int) -> np.ndarray:
@@ -301,21 +306,22 @@ def max_feasible_step(oracle: CountingOracle, e: int, k_max: int, theta: float,
     the oracle may settle it from a certified interval; the accepted step's
     value is then fetched exactly, for free, since its query was paid for.
     """
+    probe = oracle.evaluate_stepped
     lo, hi = 1, k_max
-    best = None
+    best = 0
     while lo <= hi:
         mid = (lo + hi) // 2
         need = mid * theta
         # positional, so a wrapper taking only *args sees every probe
-        val = oracle.evaluate_stepped(e, mid, fx, need)
+        val = probe(e, mid, fx, need)
         if val - fx >= need:
-            best = (mid, val)
+            best, best_val = mid, val
             lo = mid + 1
         else:
             hi = mid - 1
-    if best is None:
+    if not best:
         return None
-    return best[0], oracle.settle_stepped(e, *best)
+    return best, oracle.settle_stepped(e, best, best_val)
 
 
 def _unit_step_values(oracle: CountingOracle, elements: np.ndarray) -> np.ndarray:
@@ -325,9 +331,10 @@ def _unit_step_values(oracle: CountingOracle, elements: np.ndarray) -> np.ndarra
     An element whose upper end lies below the largest lower end is beaten,
     so the bar of that lower end lets it answer its upper end; the others
     take no bar and so the exact value.  The first maximum, and its value,
-    are thus those of the exact scan.
+    are thus those of the exact scan, which a short list takes directly.
     """
-    if oracle.objective.kind != WEIGHTED_CONCAVE_SQRT:
+    if oracle.objective.kind != WEIGHTED_CONCAVE_SQRT \
+            or len(elements) * (oracle.objective.n + 10_000) < _SCREEN_WORK:
         return oracle.evaluate_batch(elements)
     elements, _, low, high = oracle.plan_stepped(elements)
     top = low.max()
@@ -363,36 +370,39 @@ def _prologue(instance: ProblemInstance, config: AlgorithmConfig):
     return start, oracle, early
 
 
-def _search_and_commit(oracle, e, k_cap, theta, fx):
-    """Binary-search element e's step and commit it unless it lowers f(x).
-
-    The guard reads the value the search already paid for, so it is
-    query-free.  Returns (f(x), k) after the step, k = 0 if none was taken.
-    """
-    hit = max_feasible_step(oracle, e, k_cap, theta, fx=fx)
-    if hit is None or hit[1] < fx:
-        return fx, 0
-    oracle.commit(e, hit[0])
-    return hit[1], hit[0]
-
-
-def _threshold_pass(oracle, x, fx, card, b, r, theta, elements):
+def _threshold_pass(oracle, xs, fx, card, caps, r, theta, elements):
     """One acceptance sweep: binary-search a step for each listed element id.
 
     Commits accepted steps immediately, so later elements in the same pass
-    see the updated incumbent.
+    see the updated incumbent, except a step that lowers f(x): the guard reads
+    the value the search paid for, so it is query-free.  xs and caps mirror x
+    and b as lists.
     """
     committed = False
     max_cap_seen = 0
     for e in elements:
-        k_cap = min(b[e] - int(x[e]), r - card)
+        k_cap = caps[e] - xs[e]  # min(b_e - x_e, r - |x|), without a builtin call
+        if k_cap > r - card:
+            k_cap = r - card
         if k_cap <= 0:
             continue
-        max_cap_seen = max(max_cap_seen, k_cap)
-        fx, k = _search_and_commit(oracle, e, k_cap, theta, fx)
+        if k_cap > max_cap_seen:
+            max_cap_seen = k_cap
+        hit = max_feasible_step(oracle, e, k_cap, theta, fx)
+        if hit is None or hit[1] < fx:
+            continue
+        k, fx = hit
+        oracle.commit(e, k)
+        xs[e] += k
         card += k
-        committed = committed or k > 0
+        committed = True
     return fx, card, committed, max_cap_seen
+
+
+def _search_and_commit(oracle, xs, fx, card, caps, r, theta, e):
+    """:func:`_threshold_pass` over element e alone: (f(x), k), k = 0 if no step was taken."""
+    fx, after, _, _ = _threshold_pass(oracle, xs, fx, card, caps, r, theta, (e,))
+    return fx, after - card
 
 
 def _all_reject_paths(gaps, room, offset):
@@ -414,7 +424,7 @@ def _all_reject_paths(gaps, room, offset):
     return np.repeat(live + offset, on_path.sum(axis=1)), probes[on_path]
 
 
-def _sweep_pass(oracle, x, fx, card, b, r, theta):
+def _sweep_pass(oracle, x, xs, fx, card, b, caps, r, theta):
     """:func:`_threshold_pass` over every element, a segment at a time.
 
     The oracle keeps the all-reject paths (:func:`_all_reject_paths`) and
@@ -422,8 +432,8 @@ def _sweep_pass(oracle, x, fx, card, b, r, theta):
     after it, the next pass those before them, and a pass that commits
     nothing plans nothing.  The first probe whose bound may not reject stops
     a segment.  The paths before it are charged in one batch, in the scalar
-    order, and its element runs the scalar search, so queries, decisions and
-    values match the scalar pass.
+    order, and its element runs the scalar pass, so queries, decisions and
+    values match it.
     """
     committed = False
     max_cap_seen = 0
@@ -451,13 +461,12 @@ def _sweep_pass(oracle, x, fx, card, b, r, theta):
         if cut > at and not (oracle.evaluate_batch(elements[at:cut], steps[at:cut], fx,
                                                    needs[at:cut]) - fx < needs[at:cut]).all():
             raise RuntimeError("a charged probe accepted where its bound rejected")
-        room = r - card
         e = int(elements[cut]) if cut < steps.size else x.size  # the stopping element, if any
         gaps = b[start:e + 1] - x[start:e + 1]
-        max_cap_seen = max(max_cap_seen, min(int(gaps.max(initial=0)), room))
+        max_cap_seen = max(max_cap_seen, min(int(gaps.max(initial=0)), r - card))
         if e == x.size:
             return fx, card, committed, max_cap_seen
-        fx, k = _search_and_commit(oracle, e, min(int(b[e] - x[e]), room), theta, fx)
+        fx, k = _search_and_commit(oracle, xs, fx, card, caps, r, theta, e)
         card += k
         committed = committed or k > 0
         start = e + 1
@@ -481,14 +490,14 @@ def _threshold_run(instance: ProblemInstance, config: AlgorithmConfig,
 
     eps = resolve_epsilon(config, n)
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    caps = b.tolist()  # a list, so the pass reads a cap without a numpy scalar
     sweep = not sampled and instance.objective.kind != CUSTOM
     x = zeros(n)
+    xs, caps = x.tolist(), b.tolist()  # the scalar pass's mirrors of x and b
     fx = oracle.follow(x)
     theta = d = float(_unit_step_values(oracle, np.arange(n)).max())
     theta_stop = (eps / r) * d
     s_raw = max(1, sample_size(n, r, eps))
-    available = elements = range(n)  # the elements below their caps
+    available = elements = list(range(n))  # the elements below their caps, ascending
     used = passes = 0  # passes of the current block served, and drawn
 
     card = 0
@@ -508,14 +517,15 @@ def _threshold_run(instance: ProblemInstance, config: AlgorithmConfig,
                 highs = m - np.arange(passes * s) % s  # pass after pass: m, m - 1, ...
                 saved = rng.bit_generator.state
                 draws = rng.integers(0, highs).tolist()
-            elements = [available[p] for p in _replay(draws[used * s:(used + 1) * s])]
+            elements = _replay(draws[used * s:(used + 1) * s], available)
             used += 1
         before = oracle.queries
         if sweep:
-            fx, card, committed, cap_seen = _sweep_pass(oracle, x, fx, card, b, r, theta)
+            fx, card, committed, cap_seen = _sweep_pass(oracle, x, xs, fx, card, b, caps, r,
+                                                        theta)
         else:
             fx, card, committed, cap_seen = _threshold_pass(
-                oracle, x, fx, card, caps, r, theta, elements)
+                oracle, xs, fx, card, caps, r, theta, elements)
         iterations += 1
         if trace is not None:
             trace.append(PassStats(queries=oracle.queries - before,
@@ -523,8 +533,10 @@ def _threshold_run(instance: ProblemInstance, config: AlgorithmConfig,
                                    committed=committed, value=fx, theta=theta))
         if card >= r:
             break
-        if sampled and committed:  # only a commit changes x
-            available = np.flatnonzero(x < b).tolist()
+        if sampled and committed:  # only a commit changes x; a filled element leaves the pool
+            for e in elements:
+                if xs[e] == caps[e]:
+                    available.remove(e)
             if len(available) < m:
                 if used < passes:  # rewind, and redraw only what the served passes drew
                     rng.bit_generator.state = saved

@@ -403,6 +403,10 @@ def test_linear_instance_beyond_int64_is_rejected():
     assert lm.soma_dr_i(small_r).value == 700.0
     small_b = lm.ProblemInstance(n=2, b=[2 ** 56, 5], r=2 ** 62, objective=f)
     assert lm.soma_dr_i(small_b).value == float(100 * 2 ** 56 + 15)
+    # max(w) * min(|b|_1, r) reaches 2**63 here, but w . b = 2**62 + 100 does not
+    wide = lm.ProblemInstance(n=2, b=[1, 2 ** 62], r=2 ** 62 + 1,
+                              objective=lm.weighted_linear([100, 1]))
+    assert lm.soma_dr_i(wide).value == float(2 ** 62 + 100)
     # sqrt values are floats and have no such limit
     lm.ProblemInstance(n=2, b=[2 ** 62, 5], r=2 ** 62 + 5,
                        objective=lm.weighted_concave_sqrt([100, 3]))

@@ -35,6 +35,7 @@ from latmax.checks import random_tiny_instance, scan_step
 from latmax.solvers import (
     MAX_STALLED_PASSES,
     PassStats,
+    _replay,
     _sample_slot_sets,
     _sample_without_replacement,
 )
@@ -350,6 +351,26 @@ class TestSgl:
                 n=n, b=rng.integers(1, 3, size=n), r=int(rng.integers(2, n)),
                 objective=weighted_linear(rng.integers(1, 101, size=n)))
             assert_sgl_matches_reference(instance, trial, (None, 0.05, 0.3)[trial % 3])
+
+    def test_unit_caps_and_multi_fill_passes_match_reference(self):
+        # unit caps: every commit fills its element; budgets just below n drop the
+        # pool below the sample size, and low thresholds fill several elements a pass
+        rng = np.random.Generator(np.random.PCG64(43))
+        dropped = multi = 0
+        for trial in range(24):
+            n = int(rng.integers(4, 60))
+            r = int(rng.integers(max(1, n - 6), n))
+            w = rng.integers(1, 101, size=n)
+            eps = (0.01, 0.05, 0.3)[trial % 3]
+            instance = ProblemInstance(n=n, b=np.ones(n, dtype=np.int64), r=r,
+                                       objective=weighted_linear(w))
+            assert_sgl_matches_reference(instance, trial, eps)
+            trace = []
+            sgl(instance, AlgorithmConfig(seed=trial, epsilon=eps), trace=trace)
+            dropped += any(t.sample_size < sample_size(n, r, eps) for t in trace)
+            values = [0.0] + [t.value for t in trace]
+            multi += any(b - a > w.max() for a, b in zip(values, values[1:]))
+        assert dropped >= 5 and multi >= 5
 
 
 class TestSomaDrI:
@@ -983,6 +1004,17 @@ class TestSampleWithoutReplacement:
         assert len(out) == k
         assert len(set(out.tolist())) == k
         assert set(out.tolist()) <= set(range(m))
+
+    @given(st.data())
+    def test_replay_picks_pool_entries_at_the_positions(self, data):
+        # sgl replays its passes straight into its pool of available elements
+        m = data.draw(st.integers(0, 40))
+        k = data.draw(st.integers(0, m))
+        offsets = [data.draw(st.integers(0, m - 1 - i)) for i in range(k)]
+        pool = data.draw(st.lists(st.integers(), min_size=m, max_size=m))
+        positions = _replay(offsets, range(m))
+        assert len(set(positions)) == k and set(positions) <= set(range(m))
+        assert _replay(offsets, pool) == [pool[p] for p in positions]
 
     def test_rejects_oversized_draw(self, rng):
         with pytest.raises(ValueError):
