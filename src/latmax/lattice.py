@@ -5,6 +5,11 @@ module provides point helpers, black-box objective functions with a
 query-counting wrapper, and exhaustive checkers for the structural
 properties (monotonicity, diminishing returns, lattice submodularity) that
 the solvers in :mod:`latmax.solvers` rely on.
+
+The wrapper, :class:`CountingOracle`, charges every query and delegates the
+probes of its followed incumbent to one private class per objective kind:
+:class:`_LinearState`, :class:`_SqrtState` and :class:`_CustomState`.  A new
+kind is one more such class in ``_STATES``.
 """
 
 from __future__ import annotations
@@ -230,28 +235,25 @@ class CountingOracle:
     One oracle per solver run; every query is charged inside ``evaluate``,
     ``evaluate_stepped`` or ``evaluate_batch``, one per point.  A solver
     ``follow``s its incumbent x and ``commit``s each step, for free, so a probe
-    of x + k * 1_e is answered from cached state: in O(1) and exactly for
-    ``weighted-linear``, bit-identical to a full evaluation for
-    ``weighted-concave-sqrt``.  A sqrt probe given the bar its gain must clear
-    takes that O(n) dot product only when an O(1) certified interval around
-    the value straddles the bar, so decisions still match it bit for bit.  A
-    ``custom`` probe calls the objective.  ``evaluate_batch`` answers a list
-    of probes as the same ``evaluate_stepped`` calls would, vectorized, and
-    ``stepped_bounds`` gives those answers uncharged where no O(n)
-    evaluation is needed.  ``plan_stepped`` keeps a list of probes and their
-    intervals, uncharged, until the next commit: ``evaluate_batch`` answers a
-    slice of them from the kept intervals, so a solver that screens or plans
-    with them computes each interval once per incumbent.  A NaN or infinite
-    value raises ``ValueError`` naming the point.
+    of x + k * 1_e is answered from cached state, kept by one class per
+    objective kind: :class:`_LinearState` answers in O(1) and exactly,
+    :class:`_SqrtState` bit-identically to a full evaluation, and
+    :class:`_CustomState` calls the objective.  A sqrt probe given the bar
+    its gain must clear takes that O(n) dot product only when an O(1)
+    certified interval around the value straddles the bar, so decisions
+    still match it bit for bit.  ``evaluate_batch`` answers a list of probes
+    as the same ``evaluate_stepped`` calls would, vectorized.
+    ``plan_stepped`` keeps a list of probes and their intervals, uncharged,
+    until the next commit: ``evaluate_batch`` answers a slice of them from
+    the kept intervals, so a solver that screens or plans with them computes
+    each interval once per incumbent.  A NaN or infinite value raises
+    ``ValueError`` naming the point.
     """
 
-    # _state: exact int f(x) or sqrt(x) of the followed x; _weights: w as ints
-    # (linear) or as floats (sqrt), so a probe casts nothing.  The sqrt mirrors,
-    # as Python numbers: _fx = f(x) as the dot product gives it, and _xs, _roots
-    # and _ws = x, sqrt(x) and w; _tol scales the certified interval.  plan:
-    # (rows, steps, low, high) kept by plan_stepped for the followed x, or None.
-    __slots__ = ("objective", "queries", "x", "plan", "_state", "_weights",
-                 "_fx", "_xs", "_roots", "_ws", "_tol")
+    # x: the followed incumbent; xs: x as a list of Python ints, the one mirror
+    # the solvers and the kind state read; _state: the kind class's state for x.
+    # plan: (rows, steps, low, high) kept by plan_stepped for the followed x, or None.
+    __slots__ = ("objective", "queries", "x", "xs", "plan", "_state")
 
     def __init__(self, objective: Objective):
         self.objective = objective
@@ -273,44 +275,20 @@ class CountingOracle:
         cached state in step with it; a write to x from outside is not seen.
         """
         value = self.evaluate(x)
-        self.x = x
-        self.plan = None
-        if self.objective.kind == WEIGHTED_LINEAR:
-            self._state = int(self.objective.weights @ x)
-            self._weights = self.objective.weights.tolist()
-        elif self.objective.kind == WEIGHTED_CONCAVE_SQRT:
-            self._state = np.sqrt(x)
-            self._weights = self.objective.weights.astype(np.float64)
-            self._fx = value
-            self._xs = x.tolist()
-            self._roots = self._state.tolist()
-            self._ws = self._weights.tolist()
-            # Certified interval.  A float dot product of n terms, in any order
-            # and with or without FMA, is within n*u/(1 - n*u) * sum|terms| of
-            # the real sum of its terms, u = 2**-53 (Higham, Accuracy and
-            # Stability of Numerical Algorithms, 3.1).  The terms are w_i times
-            # roots rounded once or twice, so the followed f(x) and the stepped
-            # value lie within (n + 2) * u times F and F + D of their real values
-            # F and F + D; D = w_e * (sqrt(x_e + k) - sqrt(x_e)) in O(1) is within
-            # 4 * u * (F + D), and f(x) + D rounds by u * (F + D) more.  The
-            # stepped value thus lies within (2n + 9) * u * (F + D) of the O(1)
-            # estimate, and B = 4 * (n + 4) * u * (f(x) + |D|) covers that twice.
-            self._tol = 4 * (x.size + 4) * 2.0 ** -53
+        self.x, self.xs, self.plan = x, x.tolist(), None
+        self._state = _STATES[self.objective.kind](self.objective, x, self.xs, value)
         return value
 
     def commit(self, e: int, k: int) -> None:
         """Step the followed incumbent to x + k * 1_e; charges no query.
 
-        Drops the kept plan, whose intervals were for the old x.
+        x and xs are stepped before the kind state, which reads them.  Drops
+        the kept plan, whose intervals were for the old x.
         """
         self.x[e] += k
+        self.xs[e] += k
         self.plan = None
-        if self.objective.kind == WEIGHTED_LINEAR:
-            self._state += self._weights[e] * k
-        elif self.objective.kind == WEIGHTED_CONCAVE_SQRT:
-            self._xs[e] += k
-            self._roots[e] = self._state[e] = math.sqrt(self._xs[e])
-            self._fx = float(self._state @ self._weights)
+        self._state.commit(e, k)
 
     def evaluate_stepped(self, e: int, k: int, fx: Optional[float] = None,
                          need: Optional[float] = None) -> float:
@@ -324,20 +302,7 @@ class CountingOracle:
         :meth:`settle_stepped` before keeping it.
         """
         self.queries += 1
-        if self.objective.kind == WEIGHTED_LINEAR:
-            return float(self._state + self._weights[e] * k)
-        if need is not None and self.objective.kind == WEIGHTED_CONCAVE_SQRT:
-            base = self._fx
-            gain = self._ws[e] * (math.sqrt(self._xs[e] + k) - self._roots[e])
-            value = base + gain
-            slack = self._tol * (base + abs(gain))
-            low = value - slack
-            if low - fx >= need:
-                return low
-            high = value + slack
-            if high - fx < need:
-                return high
-        return self._stepped(e, k)
+        return self._state.probe(e, k, fx, need)
 
     def settle_stepped(self, e: int, k: int, value: float) -> float:
         """The exact f(x + k * 1_e) behind a charged probe that returned value.
@@ -345,9 +310,7 @@ class CountingOracle:
         Charges nothing: the query was paid for.  Only a sqrt probe given a
         bar may have answered with an interval end, so only it is re-evaluated.
         """
-        if self.objective.kind == WEIGHTED_CONCAVE_SQRT:
-            return self._stepped(e, k)
-        return value
+        return self._state.settle(e, k, value)
 
     def evaluate_batch(self, rows: np.ndarray, steps: Optional[np.ndarray] = None,
                        fx: Optional[float] = None,
@@ -357,20 +320,13 @@ class CountingOracle:
         Listed elements are probed as :meth:`evaluate_stepped` probes them,
         answer for answer: steps (k, or None for unit steps) and need (one bar
         per probe, or None) align with the elements; a NaN bar decides
-        nothing, so its probe is exact.  Only probes that
-        :meth:`stepped_bounds` leaves undecided take the scalar evaluation.
+        nothing, so its probe is exact.  The kind state answers them from
+        vectorized intervals, and only probes those leave undecided take the
+        scalar evaluation.
         """
         if rows.ndim == 1:
             self.queries += len(rows)
-            values = self.stepped_bounds(rows, steps, fx, need)
-            if self.objective.kind == WEIGHTED_LINEAR:  # exact, so nothing is undecided
-                return values
-            undecided = np.flatnonzero(np.isnan(values))
-            if undecided.size:
-                ks = [1] * undecided.size if steps is None else steps[undecided].tolist()
-                values[undecided] = [self._stepped(e, k)
-                                     for e, k in zip(rows[undecided].tolist(), ks)]
-            return values
+            return self._state.answer(rows, steps, fx, need, self._kept_intervals)
         self._check_width(rows.shape[1])
         self.queries += len(rows)
         values = self.objective.batch(rows)
@@ -379,24 +335,6 @@ class CountingOracle:
             row = int(np.argmin(finite))
             raise _non_finite(values[row], rows[row], f" (row {row} of the batch)")
         return values
-
-    def stepped_bounds(self, rows: np.ndarray, steps: Optional[np.ndarray] = None,
-                       fx: Optional[float] = None,
-                       need: Optional[np.ndarray] = None) -> np.ndarray:
-        """:meth:`evaluate_stepped`'s answer to each probe, bit for bit, where it
-        takes no O(n) evaluation, and NaN where it does; uncharged.
-
-        Arguments align as in :meth:`evaluate_batch`.  Linear probes are exact.
-        A sqrt probe with a bar is the certified interval end that decides it,
-        from the scalar probe's float operations in the same order.
-        """
-        kind = self.objective.kind
-        if kind == CUSTOM or (need is None and kind == WEIGHTED_CONCAVE_SQRT):
-            return np.full(len(rows), np.nan)
-        low, high = self._kept_intervals(rows, steps)
-        if kind == WEIGHTED_LINEAR:
-            return low.copy()
-        return np.where(low - fx >= need, low, np.where(high - fx < need, high, np.nan))
 
     def plan_stepped(self, rows: np.ndarray, steps: Optional[np.ndarray] = None):
         """Keep built-in probes of x + k * 1_e and their intervals until the next
@@ -407,12 +345,11 @@ class CountingOracle:
         again; unit steps (steps None) replace the plan.  Returns the kept
         (rows, steps, low, high), read-only: the probes, and the low and high
         ends of each probe's value, equal for a linear objective and
-        certified for a sqrt one.  :meth:`evaluate_batch` and
-        :meth:`stepped_bounds` read the intervals of a slice of the kept rows
-        and steps instead of computing them again.
+        certified for a sqrt one.  :meth:`evaluate_batch` reads the intervals
+        of a slice of the kept rows and steps instead of computing them again.
         """
         plan = (rows.copy(), None if steps is None else steps.copy(),
-                *self._intervals(rows, steps))
+                *self._state.intervals(rows, steps))
         kept = self.plan
         if steps is not None and kept is not None and kept[1] is not None:
             plan = tuple(np.concatenate(pair) for pair in zip(plan, kept))
@@ -430,32 +367,158 @@ class CountingOracle:
             if at is not None and (steps is None if kept_steps is None
                                    else _slice_start(steps, kept_steps) == at):
                 return low[at:at + len(rows)], high[at:at + len(rows)]
-        return self._intervals(rows, steps)
+        return self._state.intervals(rows, steps)
 
-    def _intervals(self, rows: np.ndarray, steps: Optional[np.ndarray]):
-        """(low, high) of each built-in probe, from the scalar probe's float operations."""
-        if self.objective.kind == WEIGHTED_LINEAR:  # exact: every feasible value is below 2**63
-            gains = self.objective.weights[rows]
-            if steps is not None:
-                gains = gains * steps
-            values = (gains + self._state).astype(np.float64)
-            return values, values
-        base = self._fx
+    def _check_width(self, width: int) -> None:
+        if width != self.objective.n:
+            raise ValueError(f"points have {width} entries, objective expects {self.objective.n}")
+
+
+# The followed state of each objective kind.  A class is made by follow(objective,
+# x, xs, f(x)) and stepped by commit after x and xs; probe(e, k, fx, need) answers
+# evaluate_stepped, settle settle_stepped, and answer(rows, steps, fx, need,
+# intervals) evaluate_batch's probes, given the oracle's lookup of kept intervals.
+
+
+class _LinearState:
+    """weighted-linear: the exact int f(x), so every probe is exact and O(1).
+
+    Every feasible value is below 2**63 (:class:`ProblemInstance`), so the
+    int64 intervals are exact too, and each is one value.
+    """
+
+    # fx: the exact f(x); weights and ws: w as an int array and as Python ints
+    __slots__ = ("fx", "weights", "ws")
+
+    def __init__(self, objective: Objective, x: np.ndarray, xs: list, fx: float):
+        self.weights = objective.weights
+        self.ws = self.weights.tolist()
+        self.fx = int(self.weights @ x)
+
+    def commit(self, e: int, k: int) -> None:
+        self.fx += self.ws[e] * k
+
+    def probe(self, e: int, k: int, fx, need) -> float:
+        return float(self.fx + self.ws[e] * k)
+
+    def settle(self, e: int, k: int, value: float) -> float:
+        return value
+
+    def answer(self, rows, steps, fx, need, intervals) -> np.ndarray:
+        return intervals(rows, steps)[0].copy()
+
+    def intervals(self, rows: np.ndarray, steps: Optional[np.ndarray]):
+        gains = self.weights[rows]
+        if steps is not None:
+            gains = gains * steps
+        values = (gains + self.fx).astype(np.float64)
+        return values, values
+
+
+class _SqrtState:
+    """weighted-concave-sqrt: sqrt(x), so a probe swaps one root and takes the
+    dot product of a full evaluation, or, given a bar, returns the end of an
+    O(1) certified interval that decides as that value would.
+
+    The scalar probe and the vector intervals run the same float operations
+    in the same order, so a batch answers as the same probes would.
+    """
+
+    # x and xs: the followed x and the oracle's list mirror of it; roots and
+    # weights: sqrt(x) and w as float arrays, for the dot product; rs and ws:
+    # the same as Python floats, for the O(1) probe; fx: f(x) as the dot product
+    # gives it; tol scales the certified interval.
+    __slots__ = ("x", "xs", "roots", "weights", "rs", "ws", "fx", "tol")
+
+    def __init__(self, objective: Objective, x: np.ndarray, xs: list, fx: float):
+        self.x, self.xs, self.fx = x, xs, fx
+        self.roots = np.sqrt(x)
+        self.weights = objective.weights.astype(np.float64)
+        self.rs, self.ws = self.roots.tolist(), self.weights.tolist()
+        # Certified interval.  A float dot product of n terms, in any order
+        # and with or without FMA, is within n*u/(1 - n*u) * sum|terms| of
+        # the real sum of its terms, u = 2**-53 (Higham, Accuracy and
+        # Stability of Numerical Algorithms, 3.1).  The terms are w_i times
+        # roots rounded once or twice, so the followed f(x) and the stepped
+        # value lie within (n + 2) * u times F and F + D of their real values
+        # F and F + D; D = w_e * (sqrt(x_e + k) - sqrt(x_e)) in O(1) is within
+        # 4 * u * (F + D), and f(x) + D rounds by u * (F + D) more.  The
+        # stepped value thus lies within (2n + 9) * u * (F + D) of the O(1)
+        # estimate, and B = 4 * (n + 4) * u * (f(x) + |D|) covers that twice.
+        self.tol = 4 * (x.size + 4) * 2.0 ** -53
+
+    def commit(self, e: int, k: int) -> None:
+        self.rs[e] = self.roots[e] = math.sqrt(self.xs[e])
+        self.fx = float(self.roots @ self.weights)
+
+    def probe(self, e: int, k: int, fx: Optional[float], need: Optional[float]) -> float:
+        if need is not None:
+            base = self.fx
+            gain = self.ws[e] * (math.sqrt(self.xs[e] + k) - self.rs[e])
+            value = base + gain
+            slack = self.tol * (base + abs(gain))
+            low = value - slack
+            if low - fx >= need:
+                return low
+            high = value + slack
+            if high - fx < need:
+                return high
+        return self.stepped(e, k)
+
+    def intervals(self, rows: np.ndarray, steps: Optional[np.ndarray]):
+        """(low, high) of each probe, from :meth:`probe`'s float operations in the same order."""
+        base = self.fx
         stepped = self.x[rows] + (1 if steps is None else steps)
-        gain = self._weights[rows] * (np.sqrt(stepped) - self._state[rows])
+        gain = self.weights[rows] * (np.sqrt(stepped) - self.roots[rows])
         value = base + gain
-        slack = self._tol * (base + np.abs(gain))
+        slack = self.tol * (base + np.abs(gain))
         return value - slack, value + slack
 
-    def _stepped(self, e: int, k: int) -> float:
-        """f(x + k * 1_e) for the followed x of a sqrt or custom objective, uncharged."""
+    def answer(self, rows, steps, fx, need, intervals) -> np.ndarray:
+        """The interval end that decides each probe's bar, else its exact value."""
+        if need is None:
+            values = np.full(len(rows), np.nan)
+        else:
+            low, high = intervals(rows, steps)
+            values = np.where(low - fx >= need, low, np.where(high - fx < need, high, np.nan))
+        return _exact_where_undecided(self, values, rows, steps)
+
+    def settle(self, e: int, k: int, value: float) -> float:
+        return self.stepped(e, k)
+
+    def stepped(self, e: int, k: int) -> float:
+        """The exact f(x + k * 1_e), uncharged: the dot product with one root swapped."""
+        roots = self.roots
+        root, roots[e] = roots[e], math.sqrt(self.xs[e] + k)
+        value = float(roots @ self.weights)
+        roots[e] = root
+        return value
+
+
+class _CustomState:
+    """custom: no cached value; a probe steps x in place, calls the objective
+    and checks that the value is finite."""
+
+    __slots__ = ("objective", "x")
+
+    def __init__(self, objective: Objective, x: np.ndarray, xs: list, fx: float):
+        self.objective, self.x = objective, x
+
+    def commit(self, e: int, k: int) -> None:
+        pass
+
+    def probe(self, e: int, k: int, fx, need) -> float:
+        return self.stepped(e, k)
+
+    def settle(self, e: int, k: int, value: float) -> float:
+        return value
+
+    def answer(self, rows, steps, fx, need, intervals) -> np.ndarray:
+        return _exact_where_undecided(self, np.full(len(rows), np.nan), rows, steps)
+
+    def stepped(self, e: int, k: int) -> float:
+        """The exact f(x + k * 1_e), uncharged; x is restored."""
         x = self.x
-        if self.objective.kind == WEIGHTED_CONCAVE_SQRT:
-            roots = self._state
-            root, roots[e] = roots[e], math.sqrt(x[e] + k)
-            value = float(roots @ self._weights)
-            roots[e] = root
-            return value
         x[e] += k
         try:
             value = self.objective(x)
@@ -465,9 +528,19 @@ class CountingOracle:
         finally:
             x[e] -= k
 
-    def _check_width(self, width: int) -> None:
-        if width != self.objective.n:
-            raise ValueError(f"points have {width} entries, objective expects {self.objective.n}")
+
+_STATES = {WEIGHTED_LINEAR: _LinearState, WEIGHTED_CONCAVE_SQRT: _SqrtState,
+           CUSTOM: _CustomState}
+
+
+def _exact_where_undecided(state, values: np.ndarray, rows: np.ndarray,
+                           steps: Optional[np.ndarray]) -> np.ndarray:
+    """values, each NaN, a probe no interval decided, replaced by state's exact value."""
+    undecided = np.flatnonzero(np.isnan(values))
+    if undecided.size:
+        ks = [1] * undecided.size if steps is None else steps[undecided].tolist()
+        values[undecided] = [state.stepped(e, k) for e, k in zip(rows[undecided].tolist(), ks)]
+    return values
 
 
 def _slice_start(part: np.ndarray, whole: np.ndarray) -> Optional[int]:

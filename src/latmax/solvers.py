@@ -14,15 +14,17 @@ element.
 
 Both loops ``follow`` their incumbent on the oracle from the zero point and
 ``commit`` each accepted step to it, so every probe of a point one coordinate
-away is answered from the oracle's cached state: O(1) for weighted-linear
-objectives (unit-step scans are one integer vector sum), one dot product for
-weighted-concave-sqrt.  Sqrt probes are first bracketed by O(1) certified
-intervals.  A threshold step probe passes its bar, so it takes the dot
-product only when its interval straddles the bar.  A unit-step scan
-(:func:`_unit_step_values`) takes it only for candidates whose interval
-reaches the largest lower end, since no other candidate can be the best.
-Every decision, and every value a solver keeps, equals that of a full
-evaluation bit for bit.
+away is answered from the cached state of the objective kind's class in
+:mod:`latmax.lattice`: O(1) for weighted-linear objectives
+(``_LinearState``; unit-step scans are one integer vector sum), one dot
+product for weighted-concave-sqrt (``_SqrtState``), and a call of the
+objective for custom ones (``_CustomState``).  Sqrt probes are first
+bracketed by O(1) certified intervals.  A threshold step probe passes its
+bar, so it takes the dot product only when its interval straddles the bar.
+A unit-step scan (:func:`_unit_step_values`) takes it only for candidates
+whose interval reaches the largest lower end, since no other candidate can
+be the best.  Every decision, and every value a solver keeps, equals that
+of a full evaluation bit for bit.
 
 sgl and custom objectives make one ``evaluate_stepped`` call per probe.
 soma-dr-i on a built-in objective (:func:`_sweep_pass`) answers the
@@ -35,7 +37,7 @@ so runs are bit-reproducible for a fixed seed.  Both sample positions by a
 partial Fisher-Yates shuffle, in the stream of a shuffle over a copied pool.
 sgl needs the shuffle's order, so each pass replays its steps in plain
 Python (:func:`_replay`) into its pool, the list of elements below their
-caps, and probes them against list mirrors of x and b.  The pool changes
+caps, and probes them against the oracle's list mirror of x and a list of b.  The pool changes
 only when a commit fills an element, so sgl draws a block of same-pool
 passes in one generator call, and rewinds the generator when a pool shrinks
 mid-block, so that the stream stays that of one
@@ -370,14 +372,15 @@ def _prologue(instance: ProblemInstance, config: AlgorithmConfig):
     return start, oracle, early
 
 
-def _threshold_pass(oracle, xs, fx, card, caps, r, theta, elements):
+def _threshold_pass(oracle, fx, card, caps, r, theta, elements):
     """One acceptance sweep: binary-search a step for each listed element id.
 
     Commits accepted steps immediately, so later elements in the same pass
     see the updated incumbent, except a step that lowers f(x): the guard reads
-    the value the search paid for, so it is query-free.  xs and caps mirror x
-    and b as lists.
+    the value the search paid for, so it is query-free.  caps mirrors b as a
+    list, and the oracle's xs mirrors x.
     """
+    xs = oracle.xs
     committed = False
     max_cap_seen = 0
     for e in elements:
@@ -393,16 +396,9 @@ def _threshold_pass(oracle, xs, fx, card, caps, r, theta, elements):
             continue
         k, fx = hit
         oracle.commit(e, k)
-        xs[e] += k
         card += k
         committed = True
     return fx, card, committed, max_cap_seen
-
-
-def _search_and_commit(oracle, xs, fx, card, caps, r, theta, e):
-    """:func:`_threshold_pass` over element e alone: (f(x), k), k = 0 if no step was taken."""
-    fx, after, _, _ = _threshold_pass(oracle, xs, fx, card, caps, r, theta, (e,))
-    return fx, after - card
 
 
 def _all_reject_paths(gaps, room, offset):
@@ -424,7 +420,7 @@ def _all_reject_paths(gaps, room, offset):
     return np.repeat(live + offset, on_path.sum(axis=1)), probes[on_path]
 
 
-def _sweep_pass(oracle, x, xs, fx, card, b, caps, r, theta):
+def _sweep_pass(oracle, x, fx, card, b, caps, r, theta):
     """:func:`_threshold_pass` over every element, a segment at a time.
 
     The oracle keeps the all-reject paths (:func:`_all_reject_paths`) and
@@ -466,9 +462,8 @@ def _sweep_pass(oracle, x, xs, fx, card, b, caps, r, theta):
         max_cap_seen = max(max_cap_seen, min(int(gaps.max(initial=0)), r - card))
         if e == x.size:
             return fx, card, committed, max_cap_seen
-        fx, k = _search_and_commit(oracle, xs, fx, card, caps, r, theta, e)
-        card += k
-        committed = committed or k > 0
+        fx, card, stepped, _ = _threshold_pass(oracle, fx, card, caps, r, theta, (e,))
+        committed = committed or stepped
         start = e + 1
 
 
@@ -492,7 +487,7 @@ def _threshold_run(instance: ProblemInstance, config: AlgorithmConfig,
     rng = np.random.Generator(np.random.PCG64(config.seed))
     sweep = not sampled and instance.objective.kind != CUSTOM
     x = zeros(n)
-    xs, caps = x.tolist(), b.tolist()  # the scalar pass's mirrors of x and b
+    caps = b.tolist()  # the scalar pass's mirror of b; the oracle's xs mirrors x
     fx = oracle.follow(x)
     theta = d = float(_unit_step_values(oracle, np.arange(n)).max())
     theta_stop = (eps / r) * d
@@ -521,11 +516,10 @@ def _threshold_run(instance: ProblemInstance, config: AlgorithmConfig,
             used += 1
         before = oracle.queries
         if sweep:
-            fx, card, committed, cap_seen = _sweep_pass(oracle, x, xs, fx, card, b, caps, r,
-                                                        theta)
+            fx, card, committed, cap_seen = _sweep_pass(oracle, x, fx, card, b, caps, r, theta)
         else:
-            fx, card, committed, cap_seen = _threshold_pass(
-                oracle, xs, fx, card, caps, r, theta, elements)
+            fx, card, committed, cap_seen = _threshold_pass(oracle, fx, card, caps, r, theta,
+                                                            elements)
         iterations += 1
         if trace is not None:
             trace.append(PassStats(queries=oracle.queries - before,
@@ -535,7 +529,7 @@ def _threshold_run(instance: ProblemInstance, config: AlgorithmConfig,
             break
         if sampled and committed:  # only a commit changes x; a filled element leaves the pool
             for e in elements:
-                if xs[e] == caps[e]:
+                if oracle.xs[e] == caps[e]:
                     available.remove(e)
             if len(available) < m:
                 if used < passes:  # rewind, and redraw only what the served passes drew

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import latmax as lm
+from latmax.lattice import _SqrtState
 
 points = st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=6)
 
@@ -217,6 +218,17 @@ def test_followed_state_matches_full_evaluations(case):
             [f(expected + lm.unit(n, e)) for e in elements.tolist()]
         charged += 3 * n + elements.size
         assert oracle.queries == charged
+        # a probe given a bar at its exact gain, or one ulp either side, may answer
+        # an interval end; settle_stepped turns it into the exact value, uncharged
+        fx = f(expected)
+        for (e, k), exact in zip([(e, k) for e in range(n) for k in (1, 2, 3)], stepped):
+            gain = exact - fx
+            for need in (gain, math.nextafter(gain, -math.inf), math.nextafter(gain, math.inf)):
+                answer = oracle.evaluate_stepped(e, k, fx, need)
+                charged += 1
+                assert (answer - fx >= need) == (exact - fx >= need)
+                assert oracle.settle_stepped(e, k, answer) == exact
+                assert oracle.queries == charged
         assert oracle.x is x and x.tolist() == expected.tolist()
 
 
@@ -307,25 +319,22 @@ def test_batched_probes_match_scalar_probes(case):
               for e, k, bar in zip(elements.tolist(), steps.tolist(), bars)]
     needs = np.array(needs) if with_bars else None
     before = oracle.queries
-    bound = oracle.stepped_bounds(elements, steps, fx, needs)
-    assert oracle.queries == before
     batch = oracle.evaluate_batch(elements, steps, fx, needs)
     assert oracle.queries == before + elements.size
     assert [v.hex() for v in batch.tolist()] == [v.hex() for v in scalar]
-    assert all(math.isnan(b) or b == v for b, v in zip(bound.tolist(), scalar))
 
 
 def test_kept_plan_answers_its_slices_until_a_commit(monkeypatch):
     # evaluate_batch reads the intervals of a slice of the kept probes from the
     # plan; other probes, another oracle's and those after a commit are computed
     computed = []
-    intervals = lm.CountingOracle._intervals
+    intervals = _SqrtState.intervals
 
     def counted(self, rows, steps):
         computed.append(len(rows))
         return intervals(self, rows, steps)
 
-    monkeypatch.setattr(lm.CountingOracle, "_intervals", counted)
+    monkeypatch.setattr(_SqrtState, "intervals", counted)
     f = lm.weighted_concave_sqrt([3, 40, 97, 40, 3])
     x = lm.as_point([0, 2, 1, 0, 5])
     oracle, other = lm.CountingOracle(f), lm.CountingOracle(f)
@@ -337,13 +346,13 @@ def test_kept_plan_answers_its_slices_until_a_commit(monkeypatch):
     assert oracle.queries == 1  # planning is uncharged
     needs = np.full(6, 1e9)  # every probe rejects, so each answers its upper end
     for part in (slice(None), slice(1, 4), slice(3, 6), slice(5, 6)):
-        fresh = oracle.stepped_bounds(rows[part].copy(), steps[part].copy(), fx, needs[part])
+        fresh = oracle.evaluate_batch(rows[part].copy(), steps[part].copy(), fx, needs[part])
         assert oracle.evaluate_batch(rows[part], steps[part], fx, needs[part]).tolist() \
             == high[part].tolist() == fresh.tolist()
     assert computed == [6, 6, 3, 3, 1]  # only the copies were computed
     # misaligned steps, a strided slice and another oracle's plan are computed afresh
-    oracle.stepped_bounds(rows[1:3], steps[2:4], fx, needs[:2])
-    oracle.stepped_bounds(rows[::2], steps[::2], fx, needs[:3])
+    oracle.evaluate_batch(rows[1:3], steps[2:4], fx, needs[:2])
+    oracle.evaluate_batch(rows[::2], steps[::2], fx, needs[:3])
     assert other.evaluate_batch(rows[1:4], steps[1:4], fx, needs[:3]).tolist() == \
         high[1:4].tolist()
     assert computed[5:] == [2, 3, 3] and other.plan is None

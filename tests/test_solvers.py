@@ -32,6 +32,7 @@ from latmax import (
     weighted_linear,
 )
 from latmax.checks import random_tiny_instance, scan_step
+from latmax.lattice import _LinearState, _SqrtState
 from latmax.solvers import (
     MAX_STALLED_PASSES,
     PassStats,
@@ -695,7 +696,7 @@ def test_certified_probes_keep_trajectories(name, weights, monkeypatch):
             out.append((sol.x.tolist(), sol.value, sol.queries, trace))
         return out
 
-    probe, stepped, batch = (CountingOracle.evaluate_stepped, CountingOracle._stepped,
+    probe, stepped, batch = (CountingOracle.evaluate_stepped, _SqrtState.stepped,
                              CountingOracle.evaluate_batch)
     probes, fallbacks, probing = [0], [0], [False]
 
@@ -720,7 +721,7 @@ def test_certified_probes_keep_trajectories(name, weights, monkeypatch):
         monkeypatch.setattr(CountingOracle, "evaluate_batch", counted(batch, lambda a: len(a[0])))
     else:
         monkeypatch.setattr(CountingOracle, "evaluate_stepped", counted(probe, lambda a: 1))
-    monkeypatch.setattr(CountingOracle, "_stepped", counted_stepped)
+    monkeypatch.setattr(_SqrtState, "stepped", counted_stepped)
     certified = runs()
     # a candidate tied exactly with the best still needs its dot product, which
     # may differ from the best's in the last bit, and equal weights tie whole
@@ -854,19 +855,20 @@ def test_sweep_matches_the_scalar_pass(monkeypatch):
     # iterations and traces
     from latmax import solvers
 
-    search, probe, stepped, batch = (solvers._search_and_commit,
-                                     CountingOracle.evaluate_stepped, CountingOracle._stepped,
-                                     CountingOracle.evaluate_batch)
-    # counted over the built-in runs: searches that end a segment, those that
-    # commit, sqrt probes the certified bound leaves undecided, batched probes
+    threshold_pass, probe, stepped, batch = (solvers._threshold_pass,
+                                             CountingOracle.evaluate_stepped, _SqrtState.stepped,
+                                             CountingOracle.evaluate_batch)
+    # counted over the built-in runs: scalar passes, each over the element that
+    # ends a segment, those that commit, sqrt probes the certified bound leaves
+    # undecided (a linear probe is always exact), batched probes
     seen = dict(stops=0, commits=0, undecided=0, batched=0)
     probing, builtin_run, filled = [False], [False], 0
 
-    def counted_search(*args):
-        fx, k = search(*args)
+    def counted_pass(*args):
+        result = threshold_pass(*args)
         seen["stops"] += builtin_run[0]
-        seen["commits"] += builtin_run[0] and k > 0
-        return fx, k
+        seen["commits"] += builtin_run[0] and result[2]
+        return result
 
     def counted_probe(self, *args):
         probing[0] = True
@@ -884,9 +886,9 @@ def test_sweep_matches_the_scalar_pass(monkeypatch):
             seen["batched"] += len(rows)
         return batch(self, rows, *args)
 
-    monkeypatch.setattr(solvers, "_search_and_commit", counted_search)
+    monkeypatch.setattr(solvers, "_threshold_pass", counted_pass)
     monkeypatch.setattr(CountingOracle, "evaluate_stepped", counted_probe)
-    monkeypatch.setattr(CountingOracle, "_stepped", counted_stepped)
+    monkeypatch.setattr(_SqrtState, "stepped", counted_stepped)
     monkeypatch.setattr(CountingOracle, "evaluate_batch", counted_batch)
     for builtin, b, r, eps in sweep_instances():
         runs = []
@@ -912,16 +914,23 @@ def test_sweep_plans_each_probe_once_per_incumbent(monkeypatch):
     seen = set()
     computed = [0]
     charged = [0]
-    intervals, batch = CountingOracle._intervals, CountingOracle.evaluate_batch
+    incumbent = [None]
+    follow, batch = CountingOracle.follow, CountingOracle.evaluate_batch
 
-    def counted(self, rows, steps):
-        if steps is not None:  # the sweep's probes; unit-step scans pass None
-            for e, k in zip(rows.tolist(), steps.tolist()):
-                key = (tuple(self.x.tolist()), e, k)
-                assert key not in seen, f"interval of {key} computed twice"
-                seen.add(key)
-            computed[0] += len(rows)
-        return intervals(self, rows, steps)
+    def followed(self, x):
+        incumbent[0] = x  # kept by reference, so commits step it too
+        return follow(self, x)
+
+    def counted(intervals):
+        def call(self, rows, steps):
+            if steps is not None:  # the sweep's probes; unit-step scans pass None
+                for e, k in zip(rows.tolist(), steps.tolist()):
+                    key = (tuple(incumbent[0].tolist()), e, k)
+                    assert key not in seen, f"interval of {key} computed twice"
+                    seen.add(key)
+                computed[0] += len(rows)
+            return intervals(self, rows, steps)
+        return call
 
     def counted_batch(self, rows, *args):
         before = computed[0]
@@ -931,7 +940,9 @@ def test_sweep_plans_each_probe_once_per_incumbent(monkeypatch):
             charged[0] += len(rows)
         return values
 
-    monkeypatch.setattr(CountingOracle, "_intervals", counted)
+    monkeypatch.setattr(CountingOracle, "follow", followed)
+    for state in (_LinearState, _SqrtState):
+        monkeypatch.setattr(state, "intervals", counted(state.intervals))
     monkeypatch.setattr(CountingOracle, "evaluate_batch", counted_batch)
     for builtin, b, r, eps in sweep_instances():
         instance = ProblemInstance(n=builtin.n, b=as_point(b), r=r, objective=builtin)
