@@ -11,8 +11,8 @@ Equivalent to:
 Stops at the first step that fails (its `latmax: error:` line is on stderr)
 and exits with that step's status, so no table is printed from a partial CSV.
 
-Takes under 6 s (3.6-4.9 s measured on a 2-CPU Xeon VM with Python 3.11 and
-numpy 2.4, default algorithms and seed).
+Takes under 5 s (2.8-4.0 s in three runs on a 2-CPU Xeon VM with Python 3.11
+and numpy 2.4, default algorithms and seed).
 """
 
 import argparse

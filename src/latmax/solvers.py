@@ -32,20 +32,20 @@ searches that reject every probe a segment of elements at a time, in one
 charged ``evaluate_batch`` call.  The oracle keeps those probes and their
 intervals until the next commit, so each is computed once per incumbent.
 
-Randomized solvers draw from a PCG64 generator seeded with ``config.seed``,
-so runs are bit-reproducible for a fixed seed.  Both sample positions by a
-partial Fisher-Yates shuffle, in the stream of a shuffle over a copied pool.
-sgl needs the shuffle's order, so each pass replays its steps in plain
-Python (:func:`_replay`) into its pool, the list of elements below their
-caps, and probes them against the oracle's list mirror of x and a list of b.  The pool changes
-only when a commit fills an element, so sgl draws a block of same-pool
-passes in one generator call, and rewinds the generator when a pool shrinks
-mid-block, so that the stream stays that of one
-:func:`_sample_without_replacement` call per pass.
-ssg needs only the set of copy slots each round picks, and every round
-commits one copy, so all its pool sizes are known in advance:
-:func:`_sample_slot_sets` draws a block of rounds at once and resolves each
-round to its sorted slot set without a replay.
+Randomized solvers draw from a PCG64 seeded with ``config.seed``, so runs
+are bit-reproducible for a fixed seed.  Each run owns its stream
+(:class:`_WordStream`), which reads the generator's raw words and draws
+from them exactly what ``Generator.integers`` would, by numpy's own method.
+Both sample positions by a partial Fisher-Yates shuffle.  sgl needs the
+shuffle's order, so each pass draws its steps one at a time and replays them
+in plain Python (:meth:`_WordStream.pick`) into its pool, the list of
+elements below their caps, and probes them against the oracle's list mirror
+of x and a list of b.  The stream is the run's own, so what it reads ahead
+is never lost and nothing is rewound.  ssg needs only the set of copy slots
+each round picks, and every round commits one copy, so all its pool sizes
+are known in advance: :func:`_sample_slot_sets` draws a block of rounds at
+once, with whole-array arithmetic, and resolves each round to its sorted
+slot set without a replay.
 """
 
 from __future__ import annotations
@@ -81,8 +81,6 @@ BRUTE_FORCE_POINT_CAP = 10 ** 6
 _BRUTE_FORCE_CHUNK = 1 << 16
 # ssg draws the copy slots of a block of rounds at once, up to this many slots
 _SLOT_BLOCK = 4096
-# sgl draws the samples of a block of same-pool passes at once, up to this many draws
-_PASS_BLOCK = 256
 # a sqrt unit-step scan of L candidates over n elements screens them only when
 # L * (n + 10,000) reaches this: the screen's ~30 numpy calls cost about as much as
 # 15 exact probes, each a Python call and an O(n) dot product
@@ -193,34 +191,177 @@ def guarantee_bound(algorithm: str, n: int, r: int, epsilon: float) -> float:
     return 1.0 - 1.0 / math.e - epsilon
 
 
-def _replay(offsets, pool) -> list:
-    """The entries of pool a partial Fisher-Yates shuffle picks, step by step.
+_RANGE32 = 1 << 32  # ranges up to this draw from a 32-bit half of a word
+_LOW32 = _RANGE32 - 1
+_WORDS = 4096  # most words read ahead beyond a request
 
-    Step i swaps position i with target i + offsets[i] and picks what the
-    target holds.  Only displaced positions are tracked, in a dict, so the
-    pool is read, never copied.
+
+class _WordStream:
+    """The draws ``Generator(PCG64(seed)).integers(0, highs)`` makes, bit for
+    bit, computed from the raw 64-bit words of a run's own PCG64.
+
+    numpy draws below a range of at most 2**32 by Lemire's method on a
+    32-bit half of a word: the product of the half and the range gives its
+    high 32 bits, unless its low 32 bits fall below 2**32 % range, when the
+    draw starts again on the next half.  The low half of a word goes first
+    and the high half is kept for the next such draw, across calls.  A larger
+    range does the same on a whole fresh word with 64 bits, and leaves a kept
+    half alone; a range of 1 draws nothing.
+
+    The stream splits the words it reads ahead into their halves, low half
+    first, with masks and shifts rather than a byte view, so it is the same
+    on any platform.  A word's high half is kept exactly when the position of
+    the next unused half is odd.  The stream belongs to one run, so halves
+    read ahead are never lost, and nothing is rewound.  :meth:`integers`
+    serves ssg's blocks with whole-array arithmetic; :meth:`pick` serves
+    sgl's passes one Python-int draw at a time.
     """
-    displaced = {}  # position -> pool entry now held there
-    picks = []
-    for i, offset in enumerate(offsets):
-        j = i + offset
-        picks.append(displaced.get(j, pool[j]))
-        displaced[j] = displaced.get(i, pool[i])  # position i is final from here on
-    return picks
+
+    def __init__(self, seed: int):
+        self._bits = np.random.PCG64(seed)
+        self._halves = np.empty(0, dtype=np.uint64)  # of whole words; unused from _pos on
+        self._pos = 0
+        self._block = np.empty((2, 0), dtype=np.uint64)  # products and low bits of a block
+        self._flags = np.empty(0, dtype=bool)
+
+    def _next(self, count: int) -> np.ndarray:
+        """The next count unused halves, left unused."""
+        pos = self._pos
+        if self._halves.size - pos < count:
+            # read ahead as much again as was read so far, up to _WORDS words
+            words = self._bits.random_raw(max(count // 2 + 1, min(self._halves.size, _WORDS)))
+            start = pos & -2  # from the word of a kept half, so words stay aligned
+            rest = self._halves.size - start
+            halves = np.empty(rest + 2 * words.size, dtype=np.uint64)
+            halves[:rest] = self._halves[start:]
+            np.bitwise_and(words, _LOW32, out=halves[rest::2])
+            np.right_shift(words, 32, out=halves[rest + 1::2])
+            self._halves, self._pos = halves, pos - start
+            pos = self._pos
+        return self._halves[pos:pos + count]
+
+    def _below(self, high: int) -> int:
+        """One draw in [0, high)."""
+        if high == 1:
+            return 0
+        if high > _RANGE32:
+            threshold = (1 << 64) % high
+            while True:
+                low, up, after = self._next(3).tolist()
+                if self._pos % 2:  # the word after the kept half; the kept half moves up
+                    low, up = up, after
+                    self._halves[self._pos + 2] = self._halves[self._pos]
+                self._pos += 2
+                product = (up << 32 | low) * high
+                if product & ((1 << 64) - 1) >= threshold:
+                    return product >> 64
+        threshold = _RANGE32 % high
+        while True:
+            product = int(self._next(1)[0]) * high
+            self._pos += 1
+            if product & _LOW32 >= threshold:
+                return product >> 32
+
+    def integers(self, highs: np.ndarray) -> np.ndarray:
+        """Draws in [0, highs) for int64 highs >= 1, in C order, shaped like highs.
+
+        A block with a range above 2**32 is drawn one value at a time by
+        :meth:`_below`; others by :meth:`_halves_below`.
+        """
+        flat = np.ravel(highs)
+        out = np.empty(flat.size, dtype=np.int64)
+        if flat.size and flat.max() > _RANGE32:
+            out[:] = [self._below(high) for high in flat.tolist()]
+        else:
+            self._halves_below(flat, out)
+        return out.reshape(np.shape(highs))
+
+    def _halves_below(self, ranges: np.ndarray, out: np.ndarray) -> None:
+        """out[i] = a draw below ranges[i], each in [1, 2**32], in order.
+
+        Draw i takes the i-th next half, until a product is rejected: the
+        draws before it stand, it is redrawn by :meth:`_below`, and the rest
+        start over after it.
+        """
+        if ranges.size and ranges.min() == 1:  # a range of 1 draws nothing
+            drawn = ranges > 1
+            out[~drawn] = 0
+            some = np.empty(int(drawn.sum()), dtype=np.int64)
+            self._halves_below(ranges[drawn], some)
+            out[drawn] = some
+            return
+        ranges, out = ranges.view(np.uint64), out.view(np.uint64)
+        done = 0
+        while done < ranges.size:
+            count = ranges.size - done
+            if self._flags.size < count:
+                self._block = np.empty((2, count), dtype=np.uint64)
+                self._flags = np.empty(count, dtype=bool)
+            products, low = self._block[0, :count], self._block[1, :count]
+            np.multiply(self._next(count), ranges[done:], out=products)
+            np.bitwise_and(products, _LOW32, out=low)
+            stop = count
+            if np.less(low, ranges[done:], out=self._flags[:count]).any():  # rarely
+                flagged = np.flatnonzero(self._flags[:count])
+                rejected = flagged[low[flagged] < np.uint64(_RANGE32) % ranges[done:][flagged]]
+                stop = int(rejected[0]) if rejected.size else count
+            np.right_shift(products[:stop], 32, out=out[done:done + stop])
+            self._pos += stop
+            done += stop
+            if stop < count:  # the rejected half is used; the draw starts again after it
+                self._pos += 1
+                out[done] = self._below(int(ranges[done]))
+                done += 1
+
+    def pick(self, pool, k: int) -> list:
+        """The entries of pool that k steps of a partial Fisher-Yates shuffle pick.
+
+        Step i swaps position i with target i + offset, the offset drawn
+        below len(pool) - i, and picks what the target holds.  Only displaced
+        positions are tracked, in a dict, so the pool is read, never copied.
+        Offsets are drawn inline on Python ints; ranges of 1 or above 2**32,
+        and draws a product rejects, go through :meth:`_below`.
+        """
+        m = len(pool)
+        low32, range32 = _LOW32, _RANGE32
+        displaced = {}  # position -> pool entry now held there
+        held = displaced.get
+        picks = []
+        i = 0
+        while i < k:
+            end = min(k, m - 1)  # the steps before it have ranges of at least 2
+            if i < end and m - i <= range32:  # ranges fall, so steps i to end draw halves
+                start = i
+                for i, half in zip(range(start, end), self._next(end - start).tolist()):
+                    high = m - i
+                    product = half * high
+                    if product & low32 < high and product & low32 < range32 % high:
+                        self._pos += i - start + 1  # the rejected half is used too
+                        j = i + self._below(high)
+                        break
+                    j = i + (product >> 32)
+                    picks.append(held(j, pool[j]))
+                    displaced[j] = held(i, pool[i])  # position i is final from here on
+                else:
+                    self._pos += end - start
+                    i = end
+                    continue
+            else:  # a range of 1 or above 2**32
+                j = i + self._below(m - i)
+            picks.append(held(j, pool[j]))
+            displaced[j] = held(i, pool[i])
+            i += 1
+        return picks
 
 
-def _sample_without_replacement(rng: np.random.Generator, m: int, k: int) -> np.ndarray:
-    """k distinct positions in [0, m) by a partial Fisher-Yates shuffle.
-
-    One generator call draws step i's offset into [i, m) for every step,
-    and :func:`_replay` plays the steps in order.
-    """
+def _sample_without_replacement(stream: _WordStream, m: int, k: int) -> np.ndarray:
+    """k distinct positions in [0, m) by a partial Fisher-Yates shuffle."""
     if not (0 <= k <= m):
         raise ValueError(f"cannot sample {k} items from a pool of {m}")
-    return np.array(_replay(rng.integers(0, m - np.arange(k)).tolist(), range(m)), dtype=np.int64)
+    return np.array(stream.pick(range(m), k), dtype=np.int64)
 
 
-def _sample_slot_sets(rng: np.random.Generator, pools: np.ndarray, k: int) -> np.ndarray:
+def _sample_slot_sets(stream: _WordStream, pools: np.ndarray, k: int) -> np.ndarray:
     """Row t: the k positions :func:`_sample_without_replacement` picks from
     [0, pools[t]), sorted, drawn in the stream of one such call per row.
 
@@ -238,9 +379,9 @@ def _sample_slot_sets(rng: np.random.Generator, pools: np.ndarray, k: int) -> np
     size = rows * k
     shift = size.bit_length()
     if int(pools.max()) >= 1 << (63 - shift):  # its sort keys would overflow int64
-        return np.sort([_sample_without_replacement(rng, int(m), k) for m in pools], axis=1)
+        return np.sort([_sample_without_replacement(stream, int(m), k) for m in pools], axis=1)
     steps = np.arange(k)
-    targets = rng.integers(0, pools[:, None] - steps) + steps
+    targets = stream.integers(pools[:, None] - steps) + steps
     # each row sorted by target, then step; the low bits hold the step's flat index
     cells = np.sort(targets << shift | np.arange(size).reshape(rows, k), axis=1).ravel()
     target, step = cells >> shift, cells & ((1 << shift) - 1)
@@ -275,7 +416,7 @@ def _sample_slot_sets(rng: np.random.Generator, pools: np.ndarray, k: int) -> np
     return values[chosen].reshape(rows, k)
 
 
-def _ssg_slot_sets(rng: np.random.Generator, total: int, s: int, rounds: int):
+def _ssg_slot_sets(stream: _WordStream, total: int, s: int, rounds: int):
     """The sorted copy slots of each ssg round, drawn a block of rounds at a time.
 
     Each round commits one copy, so round t samples min(s, total - t) of the
@@ -287,7 +428,7 @@ def _ssg_slot_sets(rng: np.random.Generator, total: int, s: int, rounds: int):
         remaining = total - t
         k = min(s, remaining)
         block = min(max(1, _SLOT_BLOCK // k), rounds - t, remaining - k + 1)
-        yield from _sample_slot_sets(rng, remaining - np.arange(block), k)
+        yield from _sample_slot_sets(stream, remaining - np.arange(block), k)
         t += block
 
 
@@ -484,7 +625,7 @@ def _threshold_run(instance: ProblemInstance, config: AlgorithmConfig,
         return _finish(instance, b.copy(), oracle, 0, start)
 
     eps = resolve_epsilon(config, n)
-    rng = np.random.Generator(np.random.PCG64(config.seed))
+    stream = _WordStream(config.seed) if sampled else None
     sweep = not sampled and instance.objective.kind != CUSTOM
     x = zeros(n)
     caps = b.tolist()  # the scalar pass's mirror of b; the oracle's xs mirrors x
@@ -493,7 +634,6 @@ def _threshold_run(instance: ProblemInstance, config: AlgorithmConfig,
     theta_stop = (eps / r) * d
     s_raw = max(1, sample_size(n, r, eps))
     available = elements = list(range(n))  # the elements below their caps, ascending
-    used = passes = 0  # passes of the current block served, and drawn
 
     card = 0
     iterations = 0
@@ -505,15 +645,7 @@ def _threshold_run(instance: ProblemInstance, config: AlgorithmConfig,
             timed_out = True
             break
         if sampled:
-            if used == passes:  # draw the next block of same-pool passes
-                m = len(available)
-                s = min(s_raw, m)
-                passes, used = max(1, _PASS_BLOCK // s), 0
-                highs = m - np.arange(passes * s) % s  # pass after pass: m, m - 1, ...
-                saved = rng.bit_generator.state
-                draws = rng.integers(0, highs).tolist()
-            elements = _replay(draws[used * s:(used + 1) * s], available)
-            used += 1
+            elements = stream.pick(available, min(s_raw, len(available)))
         before = oracle.queries
         if sweep:
             fx, card, committed, cap_seen = _sweep_pass(oracle, x, fx, card, b, caps, r, theta)
@@ -531,11 +663,6 @@ def _threshold_run(instance: ProblemInstance, config: AlgorithmConfig,
             for e in elements:
                 if oracle.xs[e] == caps[e]:
                     available.remove(e)
-            if len(available) < m:
-                if used < passes:  # rewind, and redraw only what the served passes drew
-                    rng.bit_generator.state = saved
-                    rng.integers(0, highs[:used * s])
-                passes = used
         if theta <= theta_stop:
             if not sampled:
                 break  # the final sweep at the floor just completed
@@ -566,11 +693,10 @@ def _unit_step_run(instance: ProblemInstance, config: AlgorithmConfig,
     fx = oracle.follow(x)
     rounds = r
     if sampled:
-        rng = np.random.Generator(np.random.PCG64(config.seed))
         s = max(1, sample_size(cardinality(b), r, resolve_epsilon(config, n)))
         ends = np.cumsum(b)  # ends[e]: remaining slots of the elements up to e
         rounds = min(r, int(ends[-1]))
-        slot_sets = _ssg_slot_sets(rng, int(ends[-1]), s, rounds)
+        slot_sets = _ssg_slot_sets(_WordStream(config.seed), int(ends[-1]), s, rounds)
 
     iterations = 0
     timed_out = False

@@ -36,9 +36,9 @@ from latmax.lattice import _LinearState, _SqrtState
 from latmax.solvers import (
     MAX_STALLED_PASSES,
     PassStats,
-    _replay,
     _sample_slot_sets,
     _sample_without_replacement,
+    _WordStream,
 )
 
 
@@ -198,7 +198,7 @@ def assert_sgl_matches_reference(instance, seed, eps):
         available = np.flatnonzero(x < b)
         s = min(s_raw, available.size)
         before, committed, cap_seen = queries, False, 0
-        for e in available[_sample_without_replacement(rng, available.size, s)].tolist():
+        for e in available[copying_fisher_yates(rng, available.size, s)].tolist():
             k_cap = min(int(b[e] - x[e]), r - card)
             if k_cap <= 0:
                 continue
@@ -420,7 +420,7 @@ def assert_ssg_matches_reference(instance, seed, eps):
         remaining = int(gaps.sum())
         if remaining == 0:
             break
-        slots = _sample_without_replacement(rng, remaining, min(max(1, s_raw), remaining))
+        slots = copying_fisher_yates(rng, remaining, min(max(1, s_raw), remaining))
         picked = np.searchsorted(np.cumsum(gaps), slots, side="right").tolist()
         vals = [f(x + unit(n, e)) for e in picked]
         best = max(vals)
@@ -461,7 +461,7 @@ class TestSsg:
             for _ in range(r):
                 remaining = np.flatnonzero(x == 0)
                 s = min(max(1, s_raw), remaining.size)
-                slots = _sample_without_replacement(rng, remaining.size, s)
+                slots = copying_fisher_yates(rng, remaining.size, s)
                 best_e, best_val = -1, -math.inf
                 for e in remaining[slots]:
                     y = x.copy()
@@ -488,7 +488,7 @@ class TestSsg:
             for _ in range(r):
                 gaps = instance.b - x
                 s = min(s_raw, int(gaps.sum()))
-                slots = _sample_without_replacement(rng, int(gaps.sum()), s)
+                slots = copying_fisher_yates(rng, int(gaps.sum()), s)
                 picked = np.searchsorted(np.cumsum(gaps), slots, side="right")
                 repeated += len(set(picked.tolist())) < s
                 above_zero += int(picked.min()) > 0
@@ -1009,9 +1009,9 @@ def test_solution_values_are_fresh_evaluations(rng):
 class TestSampleWithoutReplacement:
     @given(st.integers(0, 40), st.randoms(use_true_random=False))
     def test_distinct_subset(self, m, pyrandom):
-        rng = np.random.Generator(np.random.PCG64(pyrandom.getrandbits(32)))
+        stream = _WordStream(pyrandom.getrandbits(32))
         k = pyrandom.randint(0, m)
-        out = _sample_without_replacement(rng, m, k)
+        out = _sample_without_replacement(stream, m, k)
         assert len(out) == k
         assert len(set(out.tolist())) == k
         assert set(out.tolist()) <= set(range(m))
@@ -1021,32 +1021,23 @@ class TestSampleWithoutReplacement:
         # sgl replays its passes straight into its pool of available elements
         m = data.draw(st.integers(0, 40))
         k = data.draw(st.integers(0, m))
-        offsets = [data.draw(st.integers(0, m - 1 - i)) for i in range(k)]
         pool = data.draw(st.lists(st.integers(), min_size=m, max_size=m))
-        positions = _replay(offsets, range(m))
+        seed = data.draw(st.integers(0, 2 ** 32))
+        positions = _WordStream(seed).pick(range(m), k)
         assert len(set(positions)) == k and set(positions) <= set(range(m))
-        assert _replay(offsets, pool) == [pool[p] for p in positions]
+        assert _WordStream(seed).pick(pool, k) == [pool[p] for p in positions]
 
-    def test_rejects_oversized_draw(self, rng):
+    def test_rejects_oversized_draw(self):
         with pytest.raises(ValueError):
-            _sample_without_replacement(rng, 3, 4)
+            _sample_without_replacement(_WordStream(0), 3, 4)
 
-    def test_covers_the_pool_over_many_draws(self, rng):
-        seen = set()
+    def test_covers_the_pool_over_many_draws(self):
+        stream, seen = _WordStream(20240817), set()
         for _ in range(200):
-            seen.update(_sample_without_replacement(rng, 6, 2).tolist())
+            seen.update(_sample_without_replacement(stream, 6, 2).tolist())
         assert seen == set(range(6))
 
     def test_stream_matches_copying_fisher_yates(self, rng):
-        # reference: the shuffle swapping entries of a copy of the pool in place
-        def copying(gen, m, k):
-            pool = np.arange(m)
-            draws = gen.integers(0, m - np.arange(k)) if k else ()
-            for i in range(k):
-                j = i + int(draws[i])
-                pool[i], pool[j] = pool[j], pool[i]
-            return pool[:k]
-
         for trial in range(2000):
             kind = trial % 8
             if kind == 0:  # ssg scale: few irregular steps among many regular ones
@@ -1062,20 +1053,65 @@ class TestSampleWithoutReplacement:
                 m = int(rng.integers(1, 80)) if trial % 10 else int(rng.integers(1000, 5000))
                 k = (0, m, int(rng.integers(0, m + 1)))[trial % 3]
             seed = int(rng.integers(0, 2 ** 32))
-            ours, theirs = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+            ours, theirs = _WordStream(seed), np.random.Generator(np.random.PCG64(seed))
             assert _sample_without_replacement(ours, m, k).tolist() == \
-                copying(theirs, m, k).tolist()
-            assert ours.bit_generator.state == theirs.bit_generator.state
+                copying_fisher_yates(theirs, m, k).tolist()
+            assert_same_next_draws(ours, theirs)
 
 
 def copying_fisher_yates(gen, m, k):
-    """The partial Fisher-Yates shuffle swapping entries of a copy of the pool."""
-    pool = np.arange(m)
-    draws = gen.integers(0, m - np.arange(k)) if k else ()
+    """The partial Fisher-Yates shuffle swapping entries of a copy of the pool,
+    drawn by Generator.integers; entries never swapped are not stored."""
+    draws = gen.integers(0, m - np.arange(k)).tolist() if k else []
+    pool = {}
     for i in range(k):
-        j = i + int(draws[i])
-        pool[i], pool[j] = pool[j], pool[i]
-    return pool[:k]
+        j = i + draws[i]
+        pool[i], pool[j] = pool.get(j, j), pool.get(i, i)
+    return np.array([pool[i] for i in range(k)], dtype=np.int64)
+
+
+def assert_same_next_draws(stream, gen):
+    """The stream and the generator go on alike: a kept 32-bit half, a fresh
+    64-bit word, and rejection-heavy ranges."""
+    highs = np.array([7, 2 ** 40 + 3, 2 ** 31 + 1, 3 * 2 ** 30 + 1, 2 ** 32, 2 ** 62 + 1, 5] * 4)
+    assert stream.integers(highs).tolist() == gen.integers(0, highs).tolist()
+
+
+# ranges where numpy's draws change path or reject often: 1 draws nothing,
+# 2**31 + 1 and 3 * 2**30 + 1 reject about half and a quarter of the 32-bit
+# halves, 2**32 takes a half as it is, 2**32 + 1 on up take whole words, and
+# 2**62 + 1 rejects about a quarter of them
+stream_ranges = (st.sampled_from([1, 2, 2 ** 31 + 1, 3 * 2 ** 30 + 1, 2 ** 32, 2 ** 32 + 1,
+                                  2 ** 62 + 1])
+                 | st.integers(1, 50) | st.integers(1, 2 ** 62))
+stream_calls = st.one_of(
+    st.tuples(st.just("integers"), st.lists(stream_ranges, max_size=40)),
+    st.tuples(st.just("integers"), st.integers(1, 4).flatmap(
+        lambda rows: st.lists(st.lists(stream_ranges, min_size=rows, max_size=rows),
+                              max_size=10))),
+    st.tuples(st.just("pick"), stream_ranges.flatmap(
+        lambda m: st.tuples(st.just(m), st.integers(0, min(m, 12))))),
+)
+
+
+class TestWordStream:
+    @given(st.integers(0, 2 ** 64 - 1), st.lists(stream_calls, min_size=1, max_size=6))
+    def test_matches_generator_integers(self, seed, calls):
+        # the vector and the scalar entry, interleaved on one stream, draw what
+        # Generator.integers(0, highs) draws in C order, and go on alike after
+        stream, gen = _WordStream(seed), np.random.Generator(np.random.PCG64(seed))
+        for entry, args in calls:
+            if entry == "pick":
+                m, k = args
+                assert stream.pick(range(m), k) == copying_fisher_yates(gen, m, k).tolist()
+            else:
+                highs = np.array(args, dtype=np.int64)
+                if highs.ndim == 2:  # inner lists are columns, so rows are strided
+                    highs = highs.T
+                got = stream.integers(highs)
+                assert got.dtype == np.int64 and got.shape == highs.shape
+                assert got.tolist() == gen.integers(0, highs).tolist()
+        assert_same_next_draws(stream, gen)
 
 
 class TestSampleSlotSets:
@@ -1100,24 +1136,24 @@ class TestSampleSlotSets:
             # shrinking pools as in ssg (the last row draws from m), or equal ones
             pools = m + np.arange(rows)[::-1] if trial % 2 else np.full(rows, m)
             seed = int(rng.integers(0, 2 ** 32))
-            ours, theirs = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+            ours, theirs = _WordStream(seed), np.random.Generator(np.random.PCG64(seed))
             got = _sample_slot_sets(ours, pools, k)
             assert got.shape == (rows, k)
             for row, pool in zip(got.tolist(), pools.tolist()):
                 assert row == np.sort(copying_fisher_yates(theirs, pool, k)).tolist()
-            assert ours.bit_generator.state == theirs.bit_generator.state
+            assert_same_next_draws(ours, theirs)
 
-    def test_rejects_oversized_draw(self, rng):
+    def test_rejects_oversized_draw(self):
         with pytest.raises(ValueError):
-            _sample_slot_sets(rng, np.array([5, 4, 3]), 4)
+            _sample_slot_sets(_WordStream(0), np.array([5, 4, 3]), 4)
 
     @pytest.mark.parametrize("top", [2 ** 59 - 1, 2 ** 59 + 2 ** 58, 2 ** 62])
     def test_pools_too_large_for_sort_keys(self, top):
         # 3 rows of 5 steps shift the sort keys by 4 bits, so targets from
         # 2**59 on do not fit them in int64; any pool gives the ordered stream
         pools = top - np.arange(3)
-        ours, theirs = (np.random.Generator(np.random.PCG64(7)) for _ in range(2))
+        ours, theirs = _WordStream(7), np.random.Generator(np.random.PCG64(7))
         got = _sample_slot_sets(ours, pools, 5)
         for row, pool in zip(got.tolist(), pools.tolist()):
-            assert row == sorted(_sample_without_replacement(theirs, pool, 5).tolist())
-        assert ours.bit_generator.state == theirs.bit_generator.state
+            assert row == sorted(copying_fisher_yates(theirs, pool, 5).tolist())
+        assert_same_next_draws(ours, theirs)
