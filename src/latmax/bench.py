@@ -44,8 +44,8 @@ class ExperimentGrid:
     epsilon_rule is either the literal string "1/(4n)" or a fixed float
     rendered as text.  timeout_s caps each solver run's wall clock.  A value
     out of range (n, b_pivots, repetitions or a divisor not an integer >= 1,
-    an r fraction not positive and finite, a NaN timeout) raises ValueError
-    here rather than in the first run.
+    an r fraction not positive and finite, a NaN timeout, a bool for any
+    number) raises ValueError here rather than in the first run.
     """
 
     n_values: tuple = (25, 50, 100, 200)
@@ -60,6 +60,10 @@ class ExperimentGrid:
     def __post_init__(self):
         if not self.n_values or not self.r_fractions:
             raise ValueError("grid needs at least one n and one r fraction")
+        numbers = (*self.n_values, *self.r_fractions, self.b_pivots, self.repetitions,
+                   self.b_low_divisor, self.b_high_divisor, self.timeout_s)
+        if any(isinstance(v, (bool, np.bool_)) for v in numbers):
+            raise ValueError(f"grid numbers must not be bools: {numbers}")
         if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in self.n_values):
             raise ValueError(f"every n must be an integer >= 1: {self.n_values}")
         if not all(0 < f < math.inf for f in self.r_fractions):

@@ -9,7 +9,9 @@ the solvers in :mod:`latmax.solvers` rely on.
 The wrapper, :class:`CountingOracle`, charges every query and delegates the
 probes of its followed incumbent to one private class per objective kind:
 :class:`_LinearState`, :class:`_SqrtState` and :class:`_CustomState`.  A new
-kind is one more such class in ``_STATES``.
+kind is one more such class in ``_STATES``.  Every probe is answered by one
+rule: its exact value, unless the certified upper end of its value already
+fails the bar the caller gives, in which case that upper end.
 """
 
 from __future__ import annotations
@@ -238,16 +240,17 @@ class CountingOracle:
     of x + k * 1_e is answered from cached state, kept by one class per
     objective kind: :class:`_LinearState` answers in O(1) and exactly,
     :class:`_SqrtState` bit-identically to a full evaluation, and
-    :class:`_CustomState` calls the objective.  A sqrt probe given the bar
-    its gain must clear takes that O(n) dot product only when an O(1)
-    certified interval around the value straddles the bar, so decisions
-    still match it bit for bit.  ``evaluate_batch`` answers a list of probes
-    as the same ``evaluate_stepped`` calls would, vectorized.
-    ``plan_stepped`` keeps a list of probes and their intervals, uncharged,
-    until the next commit: ``evaluate_batch`` answers a slice of them from
-    the kept intervals, so a solver that screens or plans with them computes
-    each interval once per incumbent.  A NaN or infinite value raises
-    ``ValueError`` naming the point.
+    :class:`_CustomState` calls the objective.  A probe given the bar its
+    gain must clear answers the upper end of an O(1) certified interval
+    around its value when even that end fails the bar, so a sqrt probe takes
+    the O(n) dot product only when it may pass; any answer that passes is
+    exact.  ``evaluate_batch`` answers a list of probes as the same
+    ``evaluate_stepped`` calls would, vectorized.  ``plan_stepped`` keeps one
+    list of probes and their intervals, uncharged, until the next plan or
+    commit: ``evaluate_batch`` answers a slice of them from the kept
+    intervals, so a solver that plans each incumbent's probes at once
+    computes each interval once per incumbent.  A NaN or infinite value
+    raises ``ValueError`` naming the point.
     """
 
     # x: the followed incumbent; xs: x as a list of Python ints, the one mirror
@@ -294,23 +297,13 @@ class CountingOracle:
                          need: Optional[float] = None) -> float:
         """f(x + k * 1_e) for the followed x in one query; x is left unchanged.
 
-        Given the caller's fx and need, a sqrt probe may instead return an end
-        of a certified interval around the value: its lower end when even that
-        satisfies value - fx >= need, its upper end when even that does not.
-        Rounding is monotone, so the caller's float test then decides as it
-        would on the exact value, which it must fetch with
-        :meth:`settle_stepped` before keeping it.
+        Given the caller's fx and need, a probe whose certified upper end
+        already fails value - fx >= need returns that end instead.  Rounding
+        is monotone, so the caller's float test fails on it as it would on
+        the exact value; an answer that passes the test is the exact value.
         """
         self.queries += 1
         return self._state.probe(e, k, fx, need)
-
-    def settle_stepped(self, e: int, k: int, value: float) -> float:
-        """The exact f(x + k * 1_e) behind a charged probe that returned value.
-
-        Charges nothing: the query was paid for.  Only a sqrt probe given a
-        bar may have answered with an interval end, so only it is re-evaluated.
-        """
-        return self._state.settle(e, k, value)
 
     def evaluate_batch(self, rows: np.ndarray, steps: Optional[np.ndarray] = None,
                        fx: Optional[float] = None,
@@ -337,22 +330,17 @@ class CountingOracle:
         return values
 
     def plan_stepped(self, rows: np.ndarray, steps: Optional[np.ndarray] = None):
-        """Keep built-in probes of x + k * 1_e and their intervals until the next
-        commit; uncharged.
+        """Keep built-in probes of x + k * 1_e and their intervals, in place of
+        any kept before, until the next plan or commit; uncharged.
 
-        Multi-step probes go in front of the multi-step probes already kept
-        for the followed x, so a plan grows without computing a kept interval
-        again; unit steps (steps None) replace the plan.  Returns the kept
-        (rows, steps, low, high), read-only: the probes, and the low and high
-        ends of each probe's value, equal for a linear objective and
-        certified for a sqrt one.  :meth:`evaluate_batch` reads the intervals
-        of a slice of the kept rows and steps instead of computing them again.
+        steps None plans unit steps.  Returns the kept (rows, steps, low,
+        high), read-only: the probes, and the low and high ends of each
+        probe's value, equal for a linear objective and certified for a sqrt
+        one.  :meth:`evaluate_batch` reads the intervals of a slice of the
+        kept rows and steps instead of computing them again.
         """
         plan = (rows.copy(), None if steps is None else steps.copy(),
                 *self._state.intervals(rows, steps))
-        kept = self.plan
-        if steps is not None and kept is not None and kept[1] is not None:
-            plan = tuple(np.concatenate(pair) for pair in zip(plan, kept))
         for a in plan:
             if a is not None:
                 a.flags.writeable = False
@@ -376,8 +364,9 @@ class CountingOracle:
 
 # The followed state of each objective kind.  A class is made by follow(objective,
 # x, xs, f(x)) and stepped by commit after x and xs; probe(e, k, fx, need) answers
-# evaluate_stepped, settle settle_stepped, and answer(rows, steps, fx, need,
-# intervals) evaluate_batch's probes, given the oracle's lookup of kept intervals.
+# evaluate_stepped, and answer(rows, steps, fx, need, intervals) evaluate_batch's
+# probes, given the oracle's lookup of kept intervals: each the exact value, or the
+# upper end of an interval that fails its bar.
 
 
 class _LinearState:
@@ -401,9 +390,6 @@ class _LinearState:
     def probe(self, e: int, k: int, fx, need) -> float:
         return float(self.fx + self.ws[e] * k)
 
-    def settle(self, e: int, k: int, value: float) -> float:
-        return value
-
     def answer(self, rows, steps, fx, need, intervals) -> np.ndarray:
         return intervals(rows, steps)[0].copy()
 
@@ -417,8 +403,8 @@ class _LinearState:
 
 class _SqrtState:
     """weighted-concave-sqrt: sqrt(x), so a probe swaps one root and takes the
-    dot product of a full evaluation, or, given a bar, returns the end of an
-    O(1) certified interval that decides as that value would.
+    dot product of a full evaluation, or, given a bar that the upper end of an
+    O(1) certified interval around the value fails, returns that end.
 
     The scalar probe and the vector intervals run the same float operations
     in the same order, so a batch answers as the same probes would.
@@ -455,18 +441,13 @@ class _SqrtState:
         if need is not None:
             base = self.fx
             gain = self.ws[e] * (math.sqrt(self.xs[e] + k) - self.rs[e])
-            value = base + gain
-            slack = self.tol * (base + abs(gain))
-            low = value - slack
-            if low - fx >= need:
-                return low
-            high = value + slack
+            high = base + gain + self.tol * (base + abs(gain))
             if high - fx < need:
                 return high
         return self.stepped(e, k)
 
     def intervals(self, rows: np.ndarray, steps: Optional[np.ndarray]):
-        """(low, high) of each probe, from :meth:`probe`'s float operations in the same order."""
+        """(low, high) of each probe; high by :meth:`probe`'s float operations in its order."""
         base = self.fx
         stepped = self.x[rows] + (1 if steps is None else steps)
         gain = self.weights[rows] * (np.sqrt(stepped) - self.roots[rows])
@@ -475,16 +456,13 @@ class _SqrtState:
         return value - slack, value + slack
 
     def answer(self, rows, steps, fx, need, intervals) -> np.ndarray:
-        """The interval end that decides each probe's bar, else its exact value."""
+        """Each probe's upper end where that fails its bar, else its exact value."""
         if need is None:
             values = np.full(len(rows), np.nan)
         else:
-            low, high = intervals(rows, steps)
-            values = np.where(low - fx >= need, low, np.where(high - fx < need, high, np.nan))
+            high = intervals(rows, steps)[1]
+            values = np.where(high - fx < need, high, np.nan)
         return _exact_where_undecided(self, values, rows, steps)
-
-    def settle(self, e: int, k: int, value: float) -> float:
-        return self.stepped(e, k)
 
     def stepped(self, e: int, k: int) -> float:
         """The exact f(x + k * 1_e), uncharged: the dot product with one root swapped."""
@@ -509,9 +487,6 @@ class _CustomState:
 
     def probe(self, e: int, k: int, fx, need) -> float:
         return self.stepped(e, k)
-
-    def settle(self, e: int, k: int, value: float) -> float:
-        return value
 
     def answer(self, rows, steps, fx, need, intervals) -> np.ndarray:
         return _exact_where_undecided(self, np.full(len(rows), np.nan), rows, steps)

@@ -19,18 +19,20 @@ away is answered from the cached state of the objective kind's class in
 (``_LinearState``; unit-step scans are one integer vector sum), one dot
 product for weighted-concave-sqrt (``_SqrtState``), and a call of the
 objective for custom ones (``_CustomState``).  Sqrt probes are first
-bracketed by O(1) certified intervals.  A threshold step probe passes its
-bar, so it takes the dot product only when its interval straddles the bar.
-A unit-step scan (:func:`_unit_step_values`) takes it only for candidates
-whose interval reaches the largest lower end, since no other candidate can
-be the best.  Every decision, and every value a solver keeps, equals that
-of a full evaluation bit for bit.
+bracketed by O(1) certified intervals, and a probe whose upper end already
+fails its bar answers that end without the dot product.  A threshold step
+probe's bar is its step times the threshold.  A unit-step scan
+(:func:`_unit_step_values`) bars every candidate whose upper end lies below
+the largest lower end, since no such candidate can be the best.  Every
+decision, and every value a solver keeps, is thus that of a full
+evaluation bit for bit.
 
 sgl and custom objectives make one ``evaluate_stepped`` call per probe.
 soma-dr-i on a built-in objective (:func:`_sweep_pass`) answers the
 searches that reject every probe a segment of elements at a time, in one
-charged ``evaluate_batch`` call.  The oracle keeps those probes and their
-intervals until the next commit, so each is computed once per incumbent.
+charged ``evaluate_batch`` call.  It plans every element's probes at once
+for each incumbent, and the oracle keeps them and their intervals until the
+next commit, so each is computed once per incumbent.
 
 Randomized solvers draw from a PCG64 seeded with ``config.seed``, so runs
 are bit-reproducible for a fixed seed.  Each run owns its stream
@@ -95,8 +97,8 @@ class AlgorithmConfig:
 
     epsilon=None means "use 1/(4n)" at solve time.  seed is an integer in
     [0, 2**64), not a bool.  time_budget is a cooperative wall-clock cap in
-    seconds (not NaN): solvers check it at pass/round boundaries and return
-    their current incumbent flagged ``timed_out``.
+    seconds (not NaN, not a bool): solvers check it at pass/round boundaries
+    and return their current incumbent flagged ``timed_out``.
     """
 
     epsilon: Optional[float] = None
@@ -112,7 +114,8 @@ class AlgorithmConfig:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.time_budget is not None and not self.time_budget >= 0:  # also rejects NaN
+        if self.time_budget is not None and (isinstance(self.time_budget, (bool, np.bool_))
+                                             or not self.time_budget >= 0):  # NaN fails too
             raise ValueError(f"time_budget must be >= 0, got {self.time_budget}")
 
 
@@ -446,8 +449,8 @@ def max_feasible_step(oracle: CountingOracle, e: int, k_max: int, theta: float,
     caller's cached f(x).  Costs at most ceil(log2(k_max + 1)) queries; the
     returned objective value lets the caller update its incumbent and apply
     acceptance guards without re-querying.  Each probe is given its bar, so
-    the oracle may settle it from a certified interval; the accepted step's
-    value is then fetched exactly, for free, since its query was paid for.
+    the oracle may reject it from a certified interval; an accepted probe's
+    value is always exact.
     """
     probe = oracle.evaluate_stepped
     lo, hi = 1, k_max
@@ -464,7 +467,7 @@ def max_feasible_step(oracle: CountingOracle, e: int, k_max: int, theta: float,
             hi = mid - 1
     if not best:
         return None
-    return best, oracle.settle_stepped(e, best, best_val)
+    return best, best_val
 
 
 def _unit_step_values(oracle: CountingOracle, elements: np.ndarray) -> np.ndarray:
@@ -542,13 +545,13 @@ def _threshold_pass(oracle, fx, card, caps, r, theta, elements):
     return fx, card, committed, max_cap_seen
 
 
-def _all_reject_paths(gaps, room, offset):
+def _all_reject_paths(gaps, room):
     """(elements, steps) of every probe of the searches that reject each probe.
 
     Such a search tries k = ceil(K / 2) and then halves k down to 1, where
     K = min(b_e - x_e, room), so its probes depend on K alone.  gaps holds
-    b_e - x_e of the elements from offset on.  Elements with K = 0 have no
-    probes; the others are listed element by element, in order.
+    b_e - x_e of every element.  Elements with K = 0 have no probes; the
+    others are listed element by element, in order.
     """
     caps = np.minimum(gaps, room)
     live = np.flatnonzero(caps > 0)
@@ -558,17 +561,17 @@ def _all_reject_paths(gaps, room, offset):
     first = caps - (caps >> 1)  # (K + 1) // 2 without overflow
     probes = first[:, None] >> np.arange(int(first.max()).bit_length())
     on_path = probes > 0
-    return np.repeat(live + offset, on_path.sum(axis=1)), probes[on_path]
+    return np.repeat(live, on_path.sum(axis=1)), probes[on_path]
 
 
 def _sweep_pass(oracle, x, fx, card, b, caps, r, theta):
     """:func:`_threshold_pass` over every element, a segment at a time.
 
-    The oracle keeps the all-reject paths (:func:`_all_reject_paths`) and
-    their intervals until a commit changes x.  A commit plans the elements
-    after it, the next pass those before them, and a pass that commits
-    nothing plans nothing.  The first probe whose bound may not reject stops
-    a segment.  The paths before it are charged in one batch, in the scalar
+    The oracle keeps the all-reject paths of every element
+    (:func:`_all_reject_paths`) and their intervals until a commit changes x:
+    each incumbent is planned once, whole, and a pass that commits nothing
+    plans nothing.  The first probe whose bound may not reject stops a
+    segment.  The paths before it are charged in one batch, in the scalar
     order, and its element runs the scalar pass, so queries, decisions and
     values match it.
     """
@@ -579,13 +582,7 @@ def _sweep_pass(oracle, x, fx, card, b, caps, r, theta):
     while True:
         plan = oracle.plan
         if plan is None or plan[1] is None:  # a commit, or a unit-step scan, came before
-            plan = oracle.plan_stepped(*_all_reject_paths(b[start:] - x[start:], r - card,
-                                                          start))
-        end = int(plan[0][0]) if plan[0].size else x.size  # the first planned element
-        if start < end:  # kept since a commit: a new pass plans the elements before it
-            head = _all_reject_paths(b[start:end] - x[start:end], r - card, start)
-            if head[0].size:
-                plan = oracle.plan_stepped(*head)
+            plan = oracle.plan_stepped(*_all_reject_paths(b - x, r - card))
         elements, steps, _, high = plan
         if plan is not opened:  # probes that may not reject; only a commit changes fx
             opened = plan

@@ -148,6 +148,14 @@ class TestGridValidation:
         dict(repetitions=1.5),
         dict(b_low_divisor=20.0),
         dict(b_high_divisor=2.5),
+        dict(n_values=(25, True)),  # bools are ints, but a grid file cannot read them back
+        dict(r_fractions=(True,)),
+        dict(b_pivots=True),
+        dict(repetitions=True),
+        dict(b_low_divisor=True, b_high_divisor=1),
+        dict(b_high_divisor=True),
+        dict(timeout_s=True),
+        dict(timeout_s=np.False_),
     ])
     def test_rejects_out_of_range_values(self, bad):
         with pytest.raises(ValueError):

@@ -219,15 +219,17 @@ def test_followed_state_matches_full_evaluations(case):
         charged += 3 * n + elements.size
         assert oracle.queries == charged
         # a probe given a bar at its exact gain, or one ulp either side, may answer
-        # an interval end; settle_stepped turns it into the exact value, uncharged
+        # the upper end of an interval that fails the bar; an answer that passes, as
+        # any passes a bar of -inf, is the exact value
         fx = f(expected)
         for (e, k), exact in zip([(e, k) for e in range(n) for k in (1, 2, 3)], stepped):
             gain = exact - fx
-            for need in (gain, math.nextafter(gain, -math.inf), math.nextafter(gain, math.inf)):
+            for need in (gain, math.nextafter(gain, -math.inf), math.nextafter(gain, math.inf),
+                         -math.inf):
                 answer = oracle.evaluate_stepped(e, k, fx, need)
                 charged += 1
                 assert (answer - fx >= need) == (exact - fx >= need)
-                assert oracle.settle_stepped(e, k, answer) == exact
+                assert answer == exact or answer - fx < need
                 assert oracle.queries == charged
         assert oracle.x is x and x.tolist() == expected.tolist()
 
@@ -244,8 +246,9 @@ certified_probes = st.tuples(
 
 @given(certified_probes)
 def test_certified_sqrt_probe_decides_as_the_exact_value(case):
-    # a probe given a bar may return an interval end; that end must bracket the
-    # exact value and fall on its side of the bar, even at the bar itself
+    # a probe given a bar may return the upper end of its planned interval, which
+    # brackets the exact value; it must fail the bar as the exact value does, even
+    # at the bar itself, and an answer that passes must be the exact value
     n, distinct, top, seed, commits, bars = case
     rng = np.random.Generator(np.random.PCG64(seed))
     w = rng.choice(rng.integers(1, 101, size=distinct), size=n)
@@ -267,17 +270,19 @@ def test_certified_sqrt_probe_decides_as_the_exact_value(case):
         for k in (1, 2, int(rng.integers(1, 10 ** 4))):
             exact = probe(e, k)
             assert exact == f(x + k * lm.unit(n, e))
-            low, high = probe(e, k, fx, -math.inf), probe(e, k, fx, math.inf)
-            assert low <= exact <= high
-            assert high - low <= 1e-12 * exact  # narrow enough to settle most probes
+            charged = oracle.queries
+            _, _, (low,), (high,) = oracle.plan_stepped(np.array([e]), np.array([k]))
+            assert oracle.queries == charged  # planning is uncharged
+            assert low <= exact <= high and probe(e, k, fx, math.inf) == high
+            assert probe(e, k, fx, -math.inf) == exact
+            assert high - low <= 1e-12 * exact  # narrow enough to decide most probes
             gain = exact - fx
             needs = [gain, math.nextafter(gain, -math.inf), math.nextafter(gain, math.inf),
                      gain * (1 + 1e-13), gain * (1 - 1e-13), *bars, *(gain + b for b in bars)]
             for need in needs:
-                assert (probe(e, k, fx, need) - fx >= need) == (exact - fx >= need)
-            charged = oracle.queries
-            assert oracle.settle_stepped(e, k, low) == exact
-            assert oracle.queries == charged
+                answer = probe(e, k, fx, need)
+                assert (answer - fx >= need) == (exact - fx >= need)
+                assert answer == exact or answer - fx < need
 
 
 batched_probes = st.integers(1, 8).flatmap(lambda n: st.tuples(
@@ -308,9 +313,10 @@ def test_batched_probes_match_scalar_probes(case):
     steps = np.array([k for _, k, _ in probes])
     if kind == "linear above 2**53":
         steps += rng.integers(0, 2 ** 53, size=steps.size)
-    needs = []
+    needs, exact = [], []
     for e, k, bar in zip(elements.tolist(), steps.tolist(), [b for _, _, b in probes]):
-        gain = f(oracle.x + k * lm.unit(n, e)) - fx
+        exact.append(f(oracle.x + k * lm.unit(n, e)))
+        gain = exact[-1] - fx
         needs.append({"at": gain, "far": gain * rng.uniform(-2, 2),
                       "below": math.nextafter(gain, -math.inf),
                       "above": math.nextafter(gain, math.inf)}[bar])
@@ -322,6 +328,8 @@ def test_batched_probes_match_scalar_probes(case):
     batch = oracle.evaluate_batch(elements, steps, fx, needs)
     assert oracle.queries == before + elements.size
     assert [v.hex() for v in batch.tolist()] == [v.hex() for v in scalar]
+    passed = batch - fx >= needs if with_bars else np.ones(batch.size, bool)
+    assert batch[passed].tolist() == np.array(exact)[passed].tolist()  # a passing answer is exact
 
 
 def test_kept_plan_answers_its_slices_until_a_commit(monkeypatch):
@@ -360,6 +368,11 @@ def test_kept_plan_answers_its_slices_until_a_commit(monkeypatch):
     assert oracle.plan is None
     moved = oracle.evaluate_batch(rows, steps, f(x), needs)
     assert computed[8:] == [6] and moved.tolist() != high.tolist()
+    # a second multi-step plan replaces the first: the kept probes are its own alone
+    oracle.plan_stepped(rows, steps)
+    kept = oracle.plan_stepped(rows[1:3], steps[1:3])
+    assert oracle.plan is kept and computed[9:] == [6, 2]
+    assert [a.tolist() for a in kept[:2]] == [[0, 1], [2, 1]] and kept[3].size == 2
     oracle.plan_stepped(rows)
     oracle.follow(x)  # a new incumbent drops the plan too
     assert oracle.plan is None

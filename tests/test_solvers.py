@@ -153,6 +153,9 @@ class TestConfigAndThresholdState:
             AlgorithmConfig(time_budget=-1.0)
         with pytest.raises(ValueError, match="nan"):
             AlgorithmConfig(time_budget=math.nan)
+        for flag in (True, np.False_):
+            with pytest.raises(ValueError, match="time_budget"):
+                AlgorithmConfig(time_budget=flag)
 
     def test_bool_seed_is_rejected(self):
         # bool is an int subclass, so True used to be stored as the seed
