@@ -6,12 +6,13 @@ query-counting wrapper, and exhaustive checkers for the structural
 properties (monotonicity, diminishing returns, lattice submodularity) that
 the solvers in :mod:`latmax.solvers` rely on.
 
-The wrapper, :class:`CountingOracle`, charges every query and delegates the
-probes of its followed incumbent to one private class per objective kind:
-:class:`_LinearState`, :class:`_SqrtState` and :class:`_CustomState`.  A new
-kind is one more such class in ``_STATES``.  Every probe is answered by one
-rule: its exact value, unless the certified upper end of its value already
-fails the bar the caller gives, in which case that upper end.
+The wrapper, :class:`CountingOracle`, charges every query and answers the
+probes of its followed incumbent from one private class per objective kind:
+:class:`_LinearState`, :class:`_SqrtState` and :class:`_CustomState`, which
+keep only the kind's arithmetic.  A new kind is one more such class in
+``_STATES``.  Every probe is answered by one rule, which the oracle applies:
+its exact value, unless the certified upper end of its value already fails
+the bar the caller gives, in which case that upper end.
 """
 
 from __future__ import annotations
@@ -147,7 +148,9 @@ class Objective:
         if self.kind == WEIGHTED_LINEAR:
             return (points @ self.weights).astype(np.float64)
         if self.kind == WEIGHTED_CONCAVE_SQRT:
-            return np.sqrt(points) @ self.weights.astype(np.float64)
+            # one dot product per row, as __call__ takes it, not a matrix-vector
+            # product, whose BLAS kernel may sum in another order
+            return np.vecdot(np.sqrt(points), self.weights.astype(np.float64))
         return np.array([float(self.fn(p)) for p in points], dtype=np.float64)
 
 
@@ -245,12 +248,14 @@ class CountingOracle:
     around its value when even that end fails the bar, so a sqrt probe takes
     the O(n) dot product only when it may pass; any answer that passes is
     exact.  ``evaluate_batch`` answers a list of probes as the same
-    ``evaluate_stepped`` calls would, vectorized.  ``plan_stepped`` keeps one
-    list of probes and their intervals, uncharged, until the next plan or
-    commit: ``evaluate_batch`` answers a slice of them from the kept
-    intervals, so a solver that plans each incumbent's probes at once
-    computes each interval once per incumbent.  A NaN or infinite value
-    raises ``ValueError`` naming the point.
+    ``evaluate_stepped`` calls would, by the same rule applied to the kind's
+    vectorized intervals; a custom probe's interval is unbounded, so it is
+    always exact.  ``plan_stepped`` keeps one list of probes and their
+    intervals, uncharged, until the next plan or commit: ``evaluate_batch``
+    answers a slice of them from the kept intervals, so a solver that plans
+    each incumbent's probes at once computes each interval once per
+    incumbent.  A NaN or infinite value raises ``ValueError`` naming the
+    point.
     """
 
     # x: the followed incumbent; xs: x as a list of Python ints, the one mirror
@@ -306,20 +311,31 @@ class CountingOracle:
         return self._state.probe(e, k, fx, need)
 
     def evaluate_batch(self, rows: np.ndarray, steps: Optional[np.ndarray] = None,
-                       fx: Optional[float] = None,
-                       need: Optional[np.ndarray] = None) -> np.ndarray:
+                       fx: Optional[float] = None, need=None) -> np.ndarray:
         """One query per row: f of each (m, n) point, or of x + k * 1_e for each listed e.
 
         Listed elements are probed as :meth:`evaluate_stepped` probes them,
-        answer for answer: steps (k, or None for unit steps) and need (one bar
-        per probe, or None) align with the elements; a NaN bar decides
-        nothing, so its probe is exact.  The kind state answers them from
-        vectorized intervals, and only probes those leave undecided take the
-        scalar evaluation.
+        answer for answer: steps (k, or None for unit steps) aligns with the
+        elements, and need is one bar for every probe or one bar per probe,
+        or None for none; a NaN bar decides nothing.  Each probe's interval
+        comes from the kept plan or the kind state.  Where the kind's
+        intervals are exact (one array as both ends) they are the values;
+        otherwise a probe whose upper end fails its bar answers that end,
+        and every other probe the kind state's exact value.
         """
         if rows.ndim == 1:
             self.queries += len(rows)
-            return self._state.answer(rows, steps, fx, need, self._kept_intervals)
+            low, high = self._kept_intervals(rows, steps)
+            values = high.copy()
+            if low is high:
+                return values
+            undecided = np.arange(len(rows)) if need is None \
+                else np.flatnonzero(~(high - fx < need))
+            if undecided.size:
+                ks = [1] * undecided.size if steps is None else steps[undecided].tolist()
+                values[undecided] = [self._state.stepped(e, k)
+                                     for e, k in zip(rows[undecided].tolist(), ks)]
+            return values
         self._check_width(rows.shape[1])
         self.queries += len(rows)
         values = self.objective.batch(rows)
@@ -330,14 +346,15 @@ class CountingOracle:
         return values
 
     def plan_stepped(self, rows: np.ndarray, steps: Optional[np.ndarray] = None):
-        """Keep built-in probes of x + k * 1_e and their intervals, in place of
-        any kept before, until the next plan or commit; uncharged.
+        """Keep probes of x + k * 1_e and their intervals, in place of any kept
+        before, until the next plan or commit; uncharged.
 
         steps None plans unit steps.  Returns the kept (rows, steps, low,
         high), read-only: the probes, and the low and high ends of each
-        probe's value, equal for a linear objective and certified for a sqrt
-        one.  :meth:`evaluate_batch` reads the intervals of a slice of the
-        kept rows and steps instead of computing them again.
+        probe's value: one array for a linear objective, certified ends for a
+        sqrt one, and -inf and inf for a custom one.  :meth:`evaluate_batch`
+        reads the intervals of a slice of the kept rows and steps instead of
+        computing them again.
         """
         plan = (rows.copy(), None if steps is None else steps.copy(),
                 *self._state.intervals(rows, steps))
@@ -348,13 +365,15 @@ class CountingOracle:
         return plan
 
     def _kept_intervals(self, rows: np.ndarray, steps: Optional[np.ndarray]):
-        """(low, high) of each probe, read from the kept plan if the probes are a slice of it."""
+        """(low, high) of each probe, read from the kept plan if the probes are a
+        slice of it; exact intervals stay one array as both ends."""
         if self.plan is not None:
             kept_rows, kept_steps, low, high = self.plan
             at = _slice_start(rows, kept_rows)
             if at is not None and (steps is None if kept_steps is None
                                    else _slice_start(steps, kept_steps) == at):
-                return low[at:at + len(rows)], high[at:at + len(rows)]
+                part = high[at:at + len(rows)]
+                return (part if low is high else low[at:at + len(rows)]), part
         return self._state.intervals(rows, steps)
 
     def _check_width(self, width: int) -> None:
@@ -364,9 +383,10 @@ class CountingOracle:
 
 # The followed state of each objective kind.  A class is made by follow(objective,
 # x, xs, f(x)) and stepped by commit after x and xs; probe(e, k, fx, need) answers
-# evaluate_stepped, and answer(rows, steps, fx, need, intervals) evaluate_batch's
-# probes, given the oracle's lookup of kept intervals: each the exact value, or the
-# upper end of an interval that fails its bar.
+# evaluate_stepped: the exact value, or the upper end of an interval that fails its
+# bar.  intervals(rows, steps) gives the (low, high) ends of each probe's value for
+# plan_stepped and evaluate_batch, one array as both ends where they are exact, and
+# stepped(e, k) the exact value of a probe they leave undecided.
 
 
 class _LinearState:
@@ -389,9 +409,6 @@ class _LinearState:
 
     def probe(self, e: int, k: int, fx, need) -> float:
         return float(self.fx + self.ws[e] * k)
-
-    def answer(self, rows, steps, fx, need, intervals) -> np.ndarray:
-        return intervals(rows, steps)[0].copy()
 
     def intervals(self, rows: np.ndarray, steps: Optional[np.ndarray]):
         gains = self.weights[rows]
@@ -455,15 +472,6 @@ class _SqrtState:
         slack = self.tol * (base + np.abs(gain))
         return value - slack, value + slack
 
-    def answer(self, rows, steps, fx, need, intervals) -> np.ndarray:
-        """Each probe's upper end where that fails its bar, else its exact value."""
-        if need is None:
-            values = np.full(len(rows), np.nan)
-        else:
-            high = intervals(rows, steps)[1]
-            values = np.where(high - fx < need, high, np.nan)
-        return _exact_where_undecided(self, values, rows, steps)
-
     def stepped(self, e: int, k: int) -> float:
         """The exact f(x + k * 1_e), uncharged: the dot product with one root swapped."""
         roots = self.roots
@@ -488,8 +496,9 @@ class _CustomState:
     def probe(self, e: int, k: int, fx, need) -> float:
         return self.stepped(e, k)
 
-    def answer(self, rows, steps, fx, need, intervals) -> np.ndarray:
-        return _exact_where_undecided(self, np.full(len(rows), np.nan), rows, steps)
+    def intervals(self, rows: np.ndarray, steps: Optional[np.ndarray]):
+        """(-inf, inf) for every probe: a custom value has no certified bound."""
+        return np.full(len(rows), -math.inf), np.full(len(rows), math.inf)
 
     def stepped(self, e: int, k: int) -> float:
         """The exact f(x + k * 1_e), uncharged; x is restored."""
@@ -508,22 +517,12 @@ _STATES = {WEIGHTED_LINEAR: _LinearState, WEIGHTED_CONCAVE_SQRT: _SqrtState,
            CUSTOM: _CustomState}
 
 
-def _exact_where_undecided(state, values: np.ndarray, rows: np.ndarray,
-                           steps: Optional[np.ndarray]) -> np.ndarray:
-    """values, each NaN, a probe no interval decided, replaced by state's exact value."""
-    undecided = np.flatnonzero(np.isnan(values))
-    if undecided.size:
-        ks = [1] * undecided.size if steps is None else steps[undecided].tolist()
-        values[undecided] = [state.stepped(e, k) for e, k in zip(rows[undecided].tolist(), ks)]
-    return values
-
-
 def _slice_start(part: np.ndarray, whole: np.ndarray) -> Optional[int]:
     """The index in whole at which part starts, if part is a contiguous slice
     of whole, which owns its data; else None."""
     if part.base is not whole or part.strides != whole.strides or part.dtype != whole.dtype:
         return 0 if part is whole else None
-    if part.size == whole.size:
+    if part.size == whole.size:  # a whole-plan view, most sweep charges: no ctypes lookups
         return 0
     return (part.ctypes.data - whole.ctypes.data) // whole.itemsize
 

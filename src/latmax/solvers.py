@@ -21,11 +21,11 @@ product for weighted-concave-sqrt (``_SqrtState``), and a call of the
 objective for custom ones (``_CustomState``).  Sqrt probes are first
 bracketed by O(1) certified intervals, and a probe whose upper end already
 fails its bar answers that end without the dot product.  A threshold step
-probe's bar is its step times the threshold.  A unit-step scan
-(:func:`_unit_step_values`) bars every candidate whose upper end lies below
-the largest lower end, since no such candidate can be the best.  Every
-decision, and every value a solver keeps, is thus that of a full
-evaluation bit for bit.
+probe's bar is its step times the threshold.  A sqrt unit-step scan
+(:func:`_unit_step_values`), however short, bars every candidate at the
+largest lower end, since a candidate whose upper end lies below it cannot
+be the best.  Every decision, and every value a solver keeps, is thus that
+of a full evaluation bit for bit.
 
 sgl and custom objectives make one ``evaluate_stepped`` call per probe.
 soma-dr-i on a built-in objective (:func:`_sweep_pass`) answers the
@@ -83,10 +83,6 @@ BRUTE_FORCE_POINT_CAP = 10 ** 6
 _BRUTE_FORCE_CHUNK = 1 << 16
 # ssg draws the copy slots of a block of rounds at once, up to this many slots
 _SLOT_BLOCK = 4096
-# a sqrt unit-step scan of L candidates over n elements screens them only when
-# L * (n + 10,000) reaches this: the screen's ~30 numpy calls cost about as much as
-# 15 exact probes, each a Python call and an O(n) dot product
-_SCREEN_WORK = 150_000
 # sgl stops, flagged stalled, after this many zero-commit passes at the floor
 MAX_STALLED_PASSES = 2
 
@@ -357,16 +353,9 @@ class _WordStream:
         return picks
 
 
-def _sample_without_replacement(stream: _WordStream, m: int, k: int) -> np.ndarray:
-    """k distinct positions in [0, m) by a partial Fisher-Yates shuffle."""
-    if not (0 <= k <= m):
-        raise ValueError(f"cannot sample {k} items from a pool of {m}")
-    return np.array(stream.pick(range(m), k), dtype=np.int64)
-
-
 def _sample_slot_sets(stream: _WordStream, pools: np.ndarray, k: int) -> np.ndarray:
-    """Row t: the k positions :func:`_sample_without_replacement` picks from
-    [0, pools[t]), sorted, drawn in the stream of one such call per row.
+    """Row t: the k positions ``stream.pick(range(pools[t]), k)`` picks, sorted,
+    drawn in the stream of one such call per row.
 
     Step i swaps position i with its target j >= i, and positions below i
     never move again.  So every target of at least k is picked once, and its
@@ -382,7 +371,7 @@ def _sample_slot_sets(stream: _WordStream, pools: np.ndarray, k: int) -> np.ndar
     size = rows * k
     shift = size.bit_length()
     if int(pools.max()) >= 1 << (63 - shift):  # its sort keys would overflow int64
-        return np.sort([_sample_without_replacement(stream, int(m), k) for m in pools], axis=1)
+        return np.sort([stream.pick(range(int(m)), k) for m in pools], axis=1)
     steps = np.arange(k)
     targets = stream.integers(pools[:, None] - steps) + steps
     # each row sorted by target, then step; the low bits hold the step's flat index
@@ -473,18 +462,16 @@ def max_feasible_step(oracle: CountingOracle, e: int, k_max: int, theta: float,
 def _unit_step_values(oracle: CountingOracle, elements: np.ndarray) -> np.ndarray:
     """f(x + 1_e) for each listed e, one query each, exact wherever it may be the maximum.
 
-    A weighted-concave-sqrt scan plans the O(1) certified intervals first.
-    An element whose upper end lies below the largest lower end is beaten,
-    so the bar of that lower end lets it answer its upper end; the others
-    take no bar and so the exact value.  The first maximum, and its value,
-    are thus those of the exact scan, which a short list takes directly.
+    A weighted-concave-sqrt scan plans the O(1) certified intervals first
+    and bars every element at the largest lower end, with f(x) taken as 0:
+    an element whose upper end lies below it is beaten and answers that
+    end, and the others take the exact value.  The first maximum, and its
+    value, are thus those of the exact scan.
     """
-    if oracle.objective.kind != WEIGHTED_CONCAVE_SQRT \
-            or len(elements) * (oracle.objective.n + 10_000) < _SCREEN_WORK:
+    if oracle.objective.kind != WEIGHTED_CONCAVE_SQRT:
         return oracle.evaluate_batch(elements)
-    elements, _, low, high = oracle.plan_stepped(elements)
-    top = low.max()
-    return oracle.evaluate_batch(elements, None, 0.0, np.where(high < top, top, np.nan))
+    elements, _, low, _ = oracle.plan_stepped(elements)
+    return oracle.evaluate_batch(elements, None, 0.0, low.max())
 
 
 def _finish(instance: ProblemInstance, x: np.ndarray, oracle: CountingOracle,
@@ -791,7 +778,9 @@ def exact_bruteforce(instance: ProblemInstance,
     one evaluation chunk at a time, and keeps the first maximizer, so ties go
     to the lexicographically smallest point.  Refuses instances whose
     enumeration box prod(min(b_e, r) + 1) exceeds BRUTE_FORCE_POINT_CAP.
+    time_budget is checked as :class:`AlgorithmConfig` checks it.
     """
+    AlgorithmConfig(algorithm=EXACT, time_budget=time_budget)
     n, b, r = instance.n, instance.b, instance.r
     start = time.perf_counter()
     total = math.prod((np.minimum(b, r) + 1).tolist())

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import latmax as lm
-from latmax.lattice import _SqrtState
+from latmax.lattice import _CustomState, _LinearState, _SqrtState
 
 points = st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=6)
 
@@ -105,14 +105,20 @@ def test_normalization_and_monotone_steps(w, xs):
             assert f(x + lm.unit(n, e)) >= f(x)
 
 
-def test_batch_matches_scalar():
+def test_batch_matches_scalar(rng):
     pts = np.array([[0, 0, 0], [1, 2, 3], [4, 4, 4], [10 ** 12, 7, 10 ** 12 + 1]],
                    dtype=np.int64)
     # batched unit-step scoring relies on weighted-linear batches being exact
     f = lm.weighted_linear([3, 8, 60])
     assert f.batch(pts).tolist() == [f(p) for p in pts]
+    # exact keeps the first maximum of batch values and reports a full evaluation,
+    # so a sqrt batch must give every row's value bit for bit
     f = lm.weighted_concave_sqrt([3, 8, 60])
-    np.testing.assert_allclose(f.batch(pts), [f(p) for p in pts])
+    assert f.batch(pts).tolist() == [f(p) for p in pts]
+    for n in (1, 5, 19, 200, 750):
+        f = lm.weighted_concave_sqrt(rng.integers(1, 101, size=n))
+        pts = rng.integers(0, 10 ** 6, size=(40, n))
+        assert f.batch(pts).tolist() == [f(p) for p in pts]
 
 
 # ---------------------------------------------------------------------------
@@ -332,18 +338,22 @@ def test_batched_probes_match_scalar_probes(case):
     assert batch[passed].tolist() == np.array(exact)[passed].tolist()  # a passing answer is exact
 
 
-def test_kept_plan_answers_its_slices_until_a_commit(monkeypatch):
+@pytest.mark.parametrize("kind", ["linear", "sqrt", "custom"])
+def test_kept_plan_answers_its_slices_until_a_commit(kind, monkeypatch):
     # evaluate_batch reads the intervals of a slice of the kept probes from the
     # plan; other probes, another oracle's and those after a commit are computed
     computed = []
-    intervals = _SqrtState.intervals
+    state = {"linear": _LinearState, "sqrt": _SqrtState, "custom": _CustomState}[kind]
+    intervals = state.intervals
 
     def counted(self, rows, steps):
         computed.append(len(rows))
         return intervals(self, rows, steps)
 
-    monkeypatch.setattr(_SqrtState, "intervals", counted)
-    f = lm.weighted_concave_sqrt([3, 40, 97, 40, 3])
+    monkeypatch.setattr(state, "intervals", counted)
+    w = [3, 40, 97, 40, 3]
+    f = {"linear": lm.weighted_linear(w), "sqrt": lm.weighted_concave_sqrt(w),
+         "custom": lm.custom_objective(5, lambda x: float(np.sqrt(x) @ w))}[kind]
     x = lm.as_point([0, 2, 1, 0, 5])
     oracle, other = lm.CountingOracle(f), lm.CountingOracle(f)
     fx = oracle.follow(x)
@@ -352,22 +362,28 @@ def test_kept_plan_answers_its_slices_until_a_commit(monkeypatch):
                                                  np.array([4, 2, 1, 3, 2, 1]))
     assert computed == [6] and not rows.flags.writeable and not steps.flags.writeable
     assert oracle.queries == 1  # planning is uncharged
-    needs = np.full(6, 1e9)  # every probe rejects, so each answers its upper end
+    if kind == "custom":  # a custom value has no bound
+        assert low.tolist() == [-math.inf] * 6 and high.tolist() == [math.inf] * 6
+    # every probe rejects, so a sqrt probe answers its upper end, a linear one its
+    # exact value, which is both ends, and a custom one, never decided, its value
+    needs = np.full(6, 1e9)
+    answers = high if kind != "custom" else \
+        np.array([f(x + k * lm.unit(5, e)) for e, k in zip(rows.tolist(), steps.tolist())])
     for part in (slice(None), slice(1, 4), slice(3, 6), slice(5, 6)):
         fresh = oracle.evaluate_batch(rows[part].copy(), steps[part].copy(), fx, needs[part])
         assert oracle.evaluate_batch(rows[part], steps[part], fx, needs[part]).tolist() \
-            == high[part].tolist() == fresh.tolist()
+            == answers[part].tolist() == fresh.tolist()
     assert computed == [6, 6, 3, 3, 1]  # only the copies were computed
     # misaligned steps, a strided slice and another oracle's plan are computed afresh
     oracle.evaluate_batch(rows[1:3], steps[2:4], fx, needs[:2])
     oracle.evaluate_batch(rows[::2], steps[::2], fx, needs[:3])
     assert other.evaluate_batch(rows[1:4], steps[1:4], fx, needs[:3]).tolist() == \
-        high[1:4].tolist()
+        answers[1:4].tolist()
     assert computed[5:] == [2, 3, 3] and other.plan is None
     oracle.commit(2, 1)
     assert oracle.plan is None
     moved = oracle.evaluate_batch(rows, steps, f(x), needs)
-    assert computed[8:] == [6] and moved.tolist() != high.tolist()
+    assert computed[8:] == [6] and moved.tolist() != answers.tolist()
     # a second multi-step plan replaces the first: the kept probes are its own alone
     oracle.plan_stepped(rows, steps)
     kept = oracle.plan_stepped(rows[1:3], steps[1:3])

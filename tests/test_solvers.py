@@ -37,7 +37,7 @@ from latmax.solvers import (
     MAX_STALLED_PASSES,
     PassStats,
     _sample_slot_sets,
-    _sample_without_replacement,
+    _unit_step_values,
     _WordStream,
 )
 
@@ -583,6 +583,13 @@ class TestExactBruteforce:
         sol = exact_bruteforce(instance)
         assert list(sol.x) == [0, 1]
 
+    @pytest.mark.parametrize("budget", [float("nan"), True, -1.0])
+    def test_rejects_budgets_the_config_rejects(self, budget):
+        with pytest.raises(ValueError, match="time_budget"):
+            AlgorithmConfig(algorithm="exact", time_budget=budget)
+        with pytest.raises(ValueError, match="time_budget"):
+            exact_bruteforce(ProblemInstance(**LINEAR_123), budget)
+
     def test_refuses_oversized_enumeration(self):
         instance = ProblemInstance(n=7, b=as_point([9] * 7), r=63,
                                    objective=weighted_linear([1] * 7))
@@ -762,6 +769,32 @@ def test_unit_step_values_match_scalar_evaluations(kind, rng):
     assert x.tolist() == before.tolist()
     assert values.tolist() == [objective(x + np.eye(1, n, e, dtype=np.int64)[0])
                                for e in elements.tolist()]
+
+
+def test_short_sqrt_scans_keep_the_exact_first_maximum(rng, monkeypatch):
+    # every sqrt unit-step scan is screened, however short: the first maximum
+    # and its value are the exact scan's, at one query per candidate
+    stepped, exact_probes, probes = _SqrtState.stepped, [0], 0
+
+    def counted(self, e, k):
+        exact_probes[0] += 1
+        return stepped(self, e, k)
+
+    monkeypatch.setattr(_SqrtState, "stepped", counted)
+    for _ in range(400):
+        n = int(rng.integers(1, 40))
+        objective = weighted_concave_sqrt(rng.choice([3, 40, 97], size=n))  # exact ties too
+        x = rng.integers(0, 4, size=n)
+        elements = rng.integers(0, n, size=int(rng.integers(1, 21)))
+        oracle = CountingOracle(objective)
+        oracle.follow(x)
+        values = _unit_step_values(oracle, elements)
+        assert oracle.queries == 1 + elements.size and oracle.plan is not None  # screened
+        exact = [objective(x + unit(n, e)) for e in elements.tolist()]
+        best = int(np.argmax(exact))
+        assert int(values.argmax()) == best and values[best] == exact[best]
+        probes += elements.size
+    assert exact_probes[0] < probes  # the screen answered some candidates by their upper end
 
 
 @pytest.mark.parametrize("name", ["sgl", "soma-dr-i", "ssg", "greedy"])
@@ -1014,10 +1047,10 @@ class TestSampleWithoutReplacement:
     def test_distinct_subset(self, m, pyrandom):
         stream = _WordStream(pyrandom.getrandbits(32))
         k = pyrandom.randint(0, m)
-        out = _sample_without_replacement(stream, m, k)
+        out = stream.pick(range(m), k)
         assert len(out) == k
-        assert len(set(out.tolist())) == k
-        assert set(out.tolist()) <= set(range(m))
+        assert len(set(out)) == k
+        assert set(out) <= set(range(m))
 
     @given(st.data())
     def test_replay_picks_pool_entries_at_the_positions(self, data):
@@ -1030,14 +1063,10 @@ class TestSampleWithoutReplacement:
         assert len(set(positions)) == k and set(positions) <= set(range(m))
         assert _WordStream(seed).pick(pool, k) == [pool[p] for p in positions]
 
-    def test_rejects_oversized_draw(self):
-        with pytest.raises(ValueError):
-            _sample_without_replacement(_WordStream(0), 3, 4)
-
     def test_covers_the_pool_over_many_draws(self):
         stream, seen = _WordStream(20240817), set()
         for _ in range(200):
-            seen.update(_sample_without_replacement(stream, 6, 2).tolist())
+            seen.update(stream.pick(range(6), 2))
         assert seen == set(range(6))
 
     def test_stream_matches_copying_fisher_yates(self, rng):
@@ -1057,8 +1086,7 @@ class TestSampleWithoutReplacement:
                 k = (0, m, int(rng.integers(0, m + 1)))[trial % 3]
             seed = int(rng.integers(0, 2 ** 32))
             ours, theirs = _WordStream(seed), np.random.Generator(np.random.PCG64(seed))
-            assert _sample_without_replacement(ours, m, k).tolist() == \
-                copying_fisher_yates(theirs, m, k).tolist()
+            assert ours.pick(range(m), k) == copying_fisher_yates(theirs, m, k).tolist()
             assert_same_next_draws(ours, theirs)
 
 
