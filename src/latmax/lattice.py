@@ -116,7 +116,8 @@ class Objective:
     returns.  ``weighted-linear`` evaluates the weighted sum in integer
     arithmetic and converts to float only on return, so its values are exact.
     A ``custom`` objective wraps an arbitrary callable and carries no
-    structural guarantees.
+    structural guarantees.  A built-in objective keeps a read-only copy of
+    its weights, which must be integers in [1, 100].
     """
 
     kind: str
@@ -128,8 +129,9 @@ class Objective:
         if self.n < 1:
             raise ValueError("objective dimension must be >= 1")
         if self.kind in (WEIGHTED_LINEAR, WEIGHTED_CONCAVE_SQRT):
-            if self.weights is None or self.weights.size != self.n:
+            if self.weights is None or np.size(self.weights) != self.n:
                 raise ValueError("built-in objective needs one weight per element")
+            object.__setattr__(self, "weights", _checked_weights(self.weights))
         elif self.kind == CUSTOM:
             if self.fn is None:
                 raise ValueError("custom objective needs a callable")
@@ -156,14 +158,12 @@ class Objective:
 
 def weighted_linear(weights) -> Objective:
     """f(x) = sum_e w_e * x_e (modular)."""
-    w = _checked_weights(weights)
-    return Objective(kind=WEIGHTED_LINEAR, n=w.size, weights=w)
+    return Objective(kind=WEIGHTED_LINEAR, n=np.size(weights), weights=weights)
 
 
 def weighted_concave_sqrt(weights) -> Objective:
     """f(x) = sum_e w_e * sqrt(x_e); strictly concave per coordinate."""
-    w = _checked_weights(weights)
-    return Objective(kind=WEIGHTED_CONCAVE_SQRT, n=w.size, weights=w)
+    return Objective(kind=WEIGHTED_CONCAVE_SQRT, n=np.size(weights), weights=weights)
 
 
 def custom_objective(n: int, fn: Callable[[np.ndarray], float]) -> Objective:

@@ -47,7 +47,9 @@ is never lost and nothing is rewound.  ssg needs only the set of copy slots
 each round picks, and every round commits one copy, so all its pool sizes
 are known in advance: :func:`_sample_slot_sets` draws a block of rounds at
 once, with whole-array arithmetic, and resolves each round to its sorted
-slot set without a replay.
+slot set without a replay.  A block with a pool above 2**32 is drawn round
+by round with :meth:`_WordStream.pick`.  Rounds that take every slot left,
+always a run's last, draw nothing (:func:`_ssg_slot_sets`).
 """
 
 from __future__ import annotations
@@ -212,16 +214,15 @@ class _WordStream:
     on any platform.  A word's high half is kept exactly when the position of
     the next unused half is odd.  The stream belongs to one run, so halves
     read ahead are never lost, and nothing is rewound.  :meth:`integers`
-    serves ssg's blocks with whole-array arithmetic; :meth:`pick` serves
-    sgl's passes one Python-int draw at a time.
+    serves ssg's blocks, whose ranges lie in [2, 2**32], with whole-array
+    arithmetic; :meth:`pick` serves sgl's passes, and ssg's rounds on pools
+    above 2**32, one Python-int draw at a time.
     """
 
     def __init__(self, seed: int):
         self._bits = np.random.PCG64(seed)
         self._halves = np.empty(0, dtype=np.uint64)  # of whole words; unused from _pos on
         self._pos = 0
-        self._block = np.empty((2, 0), dtype=np.uint64)  # products and low bits of a block
-        self._flags = np.empty(0, dtype=bool)
 
     def _next(self, count: int) -> np.ndarray:
         """The next count unused halves, left unused."""
@@ -261,47 +262,24 @@ class _WordStream:
             if product & _LOW32 >= threshold:
                 return product >> 32
 
-    def integers(self, highs: np.ndarray) -> np.ndarray:
-        """Draws in [0, highs) for int64 highs >= 1, in C order, shaped like highs.
-
-        A block with a range above 2**32 is drawn one value at a time by
-        :meth:`_below`; others by :meth:`_halves_below`.
-        """
-        flat = np.ravel(highs)
-        out = np.empty(flat.size, dtype=np.int64)
-        if flat.size and flat.max() > _RANGE32:
-            out[:] = [self._below(high) for high in flat.tolist()]
-        else:
-            self._halves_below(flat, out)
-        return out.reshape(np.shape(highs))
-
-    def _halves_below(self, ranges: np.ndarray, out: np.ndarray) -> None:
-        """out[i] = a draw below ranges[i], each in [1, 2**32], in order.
+    def integers(self, ranges: np.ndarray) -> np.ndarray:
+        """Draws below the int64 entries of 1-D ranges, each in [2, 2**32], in order.
 
         Draw i takes the i-th next half, until a product is rejected: the
         draws before it stand, it is redrawn by :meth:`_below`, and the rest
         start over after it.
         """
-        if ranges.size and ranges.min() == 1:  # a range of 1 draws nothing
-            drawn = ranges > 1
-            out[~drawn] = 0
-            some = np.empty(int(drawn.sum()), dtype=np.int64)
-            self._halves_below(ranges[drawn], some)
-            out[drawn] = some
-            return
-        ranges, out = ranges.view(np.uint64), out.view(np.uint64)
+        ranges = ranges.view(np.uint64)
+        out = np.empty(ranges.size, dtype=np.uint64)
         done = 0
         while done < ranges.size:
             count = ranges.size - done
-            if self._flags.size < count:
-                self._block = np.empty((2, count), dtype=np.uint64)
-                self._flags = np.empty(count, dtype=bool)
-            products, low = self._block[0, :count], self._block[1, :count]
-            np.multiply(self._next(count), ranges[done:], out=products)
-            np.bitwise_and(products, _LOW32, out=low)
+            products = self._next(count) * ranges[done:]
+            low = products & _LOW32
             stop = count
-            if np.less(low, ranges[done:], out=self._flags[:count]).any():  # rarely
-                flagged = np.flatnonzero(self._flags[:count])
+            flags = low < ranges[done:]
+            if flags.any():  # rarely
+                flagged = np.flatnonzero(flags)
                 rejected = flagged[low[flagged] < np.uint64(_RANGE32) % ranges[done:][flagged]]
                 stop = int(rejected[0]) if rejected.size else count
             np.right_shift(products[:stop], 32, out=out[done:done + stop])
@@ -311,6 +289,7 @@ class _WordStream:
                 self._pos += 1
                 out[done] = self._below(int(ranges[done]))
                 done += 1
+        return out.view(np.int64)
 
     def pick(self, pool, k: int) -> list:
         """The entries of pool that k steps of a partial Fisher-Yates shuffle pick.
@@ -355,25 +334,26 @@ class _WordStream:
 
 def _sample_slot_sets(stream: _WordStream, pools: np.ndarray, k: int) -> np.ndarray:
     """Row t: the k positions ``stream.pick(range(pools[t]), k)`` picks, sorted,
-    drawn in the stream of one such call per row.
+    drawn in the stream of one such call per row, for 0 < k < min(pools).
 
     Step i swaps position i with its target j >= i, and positions below i
     never move again.  So every target of at least k is picked once, and its
     last drawer pushes out of [0, k) what it held: position i itself, unless
     an earlier step drew i and handed it its own holding.  Pointer jumping
-    over those hand-overs finds it.
+    over those hand-overs finds it.  A block with a pool above 2**32, or one
+    whose packed sort keys would overflow int64, is drawn by ``pick`` row by
+    row.
     """
     rows = len(pools)
-    if not 0 <= k <= int(pools.min()):
-        raise ValueError(f"cannot sample {k} items from a pool of {int(pools.min())}")
-    if k == 0:
-        return np.empty((rows, 0), dtype=np.int64)
+    if not 0 < k < int(pools.min()):
+        raise ValueError(f"need 0 < k < {int(pools.min())}, the smallest pool, got k = {k}")
     size = rows * k
     shift = size.bit_length()
-    if int(pools.max()) >= 1 << (63 - shift):  # its sort keys would overflow int64
+    top = int(pools.max())
+    if top > _RANGE32 or top >= 1 << (63 - shift):
         return np.sort([stream.pick(range(int(m)), k) for m in pools], axis=1)
     steps = np.arange(k)
-    targets = stream.integers(pools[:, None] - steps) + steps
+    targets = stream.integers((pools[:, None] - steps).ravel()).reshape(rows, k) + steps
     # each row sorted by target, then step; the low bits hold the step's flat index
     cells = np.sort(targets << shift | np.arange(size).reshape(rows, k), axis=1).ravel()
     target, step = cells >> shift, cells & ((1 << shift) - 1)
@@ -412,16 +392,18 @@ def _ssg_slot_sets(stream: _WordStream, total: int, s: int, rounds: int):
     """The sorted copy slots of each ssg round, drawn a block of rounds at a time.
 
     Each round commits one copy, so round t samples min(s, total - t) of the
-    total - t slots left.  A block shares one sample size and holds up to
-    _SLOT_BLOCK slots.
+    total - t slots left.  A block shares the sample size s and holds up to
+    _SLOT_BLOCK slots.  Once a round's pool is at most s, it and every later
+    round take every slot left and draw nothing.
     """
     t = 0
-    while t < rounds:
+    while t < rounds and total - t > s:
         remaining = total - t
-        k = min(s, remaining)
-        block = min(max(1, _SLOT_BLOCK // k), rounds - t, remaining - k + 1)
-        yield from _sample_slot_sets(stream, remaining - np.arange(block), k)
+        block = min(max(1, _SLOT_BLOCK // s), rounds - t, remaining - s)
+        yield from _sample_slot_sets(stream, remaining - np.arange(block), s)
         t += block
+    for remaining in range(total - t, total - rounds, -1):
+        yield np.arange(remaining)
 
 
 def max_feasible_step(oracle: CountingOracle, e: int, k_max: int, theta: float,

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from latmax import ALGORITHMS, CSV_HEADER, ExperimentGrid, read_records, write_grid_file
-from latmax import checks
+from latmax import bench, checks, full_scale_grid
 from latmax.bench import row_to_record
 from latmax.cli import main
 
@@ -84,6 +84,19 @@ class TestBenchRun:
         assert code == 2
         assert "cap is 1000000" in error_line(capsys)
         assert read_records(tmp_path / "results.csv") == []
+
+    def test_full_scale_flag_selects_the_full_scale_grid(self, tmp_path, monkeypatch):
+        # the matrix run is replaced, so nothing runs
+        grids = []
+
+        def run_matrix(grid, algorithms, master_seed, out_csv):
+            grids.append(grid)
+            return []
+
+        monkeypatch.setattr(bench, "run_matrix", run_matrix)
+        assert main(["bench", "run", "--full-scale", "--master-seed", "1",
+                     "--out", str(tmp_path)]) == 0
+        assert grids == [full_scale_grid()]
 
     def test_algorithm_subset(self, tmp_path):
         grid_file = tmp_path / "grid.txt"

@@ -8,7 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import latmax as lm
-from latmax.lattice import _CustomState, _LinearState, _SqrtState
+from latmax.lattice import (
+    CUSTOM,
+    WEIGHTED_CONCAVE_SQRT,
+    WEIGHTED_LINEAR,
+    _CustomState,
+    _LinearState,
+    _SqrtState,
+)
 
 points = st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=6)
 
@@ -85,6 +92,40 @@ def test_builtin_weights_validated():
         lm.weighted_linear([101])
     with pytest.raises(ValueError):
         lm.weighted_concave_sqrt([])
+
+
+def test_directly_built_objectives_check_their_weights():
+    # Objective(...) applies the factories' weight checks and keeps its own copy,
+    # so a full evaluation and a followed oracle's probe read the same weights
+    with pytest.raises(ValueError, match="must be integers"):
+        lm.Objective(kind=WEIGHTED_LINEAR, n=2, weights=np.array([1.5, 2.5]))
+    with pytest.raises(ValueError, match=r"\[1, 100\]"):
+        lm.Objective(kind=WEIGHTED_LINEAR, n=2, weights=np.array([-5, 3]))
+    a = np.array([3, 4])
+    f = lm.Objective(kind=WEIGHTED_CONCAVE_SQRT, n=2, weights=a)
+    a[0] = 100
+    assert f(lm.as_point([1, 1])) == 7.0
+    with pytest.raises(ValueError):
+        f.weights[0] = 1
+    linear = lm.Objective(kind=WEIGHTED_LINEAR, n=2, weights=[2, 5])
+    oracle = lm.CountingOracle(linear)
+    oracle.follow(lm.zeros(2))
+    assert oracle.evaluate_stepped(0, 1) == linear(lm.as_point([1, 0])) == 2.0
+
+
+def test_malformed_objectives_are_rejected():
+    w = np.array([1, 2])
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        lm.Objective(kind=WEIGHTED_LINEAR, n=0, weights=w[:0])
+    for weights in (None, w[:1]):
+        with pytest.raises(ValueError, match="one weight per element"):
+            lm.Objective(kind=WEIGHTED_CONCAVE_SQRT, n=2, weights=weights)
+    with pytest.raises(ValueError, match="needs a callable"):
+        lm.Objective(kind=CUSTOM, n=2)
+    with pytest.raises(ValueError, match="unknown objective kind"):
+        lm.Objective(kind="quadratic", n=2, weights=w)
+    with pytest.raises(ValueError, match="n >= 2"):
+        lm.coordinate_product(1)
 
 
 def test_weighted_linear_is_integer_exact():
@@ -406,6 +447,8 @@ def test_instance_validation():
         lm.ProblemInstance(n=2, b=[1, 1], r=-1, objective=f)
     with pytest.raises(ValueError):
         lm.ProblemInstance(n=3, b=[1, 1, 1], r=1, objective=f)  # dim mismatch
+    with pytest.raises(ValueError, match="n >= 1"):
+        lm.ProblemInstance(n=0, b=[], r=1, objective=f)
     for r in (2.5, 2.0, "2", None):
         with pytest.raises(ValueError, match="copy budget r must be an integer"):
             lm.ProblemInstance(n=2, b=[1, 1], r=r, objective=f)

@@ -1,6 +1,7 @@
 """Solver unit tests: binary-search step selection, the five maximizers,
 and the reported approximation bound."""
 
+import itertools
 import math
 
 import numpy as np
@@ -523,6 +524,20 @@ class TestSsg:
         for seed in range(5):
             assert_ssg_matches_reference(instance, seed, 0.9)
 
+    def test_rounds_that_take_every_slot_match_reference(self):
+        # s = floor((12 / r) * log(100)) of |b|_1 = 12 slots: the last rounds'
+        # pools fall to s and below, so they take every slot left and draw nothing
+        for r in (10, 12):
+            instance = ProblemInstance(n=3, b=as_point([4, 5, 3]), r=r,
+                                       objective=weighted_concave_sqrt([3, 7, 5]))
+            for seed in range(10):
+                assert_ssg_matches_reference(instance, seed, 0.01)
+            s = sample_size(12, r, 0.01)
+            assert s in (4, 5)
+            trace = []
+            ssg(instance, AlgorithmConfig(seed=0, epsilon=0.01), trace=trace)
+            assert [stats.sample_size for stats in trace] == [min(s, 12 - t) for t in range(r)]
+
     def test_equal_seeds_reproduce_exactly(self):
         instance = ProblemInstance(n=5, b=as_point([2, 3, 1, 4, 2]), r=6,
                                    objective=weighted_linear([7, 19, 40, 66, 93]))
@@ -596,8 +611,9 @@ class TestExactBruteforce:
         with pytest.raises(ExhaustivenessCapError):
             exact_bruteforce(instance)
 
-    def test_matches_whole_box_enumeration(self, rng):
-        # reference: build the whole min(b, r) box, keep |x|_1 <= r, in order
+    def test_matches_whole_box_enumeration(self, rng, monkeypatch):
+        # reference: build the whole min(b, r) box, keep |x|_1 <= r, in order;
+        # chunks of 1 and 7 points make the enumeration fix values one at a time
         def whole_box(instance):
             caps = tuple(int(c) for c in np.minimum(instance.b, instance.r) + 1)
             grid = np.indices(caps).reshape(instance.n, -1).T
@@ -606,7 +622,8 @@ class TestExactBruteforce:
             i = int(np.argmax(vals))
             return feasible[i].tolist(), float(instance.objective(feasible[i])), len(feasible)
 
-        for _ in range(200):
+        for trial in range(600):
+            monkeypatch.setattr("latmax.solvers._BRUTE_FORCE_CHUNK", (1 << 16, 1, 7)[trial % 3])
             instance = random_tiny_instance(
                 rng, max_n=6, max_b=4, max_r=9,
                 kinds=("weighted-linear", "weighted-concave-sqrt"))
@@ -658,6 +675,37 @@ def test_reported_queries_match_independent_tally(name):
 
 
 ITERATIVE_RUNNERS = {"sgl": sgl, "soma-dr-i": soma_dr_i, "ssg": ssg, "greedy": greedy_lattice}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVER_RUNNERS))
+@pytest.mark.parametrize("expiry", [2, 3])
+def test_time_budget_spent_mid_run(name, expiry, monkeypatch):
+    # the clock's check number `expiry` finds the budget spent, after the start
+    # of the run: it stops there with a feasible incumbent, its fresh value,
+    # and the queries of the passes or chunks it finished
+    instance = ProblemInstance(n=5, b=as_point([2, 3, 1, 4, 3]), r=8,
+                               objective=weighted_concave_sqrt([7, 30, 2, 55, 91]))
+    points = exact_bruteforce(instance).queries
+    checks = [0]
+
+    def out_of_time(start, budget):
+        checks[0] += 1
+        return checks[0] >= expiry
+
+    monkeypatch.setattr("latmax.solvers._out_of_time", out_of_time)
+    monkeypatch.setattr("latmax.solvers._BRUTE_FORCE_CHUNK", 4)
+    if name == "exact":
+        sol = exact_bruteforce(instance, time_budget=1.0)
+        assert 0 < sol.queries == sol.iterations <= 4 * (expiry - 1) < points
+    else:
+        trace = []
+        config = AlgorithmConfig(algorithm=name, seed=4, time_budget=1.0)
+        sol = ITERATIVE_RUNNERS[name](instance, config, trace=trace)
+        assert len(trace) == sol.iterations == expiry - 2  # check 1 is before the start
+        setup = 1 + instance.n if name in ("sgl", "soma-dr-i") else 1
+        assert sol.queries == setup + sum(stats.queries for stats in trace)
+    assert sol.timed_out and instance.is_feasible(sol.x)
+    assert sol.value == instance.objective(sol.x)
 
 
 @pytest.mark.parametrize("name", sorted(ITERATIVE_RUNNERS))
@@ -1103,23 +1151,29 @@ def copying_fisher_yates(gen, m, k):
 
 def assert_same_next_draws(stream, gen):
     """The stream and the generator go on alike: a kept 32-bit half, a fresh
-    64-bit word, and rejection-heavy ranges."""
-    highs = np.array([7, 2 ** 40 + 3, 2 ** 31 + 1, 3 * 2 ** 30 + 1, 2 ** 32, 2 ** 62 + 1, 5] * 4)
-    assert stream.integers(highs).tolist() == gen.integers(0, highs).tolist()
+    64-bit word, and rejection-heavy ranges.  Runs of ranges up to 2**32 are
+    drawn by ``integers``, larger ones by a one-step ``pick``."""
+    highs = [7, 2 ** 40 + 3, 2 ** 31 + 1, 3 * 2 ** 30 + 1, 2 ** 32, 2 ** 62 + 1, 5] * 4
+    for halves, run in itertools.groupby(highs, lambda high: high <= 2 ** 32):
+        run = list(run)
+        if halves:
+            assert stream.integers(np.array(run)).tolist() == gen.integers(0, run).tolist()
+        else:
+            for m in run:
+                assert stream.pick(range(m), 1) == copying_fisher_yates(gen, m, 1).tolist()
 
 
 # ranges where numpy's draws change path or reject often: 1 draws nothing,
 # 2**31 + 1 and 3 * 2**30 + 1 reject about half and a quarter of the 32-bit
 # halves, 2**32 takes a half as it is, 2**32 + 1 on up take whole words, and
 # 2**62 + 1 rejects about a quarter of them
-stream_ranges = (st.sampled_from([1, 2, 2 ** 31 + 1, 3 * 2 ** 30 + 1, 2 ** 32, 2 ** 32 + 1,
-                                  2 ** 62 + 1])
-                 | st.integers(1, 50) | st.integers(1, 2 ** 62))
+half_ranges = (st.sampled_from([2, 2 ** 31 + 1, 3 * 2 ** 30 + 1, 2 ** 32])
+               | st.integers(2, 50) | st.integers(2, 2 ** 32))
+stream_ranges = (half_ranges | st.sampled_from([1, 2 ** 32 + 1, 2 ** 62 + 1])
+                 | st.integers(1, 2 ** 62))
 stream_calls = st.one_of(
-    st.tuples(st.just("integers"), st.lists(stream_ranges, max_size=40)),
-    st.tuples(st.just("integers"), st.integers(1, 4).flatmap(
-        lambda rows: st.lists(st.lists(stream_ranges, min_size=rows, max_size=rows),
-                              max_size=10))),
+    # integers takes the ranges ssg's blocks draw, 2 to 2**32; pick takes any
+    st.tuples(st.just("integers"), st.lists(half_ranges, max_size=40)),
     st.tuples(st.just("pick"), stream_ranges.flatmap(
         lambda m: st.tuples(st.just(m), st.integers(0, min(m, 12))))),
 )
@@ -1129,7 +1183,7 @@ class TestWordStream:
     @given(st.integers(0, 2 ** 64 - 1), st.lists(stream_calls, min_size=1, max_size=6))
     def test_matches_generator_integers(self, seed, calls):
         # the vector and the scalar entry, interleaved on one stream, draw what
-        # Generator.integers(0, highs) draws in C order, and go on alike after
+        # Generator.integers(0, highs) draws in order, and go on alike after
         stream, gen = _WordStream(seed), np.random.Generator(np.random.PCG64(seed))
         for entry, args in calls:
             if entry == "pick":
@@ -1137,8 +1191,6 @@ class TestWordStream:
                 assert stream.pick(range(m), k) == copying_fisher_yates(gen, m, k).tolist()
             else:
                 highs = np.array(args, dtype=np.int64)
-                if highs.ndim == 2:  # inner lists are columns, so rows are strided
-                    highs = highs.T
                 got = stream.integers(highs)
                 assert got.dtype == np.int64 and got.shape == highs.shape
                 assert got.tolist() == gen.integers(0, highs).tolist()
@@ -1154,15 +1206,16 @@ class TestSampleSlotSets:
             if kind == 0:  # ssg scale: few irregular steps among many regular ones
                 m, k = int(rng.integers(50_000, 120_000)), int(rng.integers(1000, 2001))
             elif kind == 1:  # tiny pools: most targets below k or shared
-                m = int(rng.integers(1, 4))
-                k = int(rng.integers(0, m + 1))
-            elif kind == 2:  # k = m: every step is irregular
-                m = k = int(rng.integers(1, 80))
+                m = int(rng.integers(2, 5))
+                k = int(rng.integers(1, m))
+            elif kind == 2:  # k = m - 1: nearly every step is irregular
+                m = int(rng.integers(2, 80))
+                k = m - 1
             elif kind == 3:  # one step, irregular only when it draws 0
-                m, k = int(rng.integers(1, 80)), 1
+                m, k = int(rng.integers(2, 80)), 1
             else:
-                m = int(rng.integers(1, 80)) if trial % 10 else int(rng.integers(1000, 5000))
-                k = (0, m, int(rng.integers(0, m + 1)))[trial % 3]
+                m = int(rng.integers(2, 80)) if trial % 10 else int(rng.integers(1000, 5000))
+                k = (1, m - 1, int(rng.integers(1, m)))[trial % 3]
             rows = int(rng.integers(1, 21 if m < 1000 else 4))  # the reference loops in Python
             # shrinking pools as in ssg (the last row draws from m), or equal ones
             pools = m + np.arange(rows)[::-1] if trial % 2 else np.full(rows, m)
@@ -1175,13 +1228,17 @@ class TestSampleSlotSets:
             assert_same_next_draws(ours, theirs)
 
     def test_rejects_oversized_draw(self):
-        with pytest.raises(ValueError):
-            _sample_slot_sets(_WordStream(0), np.array([5, 4, 3]), 4)
+        # a block samples some but not all of every pool: 0 < k < min(pools)
+        for k in (0, 3, 4):
+            with pytest.raises(ValueError):
+                _sample_slot_sets(_WordStream(0), np.array([5, 4, 3]), k)
 
-    @pytest.mark.parametrize("top", [2 ** 59 - 1, 2 ** 59 + 2 ** 58, 2 ** 62])
+    @pytest.mark.parametrize("top", [2 ** 32, 2 ** 32 + 1, 2 ** 59 - 1, 2 ** 59 + 2 ** 58,
+                                     2 ** 62])
     def test_pools_too_large_for_sort_keys(self, top):
-        # 3 rows of 5 steps shift the sort keys by 4 bits, so targets from
-        # 2**59 on do not fit them in int64; any pool gives the ordered stream
+        # a pool above 2**32 cannot draw from a 32-bit half, and 3 rows of 5
+        # steps shift the sort keys by 4 bits, so targets from 2**59 on do not
+        # fit them in int64; any pool gives the ordered stream
         pools = top - np.arange(3)
         ours, theirs = _WordStream(7), np.random.Generator(np.random.PCG64(7))
         got = _sample_slot_sets(ours, pools, 5)
