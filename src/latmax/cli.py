@@ -27,15 +27,15 @@ def _build_parser() -> argparse.ArgumentParser:
     bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
 
     p_run = bench_sub.add_parser("run", help="run a benchmark grid")
-    p_run.add_argument("--grid", type=Path, default=None,
-                       help="key=value grid file (default: built-in desk grid)")
+    grid = p_run.add_mutually_exclusive_group()
+    grid.add_argument("--grid", type=Path, default=None,
+                      help="key=value grid file (default: built-in desk grid)")
+    grid.add_argument("--full-scale", action="store_true",
+                      help="use the full-scale grid defaults (n up to 750)")
     p_run.add_argument("--algorithms", default="sgl,soma-dr-i,ssg,greedy",
                        help="comma-separated algorithm names")
     p_run.add_argument("--master-seed", type=int, required=True)
     p_run.add_argument("--out", type=Path, required=True, help="output directory")
-    p_run.add_argument("--full-scale",
-                       action="store_true",
-                       help="use the full-scale grid defaults (n up to 750)")
     p_run.set_defaults(func=_cmd_bench_run)
 
     p_check = bench_sub.add_parser("check", help="run the small-instance self-checks")
@@ -50,7 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--epsilon", type=float, default=None)
     p_solve.add_argument("--timeout", type=float, default=None)
     p_solve.add_argument("--repeats", type=int, default=1,
-                         help="independent runs (seed, seed+1, ...); best row printed")
+                         help="independent runs (seed, seed+1, ...); best row printed; "
+                              "a deterministic algorithm runs once")
     p_solve.set_defaults(func=_cmd_solve)
 
     p_report = sub.add_parser("report", help="aggregate results")
@@ -91,8 +92,10 @@ def _cmd_solve(args) -> int:
     if args.repeats < 1:
         raise ValueError("--repeats must be >= 1")
     instance = bench.generate_instance(args.n, args.r, args.b_pivot, args.seed)
+    # every seed of a deterministic algorithm gives the first seed's row
+    repeats = 1 if args.algorithm in solvers.DETERMINISTIC_ALGORITHMS else args.repeats
     runs = []
-    for offset in range(args.repeats):  # independent seeds, keep the best value
+    for offset in range(repeats):  # independent seeds, keep the best value
         config = solvers.AlgorithmConfig(epsilon=args.epsilon, seed=args.seed + offset,
                                          algorithm=args.algorithm, time_budget=args.timeout)
         runs.append((solvers.solve(instance, config), config))  # exact may refuse

@@ -10,9 +10,11 @@ The wrapper, :class:`CountingOracle`, charges every query and answers the
 probes of its followed incumbent from one private class per objective kind:
 :class:`_LinearState`, :class:`_SqrtState` and :class:`_CustomState`, which
 keep only the kind's arithmetic.  A new kind is one more such class in
-``_STATES``.  Every probe is answered by one rule, which the oracle applies:
-its exact value, unless the certified upper end of its value already fails
-the bar the caller gives, in which case that upper end.
+``_STATES``, plus, if its unit-step scans should be screened by their
+intervals, its name in ``solvers._unit_step_values``, the one place the
+solvers pick a path by kind.  Every probe is answered by one rule, which the
+oracle applies: its exact value, unless the certified upper end of its value
+already fails the bar the caller gives, in which case that upper end.
 """
 
 from __future__ import annotations
@@ -252,10 +254,10 @@ class CountingOracle:
     vectorized intervals; a custom probe's interval is unbounded, so it is
     always exact.  ``plan_stepped`` keeps one list of probes and their
     intervals, uncharged, until the next plan or commit: ``evaluate_batch``
-    answers a slice of them from the kept intervals, so a solver that plans
-    each incumbent's probes at once computes each interval once per
-    incumbent.  A NaN or infinite value raises ``ValueError`` naming the
-    point.
+    answers the kept probes, or a prefix of them, from the kept intervals,
+    so a solver that plans each incumbent's probes at once computes each
+    interval once per incumbent.  A NaN or infinite value raises
+    ``ValueError`` naming the point.
     """
 
     # x: the followed incumbent; xs: x as a list of Python ints, the one mirror
@@ -317,11 +319,12 @@ class CountingOracle:
         Listed elements are probed as :meth:`evaluate_stepped` probes them,
         answer for answer: steps (k, or None for unit steps) aligns with the
         elements, and need is one bar for every probe or one bar per probe,
-        or None for none; a NaN bar decides nothing.  Each probe's interval
-        comes from the kept plan or the kind state.  Where the kind's
-        intervals are exact (one array as both ends) they are the values;
-        otherwise a probe whose upper end fails its bar answers that end,
-        and every other probe the kind state's exact value.
+        or None for none; a NaN bar decides nothing.  The intervals of a
+        prefix of the kept plan's rows and steps (views, as a sweep slices
+        them) are read from it, and those of other probes come from the kind
+        state.  Where the kind's intervals are exact (one array as both ends)
+        they are the values; otherwise a probe whose upper end fails its bar
+        answers that end, and every other probe the kind state's exact value.
         """
         if rows.ndim == 1:
             self.queries += len(rows)
@@ -353,8 +356,9 @@ class CountingOracle:
         high), read-only: the probes, and the low and high ends of each
         probe's value: one array for a linear objective, certified ends for a
         sqrt one, and -inf and inf for a custom one.  :meth:`evaluate_batch`
-        reads the intervals of a slice of the kept rows and steps instead of
-        computing them again.
+        reads the intervals of the kept rows and steps, or of a prefix of
+        them, instead of computing them again; a sweep charges one prefix a
+        pass.
         """
         plan = (rows.copy(), None if steps is None else steps.copy(),
                 *self._state.intervals(rows, steps))
@@ -366,14 +370,12 @@ class CountingOracle:
 
     def _kept_intervals(self, rows: np.ndarray, steps: Optional[np.ndarray]):
         """(low, high) of each probe, read from the kept plan if the probes are a
-        slice of it; exact intervals stay one array as both ends."""
+        prefix of it; exact intervals stay one array as both ends."""
         if self.plan is not None:
             kept_rows, kept_steps, low, high = self.plan
-            at = _slice_start(rows, kept_rows)
-            if at is not None and (steps is None if kept_steps is None
-                                   else _slice_start(steps, kept_steps) == at):
-                part = high[at:at + len(rows)]
-                return (part if low is high else low[at:at + len(rows)]), part
+            if _is_prefix(rows, kept_rows) and _is_prefix(steps, kept_steps):
+                m = len(rows)
+                return (high[:m] if low is high else low[:m]), high[:m]
         return self._state.intervals(rows, steps)
 
     def _check_width(self, width: int) -> None:
@@ -517,14 +519,16 @@ _STATES = {WEIGHTED_LINEAR: _LinearState, WEIGHTED_CONCAVE_SQRT: _SqrtState,
            CUSTOM: _CustomState}
 
 
-def _slice_start(part: np.ndarray, whole: np.ndarray) -> Optional[int]:
-    """The index in whole at which part starts, if part is a contiguous slice
-    of whole, which owns its data; else None."""
-    if part.base is not whole or part.strides != whole.strides or part.dtype != whole.dtype:
-        return 0 if part is whole else None
-    if part.size == whole.size:  # a whole-plan view, most sweep charges: no ctypes lookups
-        return 0
-    return (part.ctypes.data - whole.ctypes.data) // whole.itemsize
+def _is_prefix(part: Optional[np.ndarray], whole: Optional[np.ndarray]) -> bool:
+    """Whether part is whole (None is a prefix of None alone) or a view of
+    whole's first len(part) entries; whole owns its data."""
+    if part is whole:
+        return True
+    # a view with whole's strides starts at whole's first entry exactly when
+    # their bounds overlap there; an empty view is read as no prefix
+    return part is not None and whole is not None and part.base is whole \
+        and part.strides == whole.strides and part.dtype == whole.dtype \
+        and np.may_share_memory(part, whole[:1])
 
 
 def _non_finite(value: float, x: np.ndarray, where: str = "") -> ValueError:

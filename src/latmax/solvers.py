@@ -27,12 +27,15 @@ largest lower end, since a candidate whose upper end lies below it cannot
 be the best.  Every decision, and every value a solver keeps, is thus that
 of a full evaluation bit for bit.
 
-sgl and custom objectives make one ``evaluate_stepped`` call per probe.
-soma-dr-i on a built-in objective (:func:`_sweep_pass`) answers the
-searches that reject every probe a segment of elements at a time, in one
-charged ``evaluate_batch`` call.  It plans every element's probes at once
-for each incumbent, and the oracle keeps them and their intervals until the
-next commit, so each is computed once per incumbent.
+sgl makes one ``evaluate_stepped`` call per probe.  Each soma-dr-i pass
+(:func:`_sweep_pass`) charges the searches that reject every probe, up to
+the first element whose path has a probe that may pass, in one
+``evaluate_batch`` call, and runs that element and the rest one probe at a
+time.  It plans every element's probes at once for each incumbent, and the
+oracle keeps them and their intervals until the next commit, so each is
+computed once per incumbent.  A custom probe may always pass, so a custom
+pass charges nothing in a batch.  The solvers decide one thing by the
+objective kind: :func:`_unit_step_values` screens sqrt scans.
 
 Randomized solvers draw from a PCG64 seeded with ``config.seed``, so runs
 are bit-reproducible for a fixed seed.  Each run owns its stream
@@ -62,7 +65,6 @@ from typing import Optional
 import numpy as np
 
 from .lattice import (
-    CUSTOM,
     WEIGHTED_CONCAVE_SQRT,
     CountingOracle,
     ExhaustivenessCapError,
@@ -520,12 +522,11 @@ def _all_reject_paths(gaps, room):
     Such a search tries k = ceil(K / 2) and then halves k down to 1, where
     K = min(b_e - x_e, room), so its probes depend on K alone.  gaps holds
     b_e - x_e of every element.  Elements with K = 0 have no probes; the
-    others are listed element by element, in order.
+    others, at least one since a sweep runs only while |x| < r < |b|_1, are
+    listed element by element, in order.
     """
     caps = np.minimum(gaps, room)
     live = np.flatnonzero(caps > 0)
-    if live.size == 0:
-        return live, live
     caps = caps[live]
     first = caps - (caps >> 1)  # (K + 1) // 2 without overflow
     probes = first[:, None] >> np.arange(int(first.max()).bit_length())
@@ -534,44 +535,32 @@ def _all_reject_paths(gaps, room):
 
 
 def _sweep_pass(oracle, x, fx, card, b, caps, r, theta):
-    """:func:`_threshold_pass` over every element, a segment at a time.
+    """:func:`_threshold_pass` over every element, its all-reject prefix in one batch.
 
     The oracle keeps the all-reject paths of every element
     (:func:`_all_reject_paths`) and their intervals until a commit changes x:
     each incumbent is planned once, whole, and a pass that commits nothing
-    plans nothing.  The first probe whose bound may not reject stops a
-    segment.  The paths before it are charged in one batch, in the scalar
-    order, and its element runs the scalar pass, so queries, decisions and
-    values match it.
+    plans nothing.  The paths of the elements before the first one with a
+    probe whose bound may not reject are charged in one batch, in the scalar
+    order; that element and the rest run the scalar pass, so queries,
+    decisions and values match it.  A custom probe's bound never rejects,
+    so its pass is the scalar pass.
     """
-    committed = False
-    max_cap_seen = 0
-    start = 0  # the segment's first element
-    opened = None  # the plan whose open probes are listed, for this fx and theta
-    while True:
-        plan = oracle.plan
-        if plan is None or plan[1] is None:  # a commit, or a unit-step scan, came before
-            plan = oracle.plan_stepped(*_all_reject_paths(b - x, r - card))
-        elements, steps, _, high = plan
-        if plan is not opened:  # probes that may not reject; only a commit changes fx
-            opened = plan
-            needs = steps * theta
-            open_ = np.flatnonzero(high - fx >= needs)
-        at = int(elements.searchsorted(start))
-        i = int(open_.searchsorted(at))
-        cut = int(elements.searchsorted(elements[open_[i]])) if i < open_.size else steps.size
-        # charge the probes of the elements before the stopping one; each must reject
-        if cut > at and not (oracle.evaluate_batch(elements[at:cut], steps[at:cut], fx,
-                                                   needs[at:cut]) - fx < needs[at:cut]).all():
-            raise RuntimeError("a charged probe accepted where its bound rejected")
-        e = int(elements[cut]) if cut < steps.size else x.size  # the stopping element, if any
-        gaps = b[start:e + 1] - x[start:e + 1]
-        max_cap_seen = max(max_cap_seen, min(int(gaps.max(initial=0)), r - card))
-        if e == x.size:
-            return fx, card, committed, max_cap_seen
-        fx, card, stepped, _ = _threshold_pass(oracle, fx, card, caps, r, theta, (e,))
-        committed = committed or stepped
-        start = e + 1
+    plan = oracle.plan
+    if plan is None or plan[1] is None:  # a commit, or a unit-step scan, came before
+        plan = oracle.plan_stepped(*_all_reject_paths(b - x, r - card))
+    elements, steps, _, high = plan
+    needs = steps * theta
+    open_ = np.flatnonzero(high - fx >= needs)  # probes that may not reject
+    cut = int(elements.searchsorted(elements[open_[0]])) if open_.size else steps.size
+    if cut and not (oracle.evaluate_batch(elements[:cut], steps[:cut], fx, needs[:cut])
+                    - fx < needs[:cut]).all():
+        raise RuntimeError("a charged probe accepted where its bound rejected")
+    e = int(elements[cut]) if cut < steps.size else x.size  # the first scalar element
+    max_cap_seen = min(int((b[:e] - x[:e]).max(initial=0)), r - card)
+    fx, card, committed, cap_seen = _threshold_pass(oracle, fx, card, caps, r, theta,
+                                                    range(e, x.size))
+    return fx, card, committed, max(max_cap_seen, cap_seen)
 
 
 def _threshold_run(instance: ProblemInstance, config: AlgorithmConfig,
@@ -592,7 +581,6 @@ def _threshold_run(instance: ProblemInstance, config: AlgorithmConfig,
 
     eps = resolve_epsilon(config, n)
     stream = _WordStream(config.seed) if sampled else None
-    sweep = not sampled and instance.objective.kind != CUSTOM
     x = zeros(n)
     caps = b.tolist()  # the scalar pass's mirror of b; the oracle's xs mirrors x
     fx = oracle.follow(x)
@@ -613,11 +601,11 @@ def _threshold_run(instance: ProblemInstance, config: AlgorithmConfig,
         if sampled:
             elements = stream.pick(available, min(s_raw, len(available)))
         before = oracle.queries
-        if sweep:
-            fx, card, committed, cap_seen = _sweep_pass(oracle, x, fx, card, b, caps, r, theta)
-        else:
+        if sampled:
             fx, card, committed, cap_seen = _threshold_pass(oracle, fx, card, caps, r, theta,
                                                             elements)
+        else:
+            fx, card, committed, cap_seen = _sweep_pass(oracle, x, fx, card, b, caps, r, theta)
         iterations += 1
         if trace is not None:
             trace.append(PassStats(queries=oracle.queries - before,

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from latmax import ALGORITHMS, CSV_HEADER, ExperimentGrid, read_records, write_grid_file
-from latmax import bench, checks, full_scale_grid
+from latmax import (ALGORITHMS, CSV_HEADER, DETERMINISTIC_ALGORITHMS, ExperimentGrid,
+                    read_records, solve, write_grid_file)
+from latmax import bench, checks, full_scale_grid, solvers
 from latmax.bench import row_to_record
 from latmax.cli import main
 
@@ -98,6 +99,16 @@ class TestBenchRun:
                      "--out", str(tmp_path)]) == 0
         assert grids == [full_scale_grid()]
 
+    def test_grid_file_and_full_scale_flag_exclude_each_other(self, tmp_path, capsys):
+        grid_file = tmp_path / "grid.txt"
+        write_grid_file(TINY_GRID, grid_file)
+        with pytest.raises(SystemExit) as exit_:
+            main(["bench", "run", "--grid", str(grid_file), "--full-scale",
+                  "--master-seed", "1", "--out", str(tmp_path / "o")])
+        assert exit_.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_algorithm_subset(self, tmp_path):
         grid_file = tmp_path / "grid.txt"
         write_grid_file(TINY_GRID, grid_file)
@@ -138,6 +149,26 @@ class TestSolve:
         best = row_to_record(next(csv.reader(io.StringIO(
             self.run_solve(capsys, "--repeats", "5")))))
         assert best.value >= single.value
+
+    @pytest.mark.parametrize("algorithm", sorted(DETERMINISTIC_ALGORITHMS))
+    def test_repeats_run_a_deterministic_algorithm_once(self, capsys, monkeypatch, algorithm):
+        calls = []
+
+        def counted(instance, config):
+            calls.append(config.seed)
+            return solve(instance, config)
+
+        monkeypatch.setattr(solvers, "solve", counted)
+        rows = []
+        for extra in ([], ["--repeats", "4"]):
+            assert main(["solve", "--n", "6", "--r", "3", "--b-pivot", "2",
+                         "--algorithm", algorithm, "--seed", "13", *extra]) == 0
+            rows.append(next(csv.reader(io.StringIO(capsys.readouterr().out))))
+        assert calls == [13, 13]  # one run each
+        wall_col = CSV_HEADER.index("wall_time_s")
+        for row in rows:
+            del row[wall_col]
+        assert rows[0] == rows[1]
 
     def test_rejects_unknown_algorithm(self):
         with pytest.raises(SystemExit):

@@ -126,6 +126,10 @@ def test_malformed_objectives_are_rejected():
         lm.Objective(kind="quadratic", n=2, weights=w)
     with pytest.raises(ValueError, match="n >= 2"):
         lm.coordinate_product(1)
+    for make in (lambda: lm.weighted_linear([[1, 2, 3]]),
+                 lambda: lm.Objective(kind=WEIGHTED_CONCAVE_SQRT, n=2, weights=[[1], [2]])):
+        with pytest.raises(ValueError, match="1-D integer array"):
+            make()
 
 
 def test_weighted_linear_is_integer_exact():
@@ -381,7 +385,7 @@ def test_batched_probes_match_scalar_probes(case):
 
 @pytest.mark.parametrize("kind", ["linear", "sqrt", "custom"])
 def test_kept_plan_answers_its_slices_until_a_commit(kind, monkeypatch):
-    # evaluate_batch reads the intervals of a slice of the kept probes from the
+    # evaluate_batch reads the intervals of a prefix of the kept probes from the
     # plan; other probes, another oracle's and those after a commit are computed
     computed = []
     state = {"linear": _LinearState, "sqrt": _SqrtState, "custom": _CustomState}[kind]
@@ -410,25 +414,29 @@ def test_kept_plan_answers_its_slices_until_a_commit(kind, monkeypatch):
     needs = np.full(6, 1e9)
     answers = high if kind != "custom" else \
         np.array([f(x + k * lm.unit(5, e)) for e, k in zip(rows.tolist(), steps.tolist())])
-    for part in (slice(None), slice(1, 4), slice(3, 6), slice(5, 6)):
+    for part in (slice(None), slice(0, 4), slice(0, 1)):
         fresh = oracle.evaluate_batch(rows[part].copy(), steps[part].copy(), fx, needs[part])
         assert oracle.evaluate_batch(rows[part], steps[part], fx, needs[part]).tolist() \
             == answers[part].tolist() == fresh.tolist()
-    assert computed == [6, 6, 3, 3, 1]  # only the copies were computed
-    # misaligned steps, a strided slice and another oracle's plan are computed afresh
-    oracle.evaluate_batch(rows[1:3], steps[2:4], fx, needs[:2])
+    assert computed == [6, 6, 4, 1]  # only the copies were computed
+    # a slice past the first probe, misaligned steps, unit steps, a strided slice and
+    # another oracle's plan are computed afresh
+    assert oracle.evaluate_batch(rows[3:6], steps[3:6], fx, needs[3:]).tolist() == \
+        answers[3:].tolist()
+    oracle.evaluate_batch(rows[:2], steps[1:3], fx, needs[:2])
+    oracle.evaluate_batch(rows[:2])
     oracle.evaluate_batch(rows[::2], steps[::2], fx, needs[:3])
-    assert other.evaluate_batch(rows[1:4], steps[1:4], fx, needs[:3]).tolist() == \
-        answers[1:4].tolist()
-    assert computed[5:] == [2, 3, 3] and other.plan is None
+    assert other.evaluate_batch(rows[:3], steps[:3], fx, needs[:3]).tolist() == \
+        answers[:3].tolist()
+    assert computed[4:] == [3, 2, 2, 3, 3] and other.plan is None
     oracle.commit(2, 1)
     assert oracle.plan is None
     moved = oracle.evaluate_batch(rows, steps, f(x), needs)
-    assert computed[8:] == [6] and moved.tolist() != answers.tolist()
+    assert computed[9:] == [6] and moved.tolist() != answers.tolist()
     # a second multi-step plan replaces the first: the kept probes are its own alone
     oracle.plan_stepped(rows, steps)
     kept = oracle.plan_stepped(rows[1:3], steps[1:3])
-    assert oracle.plan is kept and computed[9:] == [6, 2]
+    assert oracle.plan is kept and computed[10:] == [6, 2]
     assert [a.tolist() for a in kept[:2]] == [[0, 1], [2, 1]] and kept[3].size == 2
     oracle.plan_stepped(rows)
     oracle.follow(x)  # a new incumbent drops the plan too

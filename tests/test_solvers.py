@@ -934,17 +934,17 @@ def sweep_instances():
 
 
 def test_sweep_matches_the_scalar_pass(monkeypatch):
-    # the custom wrapper takes the scalar pass; the built-in sweep answers each
-    # all-reject search in a batch and must give the same x, value, queries,
-    # iterations and traces
+    # the custom wrapper charges nothing in a batch, so it runs the scalar pass;
+    # the built-in sweep answers each pass's all-reject prefix in a batch and
+    # must give the same x, value, queries, iterations and traces
     from latmax import solvers
 
     threshold_pass, probe, stepped, batch = (solvers._threshold_pass,
                                              CountingOracle.evaluate_stepped, _SqrtState.stepped,
                                              CountingOracle.evaluate_batch)
-    # counted over the built-in runs: scalar passes, each over the element that
-    # ends a segment, those that commit, sqrt probes the certified bound leaves
-    # undecided (a linear probe is always exact), batched probes
+    # counted over the built-in runs: scalar passes, each from the element that
+    # ends the charged prefix, those that commit, sqrt probes the certified bound
+    # leaves undecided (a linear probe is always exact), batched probes
     seen = dict(stops=0, commits=0, undecided=0, batched=0)
     probing, builtin_run, filled = [False], [False], 0
 
@@ -987,7 +987,7 @@ def test_sweep_matches_the_scalar_pass(monkeypatch):
         assert runs[0][0] != [0] * builtin.n
         filled += sum(runs[0][0]) == r < sum(b)  # the budget ran out during a pass
     assert filled >= 10
-    # segments end on commits and on undecided sqrt probes, and batches carry most probes
+    # prefixes end before commits and undecided sqrt probes, and batches carry most probes
     assert seen["batched"] > seen["stops"] >= seen["commits"] > 0
     assert seen["undecided"] > 0
 
@@ -1033,6 +1033,41 @@ def test_sweep_plans_each_probe_once_per_incumbent(monkeypatch):
         seen.clear()  # x only grows within a run, so it names the incumbent
         soma_dr_i(instance, AlgorithmConfig(epsilon=eps, algorithm="soma-dr-i"))
     assert computed[0] > 0 and charged[0] > 0
+
+
+def test_sweep_charges_one_prefix_per_pass(monkeypatch):
+    # weights in no order stop a pass early and leave all-reject searches after
+    # the stop; the scalar pass runs them, so a pass makes at most one charge
+    from latmax import solvers
+
+    sweep_pass, batch = solvers._sweep_pass, CountingOracle.evaluate_batch
+    charges, most, total = [0], [0], [0]
+
+    def counted_batch(self, rows, *args):
+        charges[0] += bool(args) and args[0] is not None  # steps: the sweep's probes
+        return batch(self, rows, *args)
+
+    def counted_pass(*args):
+        charges[0] = 0
+        result = sweep_pass(*args)
+        most[0], total[0] = max(most[0], charges[0]), total[0] + charges[0]
+        return result
+
+    monkeypatch.setattr(CountingOracle, "evaluate_batch", counted_batch)
+    monkeypatch.setattr(solvers, "_sweep_pass", counted_pass)
+    rng = np.random.Generator(np.random.PCG64(20240817))
+    for make in (weighted_linear, weighted_concave_sqrt):
+        for n, pivot in ((40, 2), (80, 4)):
+            w = rng.integers(1, 101, size=n)
+            b = rng.integers(pivot, 4 * pivot + 1, size=n)
+            runs = []
+            for objective in (make(w), custom_objective(n, make(w))):
+                instance = ProblemInstance(n=n, b=b, r=n, objective=objective)
+                trace = []
+                sol = soma_dr_i(instance, trace=trace)
+                runs.append((sol.x.tolist(), sol.value, sol.queries, sol.iterations, trace))
+            assert runs[0] == runs[1]
+    assert most[0] == 1 and total[0] > 0
 
 
 def test_interleaved_runs_match_fresh_runs():
