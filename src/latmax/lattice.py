@@ -322,9 +322,10 @@ class CountingOracle:
         or None for none; a NaN bar decides nothing.  The intervals of a
         prefix of the kept plan's rows and steps (views, as a sweep slices
         them) are read from it, and those of other probes come from the kind
-        state.  Where the kind's intervals are exact (one array as both ends)
-        they are the values; otherwise a probe whose upper end fails its bar
-        answers that end, and every other probe the kind state's exact value.
+        state.  Where the kind's intervals are exact (one array as both ends,
+        kept or not) they are the values; otherwise a probe whose upper end
+        fails its bar answers that end, and every other probe the kind
+        state's exact value.
         """
         if rows.ndim == 1:
             self.queries += len(rows)
@@ -370,12 +371,12 @@ class CountingOracle:
 
     def _kept_intervals(self, rows: np.ndarray, steps: Optional[np.ndarray]):
         """(low, high) of each probe, read from the kept plan if the probes are a
-        prefix of it; exact intervals stay one array as both ends."""
+        prefix of it; exact intervals stay one array as both ends, sliced once."""
         if self.plan is not None:
             kept_rows, kept_steps, low, high = self.plan
             if _is_prefix(rows, kept_rows) and _is_prefix(steps, kept_steps):
-                m = len(rows)
-                return (high[:m] if low is high else low[:m]), high[:m]
+                top = high[:len(rows)]
+                return (top if low is high else low[:len(rows)]), top
         return self._state.intervals(rows, steps)
 
     def _check_width(self, width: int) -> None:

@@ -40,8 +40,10 @@ objective kind: :func:`_unit_step_values` screens sqrt scans.
 Randomized solvers draw from a PCG64 seeded with ``config.seed``, so runs
 are bit-reproducible for a fixed seed.  Each run owns its stream
 (:class:`_WordStream`), which reads the generator's raw words and draws
-from them exactly what ``Generator.integers`` would, by numpy's own method.
-Both sample positions by a partial Fisher-Yates shuffle.  sgl needs the
+from them exactly what ``Generator.integers`` would, by numpy's own method
+and its one rejection rule: a half-word (or, above 2**32, a word) that
+Lemire's method rejects is spent, and the same draw starts again on the
+next.  Both sample positions by a partial Fisher-Yates shuffle.  sgl needs the
 shuffle's order, so each pass draws its steps one at a time and replays them
 in plain Python (:meth:`_WordStream.pick`) into its pool, the list of
 elements below their caps, and probes them against the oracle's list mirror
@@ -84,6 +86,8 @@ DETERMINISTIC_ALGORITHMS = frozenset({SOMA_DR_I, GREEDY, EXACT})
 
 # exact enumeration refuses instances with more feasible-box points than this
 BRUTE_FORCE_POINT_CAP = 10 ** 6
+# ssg refuses instances whose rounds would each score more copy slots than this
+SSG_SLOT_CAP = 10 ** 6
 _BRUTE_FORCE_CHUNK = 1 << 16
 # ssg draws the copy slots of a block of rounds at once, up to this many slots
 _SLOT_BLOCK = 4096
@@ -205,11 +209,12 @@ class _WordStream:
 
     numpy draws below a range of at most 2**32 by Lemire's method on a
     32-bit half of a word: the product of the half and the range gives its
-    high 32 bits, unless its low 32 bits fall below 2**32 % range, when the
-    draw starts again on the next half.  The low half of a word goes first
-    and the high half is kept for the next such draw, across calls.  A larger
-    range does the same on a whole fresh word with 64 bits, and leaves a kept
-    half alone; a range of 1 draws nothing.
+    high 32 bits, unless its low 32 bits fall below 2**32 % range.  Then the
+    half is rejected, and one rule holds on every path: a rejected half is
+    spent, and the same draw starts again on the next half.  The low half of
+    a word goes first and the high half is kept for the next such draw,
+    across calls.  A larger range does the same on a whole fresh word with
+    64 bits, and leaves a kept half alone; a range of 1 draws nothing.
 
     The stream splits the words it reads ahead into their halves, low half
     first, with masks and shifts rather than a byte view, so it is the same
@@ -218,7 +223,8 @@ class _WordStream:
     read ahead are never lost, and nothing is rewound.  :meth:`integers`
     serves ssg's blocks, whose ranges lie in [2, 2**32], with whole-array
     arithmetic; :meth:`pick` serves sgl's passes, and ssg's rounds on pools
-    above 2**32, one Python-int draw at a time.
+    above 2**32, one Python-int draw at a time.  Only ranges above 2**32
+    reach :meth:`_below`.
     """
 
     def __init__(self, seed: int):
@@ -243,54 +249,43 @@ class _WordStream:
         return self._halves[pos:pos + count]
 
     def _below(self, high: int) -> int:
-        """One draw in [0, high)."""
-        if high == 1:
-            return 0
-        if high > _RANGE32:
-            threshold = (1 << 64) % high
-            while True:
-                low, up, after = self._next(3).tolist()
-                if self._pos % 2:  # the word after the kept half; the kept half moves up
-                    low, up = up, after
-                    self._halves[self._pos + 2] = self._halves[self._pos]
-                self._pos += 2
-                product = (up << 32 | low) * high
-                if product & ((1 << 64) - 1) >= threshold:
-                    return product >> 64
-        threshold = _RANGE32 % high
+        """One draw in [0, high), for high above 2**32, on whole fresh words."""
+        threshold = (1 << 64) % high
         while True:
-            product = int(self._next(1)[0]) * high
-            self._pos += 1
-            if product & _LOW32 >= threshold:
-                return product >> 32
+            low, up, after = self._next(3).tolist()
+            if self._pos % 2:  # the word after the kept half; the kept half moves up
+                low, up = up, after
+                self._halves[self._pos + 2] = self._halves[self._pos]
+            self._pos += 2
+            product = (up << 32 | low) * high
+            if product & ((1 << 64) - 1) >= threshold:
+                return product >> 64
 
     def integers(self, ranges: np.ndarray) -> np.ndarray:
         """Draws below the int64 entries of 1-D ranges, each in [2, 2**32], in order.
 
         Draw i takes the i-th next half, until a product is rejected: the
-        draws before it stand, it is redrawn by :meth:`_below`, and the rest
-        start over after it.
+        draws before it stand, the rejected half is spent, and the draws
+        from it on start again on the next half.
         """
         ranges = ranges.view(np.uint64)
         out = np.empty(ranges.size, dtype=np.uint64)
         done = 0
         while done < ranges.size:
-            count = ranges.size - done
-            products = self._next(count) * ranges[done:]
+            rest = ranges[done:]
+            products = self._next(rest.size) * rest
             low = products & _LOW32
-            stop = count
-            flags = low < ranges[done:]
+            stop = spent = rest.size
+            flags = low < rest
             if flags.any():  # rarely
                 flagged = np.flatnonzero(flags)
-                rejected = flagged[low[flagged] < np.uint64(_RANGE32) % ranges[done:][flagged]]
-                stop = int(rejected[0]) if rejected.size else count
+                rejected = flagged[low[flagged] < np.uint64(_RANGE32) % rest[flagged]]
+                if rejected.size:
+                    stop = int(rejected[0])
+                    spent = stop + 1
             np.right_shift(products[:stop], 32, out=out[done:done + stop])
-            self._pos += stop
+            self._pos += spent
             done += stop
-            if stop < count:  # the rejected half is used; the draw starts again after it
-                self._pos += 1
-                out[done] = self._below(int(ranges[done]))
-                done += 1
         return out.view(np.int64)
 
     def pick(self, pool, k: int) -> list:
@@ -299,38 +294,38 @@ class _WordStream:
         Step i swaps position i with target i + offset, the offset drawn
         below len(pool) - i, and picks what the target holds.  Only displaced
         positions are tracked, in a dict, so the pool is read, never copied.
-        Offsets are drawn inline on Python ints; ranges of 1 or above 2**32,
-        and draws a product rejects, go through :meth:`_below`.
+        A range above 2**32 draws through :meth:`_below`, and a range of 1
+        takes position i without a draw.  Every other offset is drawn inline,
+        on Python ints, from halves read ahead; after a rejection the same
+        step draws again on the next half.  Ranges fall from step to step, so
+        no half is read ahead before the last whole-word draw.
         """
         m = len(pool)
         low32, range32 = _LOW32, _RANGE32
         displaced = {}  # position -> pool entry now held there
         held = displaced.get
         picks = []
+        halves, used = [], 0  # halves read ahead from _pos on; the first `used` are spent
         i = 0
         while i < k:
-            end = min(k, m - 1)  # the steps before it have ranges of at least 2
-            if i < end and m - i <= range32:  # ranges fall, so steps i to end draw halves
-                start = i
-                for i, half in zip(range(start, end), self._next(end - start).tolist()):
-                    high = m - i
-                    product = half * high
-                    if product & low32 < high and product & low32 < range32 % high:
-                        self._pos += i - start + 1  # the rejected half is used too
-                        j = i + self._below(high)
-                        break
-                    j = i + (product >> 32)
-                    picks.append(held(j, pool[j]))
-                    displaced[j] = held(i, pool[i])  # position i is final from here on
-                else:
-                    self._pos += end - start
-                    i = end
-                    continue
-            else:  # a range of 1 or above 2**32
-                j = i + self._below(m - i)
+            high = m - i
+            if high > range32:
+                j = i + self._below(high)
+            elif high == 1:
+                j = i
+            else:
+                if used == len(halves):
+                    self._pos += used
+                    halves, used = self._next(k - i).tolist(), 0
+                product = halves[used] * high
+                used += 1
+                if product & low32 < high and product & low32 < range32 % high:
+                    continue  # rejected: the half is spent, and step i draws again
+                j = i + (product >> 32)
             picks.append(held(j, pool[j]))
-            displaced[j] = held(i, pool[i])
+            displaced[j] = held(i, pool[i])  # position i is final from here on
             i += 1
+        self._pos += used
         return picks
 
 
@@ -647,10 +642,14 @@ def _unit_step_run(instance: ProblemInstance, config: AlgorithmConfig,
     fx = oracle.follow(x)
     rounds = r
     if sampled:
-        s = max(1, sample_size(cardinality(b), r, resolve_epsilon(config, n)))
+        total = cardinality(b)
+        s = max(1, sample_size(total, r, resolve_epsilon(config, n)))
+        if min(s, total) > SSG_SLOT_CAP:
+            raise ValueError(f"an ssg round would score {min(s, total)} copy slots, "
+                             f"cap is {SSG_SLOT_CAP}")
         ends = np.cumsum(b)  # ends[e]: remaining slots of the elements up to e
-        rounds = min(r, int(ends[-1]))
-        slot_sets = _ssg_slot_sets(_WordStream(config.seed), int(ends[-1]), s, rounds)
+        rounds = min(r, total)
+        slot_sets = _ssg_slot_sets(_WordStream(config.seed), total, s, rounds)
 
     iterations = 0
     timed_out = False

@@ -197,6 +197,7 @@ class TestSolve:
         ("sgl", ["--epsilon", "2"], "epsilon must lie in (0, 1)"),
         ("sgl", ["--repeats", "0"], "--repeats must be >= 1"),
         ("exact", ["--n", "30", "--r", "30"], "cap is 1000000"),
+        ("ssg", ["--b-pivot", "1000000000"], "copy slots, cap is 1000000"),
     ])
     def test_rejected_value_is_one_error_line(self, capsys, algorithm, extra, message):
         code = main(["solve", "--n", "8", "--r", "6", "--b-pivot", "2",

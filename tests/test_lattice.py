@@ -443,6 +443,37 @@ def test_kept_plan_answers_its_slices_until_a_commit(kind, monkeypatch):
     assert oracle.plan is None
 
 
+@pytest.mark.parametrize("kind", ["linear", "sqrt", "custom"])
+@pytest.mark.parametrize("unit_steps", [False, True])
+def test_kept_plan_answers_as_fresh_probes(kind, unit_steps):
+    # the kept plan, a prefix of it and fresh copies of the same probes give equal
+    # answers and charges, with no bar, a bar every probe passes and one every
+    # probe fails; linear intervals are exact, so every linear answer is the value
+    w = [3, 5, 7]
+    f = {"linear": lm.weighted_linear(w), "sqrt": lm.weighted_concave_sqrt(w),
+         "custom": lm.custom_objective(3, lambda x: float(np.sqrt(x) @ w))}[kind]
+    x = lm.as_point([0, 2, 1])
+    oracle = lm.CountingOracle(f)
+    fx = oracle.follow(x)
+    rows, steps, _, _ = oracle.plan_stepped(
+        np.array([0, 1, 1, 2]), None if unit_steps else np.array([1, 2, 3, 1]))
+    ks = [1] * 4 if unit_steps else steps.tolist()
+    exact = [f(x + k * lm.unit(3, e)) for e, k in zip(rows.tolist(), ks)]
+    for m in (4, 2):
+        kept = (rows if m == 4 else rows[:m], None if unit_steps else steps[:m])
+        fresh = tuple(None if a is None else a.copy() for a in kept)
+        for bar in (None, -1.0, 1e9):
+            bars = () if bar is None else (fx, np.full(m, bar))
+            answers = []
+            for probes in (kept, fresh):
+                before = oracle.queries
+                answers.append(oracle.evaluate_batch(*probes, *bars).tolist())
+                assert oracle.queries == before + m
+            assert answers[0] == answers[1]
+            if bar != 1e9 or kind == "linear":
+                assert answers[0] == exact[:m]
+
+
 # ---------------------------------------------------------------------------
 # problem instances
 

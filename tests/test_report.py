@@ -2,6 +2,8 @@
 
 import dataclasses
 import random
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,8 @@ from latmax import (
     series_queries_vs_b,
     table_by_n,
 )
+
+PLOT_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "plot_series.py"
 
 
 def rec(algorithm="sgl", n=25, r=12, b_pivot=3, seed=1, value=10.0,
@@ -187,3 +191,14 @@ class TestSeries:
         # data lines parse as (pivot, mean) pairs
         pairs = [ln.split() for ln in lines if ln and not ln.startswith("#")]
         assert [(int(a), float(b)) for a, b in pairs] == [(2, 14.5), (7, 50.0)]
+
+    def test_plot_script_reads_the_series_back(self):
+        # loaded by path; only the script's main imports matplotlib
+        parse_blocks = runpy.run_path(str(PLOT_SCRIPT))["parse_blocks"]
+        series = series_queries_vs_b(self.records, n=100, r=50)
+        series["soma-dr-i"] = [(5, 1 / 3)]  # a mean whose repr needs every digit
+        blocks = parse_blocks(render_series(series, n=100, r=50))
+        assert blocks == series
+        assert {(type(p), type(q)) for points in blocks.values() for p, q in points} \
+            == {(int, float)}
+        assert parse_blocks("# mean oracle queries vs b_pivot, n=100 r=50\n\n2 14.5\n") == {}

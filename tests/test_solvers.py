@@ -36,6 +36,7 @@ from latmax.checks import random_tiny_instance, scan_step
 from latmax.lattice import _LinearState, _SqrtState
 from latmax.solvers import (
     MAX_STALLED_PASSES,
+    SSG_SLOT_CAP,
     PassStats,
     _sample_slot_sets,
     _unit_step_values,
@@ -537,6 +538,28 @@ class TestSsg:
             trace = []
             ssg(instance, AlgorithmConfig(seed=0, epsilon=0.01), trace=trace)
             assert [stats.sample_size for stats in trace] == [min(s, 12 - t) for t in range(r)]
+
+    def test_refuses_rounds_above_the_slot_cap_before_any_draw(self, monkeypatch):
+        # 2**40 copies of one element: each round would score about 9.1e11 slots
+        def no_draws(seed):
+            raise AssertionError("a refused run draws nothing")
+
+        monkeypatch.setattr("latmax.solvers._WordStream", no_draws)
+        huge = ProblemInstance(n=3, b=as_point([2 ** 40, 1, 1]), r=3,
+                               objective=weighted_linear([1, 2, 3]))
+        s = sample_size(2 ** 40 + 2, 3, 1 / 12)
+        with pytest.raises(ValueError, match=f"score {s} copy slots, cap is {SSG_SLOT_CAP}"):
+            ssg(huge, AlgorithmConfig(seed=0))
+        # the cap bounds min(s, |b|_1): here s = 9 of 12 slots, then s = 18 above them
+        monkeypatch.undo()
+        instance = ProblemInstance(n=3, b=as_point([4, 5, 3]), r=3,
+                                   objective=weighted_linear([1, 2, 3]))
+        for eps, scored in ((0.1, 9), (0.01, 12)):
+            monkeypatch.setattr("latmax.solvers.SSG_SLOT_CAP", scored)
+            ssg(instance, AlgorithmConfig(seed=0, epsilon=eps))
+            monkeypatch.setattr("latmax.solvers.SSG_SLOT_CAP", scored - 1)
+            with pytest.raises(ValueError, match=f"score {scored} copy slots"):
+                ssg(instance, AlgorithmConfig(seed=0, epsilon=eps))
 
     def test_equal_seeds_reproduce_exactly(self):
         instance = ProblemInstance(n=5, b=as_point([2, 3, 1, 4, 2]), r=6,
