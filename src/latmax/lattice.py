@@ -6,15 +6,16 @@ query-counting wrapper, and exhaustive checkers for the structural
 properties (monotonicity, diminishing returns, lattice submodularity) that
 the solvers in :mod:`latmax.solvers` rely on.
 
-The wrapper, :class:`CountingOracle`, charges every query and answers the
-probes of its followed incumbent from one private class per objective kind:
-:class:`_LinearState`, :class:`_SqrtState` and :class:`_CustomState`, which
-keep only the kind's arithmetic.  A new kind is one more such class in
-``_STATES``, plus, if its unit-step scans should be screened by their
-intervals, its name in ``solvers._unit_step_values``, the one place the
-solvers pick a path by kind.  Every probe is answered by one rule, which the
-oracle applies: its exact value, unless the certified upper end of its value
-already fails the bar the caller gives, in which case that upper end.
+Each objective kind is one private class: :class:`_LinearState`,
+:class:`_SqrtState` and :class:`_CustomState`.  A kind's class validates an
+:class:`Objective` of its kind, defines its values once, over an (m, n)
+array of points, and keeps the cached state from which the wrapper,
+:class:`CountingOracle`, answers the probes of a followed incumbent; its
+``screened`` flag tells the solvers whether to screen its unit-step scans
+by their intervals.  A new kind is one such class, one ``_KINDS`` entry and
+a factory.  The wrapper charges every query and answers every probe by one
+rule: its exact value, unless the certified upper end of its value already
+fails the bar the caller gives, in which case that upper end.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def cardinality(x: np.ndarray) -> int:
 
 def leq(x: np.ndarray, y: np.ndarray) -> bool:
     """Componentwise order x <= y."""
-    return bool(np.all(x <= y))
+    return bool((x <= y).all())
 
 
 # ---------------------------------------------------------------------------
@@ -101,15 +102,6 @@ WEIGHTED_CONCAVE_SQRT = "weighted-concave-sqrt"
 CUSTOM = "custom"
 
 
-def _checked_weights(weights) -> np.ndarray:
-    w = _integers(weights, "weights")
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("weights must be a non-empty 1-D integer array")
-    if int(w.min()) < 1 or int(w.max()) > 100:
-        raise ValueError("built-in objective weights must lie in [1, 100]")
-    return _read_only_copy(w)
-
-
 @dataclass(frozen=True, eq=False)
 class Objective:
     """Black-box value function f: Z_+^n -> R.
@@ -118,8 +110,10 @@ class Objective:
     returns.  ``weighted-linear`` evaluates the weighted sum in integer
     arithmetic and converts to float only on return, so its values are exact.
     A ``custom`` objective wraps an arbitrary callable and carries no
-    structural guarantees.  A built-in objective keeps a read-only copy of
-    its weights, which must be integers in [1, 100].
+    structural guarantees; the callable is given a read-only point, which it
+    must not keep.  A built-in objective keeps a read-only copy of its
+    weights, which must be integers in [1, 100].  The kind's class in
+    ``_KINDS`` validates the objective and computes its values.
     """
 
     kind: str
@@ -130,32 +124,16 @@ class Objective:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("objective dimension must be >= 1")
-        if self.kind in (WEIGHTED_LINEAR, WEIGHTED_CONCAVE_SQRT):
-            if self.weights is None or np.size(self.weights) != self.n:
-                raise ValueError("built-in objective needs one weight per element")
-            object.__setattr__(self, "weights", _checked_weights(self.weights))
-        elif self.kind == CUSTOM:
-            if self.fn is None:
-                raise ValueError("custom objective needs a callable")
-        else:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown objective kind {self.kind!r}")
+        _KINDS[self.kind].check(self)
 
     def __call__(self, x: np.ndarray) -> float:
-        if self.kind == WEIGHTED_LINEAR:
-            return float(int(self.weights @ x))
-        if self.kind == WEIGHTED_CONCAVE_SQRT:
-            return float(np.sqrt(x) @ self.weights)
-        return float(self.fn(x))
+        return float(self.batch(np.asarray(x)[None])[0])
 
     def batch(self, points: np.ndarray) -> np.ndarray:
         """Evaluate an (m, n) array of points, one float per row."""
-        if self.kind == WEIGHTED_LINEAR:
-            return (points @ self.weights).astype(np.float64)
-        if self.kind == WEIGHTED_CONCAVE_SQRT:
-            # one dot product per row, as __call__ takes it, not a matrix-vector
-            # product, whose BLAS kernel may sum in another order
-            return np.vecdot(np.sqrt(points), self.weights.astype(np.float64))
-        return np.array([float(self.fn(p)) for p in points], dtype=np.float64)
+        return _KINDS[self.kind].batch(self, points)
 
 
 def weighted_linear(weights) -> Objective:
@@ -228,7 +206,7 @@ class ProblemInstance:
                                  "(min(w . b, max(w) * r) must be below 2**63)")
 
     def is_feasible(self, x: np.ndarray) -> bool:
-        return x.shape[0] == self.n and bool(np.all(x >= 0)) and leq(x, self.b) \
+        return x.shape[0] == self.n and bool((x >= 0).all()) and leq(x, self.b) \
             and cardinality(x) <= self.r
 
 
@@ -240,10 +218,13 @@ class CountingOracle:
     """Wraps an objective, counts every evaluation and tracks an incumbent.
 
     One oracle per solver run; every query is charged inside ``evaluate``,
-    ``evaluate_stepped`` or ``evaluate_batch``, one per point.  A solver
-    ``follow``s its incumbent x and ``commit``s each step, for free, so a probe
-    of x + k * 1_e is answered from cached state, kept by one class per
-    objective kind: :class:`_LinearState` answers in O(1) and exactly,
+    ``evaluate_stepped`` or ``evaluate_batch``, one per point.  A full
+    evaluation is the objective's batch value: ``evaluate`` is the one-row
+    case of ``evaluate_batch`` on an (m, n) array of points, and both share
+    one width and finite-value check.  A solver ``follow``s its incumbent x
+    and ``commit``s each step, for free, so a probe of x + k * 1_e is answered
+    from ``state``, an instance of the objective kind's class made at
+    ``follow``: :class:`_LinearState` answers in O(1) and exactly,
     :class:`_SqrtState` bit-identically to a full evaluation, and
     :class:`_CustomState` calls the objective.  A probe given the bar its
     gain must clear answers the upper end of an O(1) certified interval
@@ -261,9 +242,9 @@ class CountingOracle:
     """
 
     # x: the followed incumbent; xs: x as a list of Python ints, the one mirror
-    # the solvers and the kind state read; _state: the kind class's state for x.
+    # the solvers and the kind state read; state: the kind class's state for x.
     # plan: (rows, steps, low, high) kept by plan_stepped for the followed x, or None.
-    __slots__ = ("objective", "queries", "x", "xs", "plan", "_state")
+    __slots__ = ("objective", "queries", "x", "xs", "plan", "state")
 
     def __init__(self, objective: Objective):
         self.objective = objective
@@ -271,12 +252,8 @@ class CountingOracle:
         self.plan = None
 
     def evaluate(self, x: np.ndarray) -> float:
-        self._check_width(x.shape[0])
-        self.queries += 1
-        value = self.objective(x)
-        if not math.isfinite(value):
-            raise _non_finite(value, x)
-        return value
+        """f(x) in one query: the one-row case of :meth:`evaluate_batch`."""
+        return float(self._evaluate_points(x[None])[0])
 
     def follow(self, x: np.ndarray) -> float:
         """f(x) in one query; x, kept by reference, is the incumbent from here on.
@@ -286,7 +263,7 @@ class CountingOracle:
         """
         value = self.evaluate(x)
         self.x, self.xs, self.plan = x, x.tolist(), None
-        self._state = _STATES[self.objective.kind](self.objective, x, self.xs, value)
+        self.state = _KINDS[self.objective.kind](self.objective, x, self.xs, value)
         return value
 
     def commit(self, e: int, k: int) -> None:
@@ -298,7 +275,7 @@ class CountingOracle:
         self.x[e] += k
         self.xs[e] += k
         self.plan = None
-        self._state.commit(e, k)
+        self.state.commit(e, k)
 
     def evaluate_stepped(self, e: int, k: int, fx: Optional[float] = None,
                          need: Optional[float] = None) -> float:
@@ -310,7 +287,7 @@ class CountingOracle:
         the exact value; an answer that passes the test is the exact value.
         """
         self.queries += 1
-        return self._state.probe(e, k, fx, need)
+        return self.state.probe(e, k, fx, need)
 
     def evaluate_batch(self, rows: np.ndarray, steps: Optional[np.ndarray] = None,
                        fx: Optional[float] = None, need=None) -> np.ndarray:
@@ -337,16 +314,24 @@ class CountingOracle:
                 else np.flatnonzero(~(high - fx < need))
             if undecided.size:
                 ks = [1] * undecided.size if steps is None else steps[undecided].tolist()
-                values[undecided] = [self._state.stepped(e, k)
+                values[undecided] = [self.state.stepped(e, k)
                                      for e, k in zip(rows[undecided].tolist(), ks)]
             return values
-        self._check_width(rows.shape[1])
-        self.queries += len(rows)
-        values = self.objective.batch(rows)
+        return self._evaluate_points(rows)
+
+    def _evaluate_points(self, points: np.ndarray) -> np.ndarray:
+        """f of each row of an (m, n) array, one query each; the one width and
+        finite-value check of :meth:`evaluate` and :meth:`evaluate_batch`."""
+        if points.shape[1] != self.objective.n:
+            raise ValueError(f"points have {points.shape[1]} entries, "
+                             f"objective expects {self.objective.n}")
+        self.queries += len(points)
+        values = self.objective.batch(points)
         finite = np.isfinite(values)
         if not finite.all():
             row = int(np.argmin(finite))
-            raise _non_finite(values[row], rows[row], f" (row {row} of the batch)")
+            where = f" (row {row} of the batch)" if len(points) > 1 else ""
+            raise _non_finite(values[row], points[row], where)
         return values
 
     def plan_stepped(self, rows: np.ndarray, steps: Optional[np.ndarray] = None):
@@ -362,7 +347,7 @@ class CountingOracle:
         pass.
         """
         plan = (rows.copy(), None if steps is None else steps.copy(),
-                *self._state.intervals(rows, steps))
+                *self.state.intervals(rows, steps))
         for a in plan:
             if a is not None:
                 a.flags.writeable = False
@@ -377,30 +362,53 @@ class CountingOracle:
             if _is_prefix(rows, kept_rows) and _is_prefix(steps, kept_steps):
                 top = high[:len(rows)]
                 return (top if low is high else low[:len(rows)]), top
-        return self._state.intervals(rows, steps)
-
-    def _check_width(self, width: int) -> None:
-        if width != self.objective.n:
-            raise ValueError(f"points have {width} entries, objective expects {self.objective.n}")
+        return self.state.intervals(rows, steps)
 
 
-# The followed state of each objective kind.  A class is made by follow(objective,
-# x, xs, f(x)) and stepped by commit after x and xs; probe(e, k, fx, need) answers
-# evaluate_stepped: the exact value, or the upper end of an interval that fails its
-# bar.  intervals(rows, steps) gives the (low, high) ends of each probe's value for
-# plan_stepped and evaluate_batch, one array as both ends where they are exact, and
-# stepped(e, k) the exact value of a probe they leave undecided.
+# ---------------------------------------------------------------------------
+# objective kinds
+#
+# One class per kind.  check(objective) validates an Objective of the kind, and
+# batch(objective, points) gives its values, one float per row of an (m, n)
+# array: the kind's one value definition, which Objective.__call__ takes as a
+# one-row batch.  screened says whether a unit-step scan should plan its
+# intervals and bar every candidate at the largest lower end.  An instance is
+# the followed state: made by follow(objective, x, xs, f(x)) and stepped by
+# commit after x and xs; probe(e, k, fx, need) answers evaluate_stepped: the
+# exact value, or the upper end of an interval that fails its bar.
+# intervals(rows, steps) gives the (low, high) ends of each probe's value for
+# plan_stepped and evaluate_batch, one array as both ends where they are exact,
+# and stepped(e, k) the exact value of a probe they leave undecided.
+
+
+def _check_weights(objective: Objective) -> None:
+    """A built-in kind's check: one integer weight in [1, 100] per element,
+    kept as a read-only copy."""
+    if objective.weights is None or np.size(objective.weights) != objective.n:
+        raise ValueError("built-in objective needs one weight per element")
+    w = _integers(objective.weights, "weights")
+    if w.ndim != 1:  # n >= 1 weights, so never empty
+        raise ValueError("weights must be a non-empty 1-D integer array")
+    if int(w.min()) < 1 or int(w.max()) > 100:
+        raise ValueError("built-in objective weights must lie in [1, 100]")
+    object.__setattr__(objective, "weights", _read_only_copy(w))
 
 
 class _LinearState:
     """weighted-linear: the exact int f(x), so every probe is exact and O(1).
 
     Every feasible value is below 2**63 (:class:`ProblemInstance`), so the
-    int64 intervals are exact too, and each is one value.
+    int64 values and intervals are exact too, and each interval is one value.
     """
 
+    check = staticmethod(_check_weights)
+    screened = False
     # fx: the exact f(x); weights and ws: w as an int array and as Python ints
     __slots__ = ("fx", "weights", "ws")
+
+    @staticmethod
+    def batch(objective: Objective, points: np.ndarray) -> np.ndarray:
+        return (points @ objective.weights).astype(np.float64)
 
     def __init__(self, objective: Objective, x: np.ndarray, xs: list, fx: float):
         self.weights = objective.weights
@@ -430,11 +438,19 @@ class _SqrtState:
     in the same order, so a batch answers as the same probes would.
     """
 
+    check = staticmethod(_check_weights)
+    screened = True
     # x and xs: the followed x and the oracle's list mirror of it; roots and
     # weights: sqrt(x) and w as float arrays, for the dot product; rs and ws:
     # the same as Python floats, for the O(1) probe; fx: f(x) as the dot product
     # gives it; tol scales the certified interval.
     __slots__ = ("x", "xs", "roots", "weights", "rs", "ws", "fx", "tol")
+
+    @staticmethod
+    def batch(objective: Objective, points: np.ndarray) -> np.ndarray:
+        # one dot product per row, as a probe takes it, not a matrix-vector
+        # product, whose BLAS kernel may sum in another order
+        return np.vecdot(np.sqrt(points), objective.weights.astype(np.float64))
 
     def __init__(self, objective: Objective, x: np.ndarray, xs: list, fx: float):
         self.x, self.xs, self.fx = x, xs, fx
@@ -485,10 +501,23 @@ class _SqrtState:
 
 
 class _CustomState:
-    """custom: no cached value; a probe steps x in place, calls the objective
-    and checks that the value is finite."""
+    """custom: no cached value; a probe calls the objective at a stepped copy
+    of x and checks that the value is finite."""
 
+    screened = False
     __slots__ = ("objective", "x")
+
+    @staticmethod
+    def check(objective: Objective) -> None:
+        if objective.fn is None:
+            raise ValueError("custom objective needs a callable")
+
+    @staticmethod
+    def batch(objective: Objective, points: np.ndarray) -> np.ndarray:
+        """One call of fn per row, each given a read-only view of its point."""
+        points = points.view()
+        points.flags.writeable = False
+        return np.array([float(objective.fn(p)) for p in points], dtype=np.float64)
 
     def __init__(self, objective: Objective, x: np.ndarray, xs: list, fx: float):
         self.objective, self.x = objective, x
@@ -496,28 +525,24 @@ class _CustomState:
     def commit(self, e: int, k: int) -> None:
         pass
 
-    def probe(self, e: int, k: int, fx, need) -> float:
-        return self.stepped(e, k)
-
     def intervals(self, rows: np.ndarray, steps: Optional[np.ndarray]):
         """(-inf, inf) for every probe: a custom value has no certified bound."""
         return np.full(len(rows), -math.inf), np.full(len(rows), math.inf)
 
-    def stepped(self, e: int, k: int) -> float:
-        """The exact f(x + k * 1_e), uncharged; x is restored."""
-        x = self.x
-        x[e] += k
-        try:
-            value = self.objective(x)
-            if not math.isfinite(value):
-                raise _non_finite(value, x, f" (x + {k} * 1_{e} for element {e})")
-            return value
-        finally:
-            x[e] -= k
+    def stepped(self, e: int, k: int, fx=None, need=None) -> float:
+        """The exact f(x + k * 1_e), uncharged; no bar decides a custom probe."""
+        point = self.x.copy()
+        point[e] += k
+        value = self.objective(point)
+        if not math.isfinite(value):
+            raise _non_finite(value, point, f" (x + {k} * 1_{e} for element {e})")
+        return value
+
+    probe = stepped
 
 
-_STATES = {WEIGHTED_LINEAR: _LinearState, WEIGHTED_CONCAVE_SQRT: _SqrtState,
-           CUSTOM: _CustomState}
+_KINDS = {WEIGHTED_LINEAR: _LinearState, WEIGHTED_CONCAVE_SQRT: _SqrtState,
+          CUSTOM: _CustomState}
 
 
 def _is_prefix(part: Optional[np.ndarray], whole: Optional[np.ndarray]) -> bool:

@@ -14,18 +14,18 @@ element.
 
 Both loops ``follow`` their incumbent on the oracle from the zero point and
 ``commit`` each accepted step to it, so every probe of a point one coordinate
-away is answered from the cached state of the objective kind's class in
-:mod:`latmax.lattice`: O(1) for weighted-linear objectives
-(``_LinearState``; unit-step scans are one integer vector sum), one dot
-product for weighted-concave-sqrt (``_SqrtState``), and a call of the
-objective for custom ones (``_CustomState``).  Sqrt probes are first
-bracketed by O(1) certified intervals, and a probe whose upper end already
-fails its bar answers that end without the dot product.  A threshold step
-probe's bar is its step times the threshold.  A sqrt unit-step scan
-(:func:`_unit_step_values`), however short, bars every candidate at the
-largest lower end, since a candidate whose upper end lies below it cannot
-be the best.  Every decision, and every value a solver keeps, is thus that
-of a full evaluation bit for bit.
+away is answered from ``oracle.state``, the followed state of the objective
+kind's class in :mod:`latmax.lattice`: in O(1), by one dot product or by one
+call of the objective, as the kind allows.  The kind's class also brackets
+each probe's value by an O(1) interval, exact, certified or unbounded, and a
+probe whose upper end already fails its bar answers that end without the
+exact value.  A threshold step probe's bar is its step times the threshold.
+A unit-step scan (:func:`_unit_step_values`) of a kind whose class is
+``screened``, however short, bars every candidate at the largest lower end,
+since a candidate whose upper end lies below it cannot be the best.  Every
+decision, and every value a solver keeps, is thus that of a full evaluation
+bit for bit.  The solvers name no kind: the ``screened`` flag is the one
+choice a kind's class leaves to them.
 
 sgl makes one ``evaluate_stepped`` call per probe.  Each soma-dr-i pass
 (:func:`_sweep_pass`) charges the searches that reject every probe, up to
@@ -33,9 +33,8 @@ the first element whose path has a probe that may pass, in one
 ``evaluate_batch`` call, and runs that element and the rest one probe at a
 time.  It plans every element's probes at once for each incumbent, and the
 oracle keeps them and their intervals until the next commit, so each is
-computed once per incumbent.  A custom probe may always pass, so a custom
-pass charges nothing in a batch.  The solvers decide one thing by the
-objective kind: :func:`_unit_step_values` screens sqrt scans.
+computed once per incumbent.  A probe with an unbounded interval may always
+pass, so such a pass charges nothing in a batch.
 
 Randomized solvers draw from a PCG64 seeded with ``config.seed``, so runs
 are bit-reproducible for a fixed seed.  Each run owns its stream
@@ -67,7 +66,6 @@ from typing import Optional
 import numpy as np
 
 from .lattice import (
-    WEIGHTED_CONCAVE_SQRT,
     CountingOracle,
     ExhaustivenessCapError,
     ProblemInstance,
@@ -337,18 +335,19 @@ def _sample_slot_sets(stream: _WordStream, pools: np.ndarray, k: int) -> np.ndar
     never move again.  So every target of at least k is picked once, and its
     last drawer pushes out of [0, k) what it held: position i itself, unless
     an earlier step drew i and handed it its own holding.  Pointer jumping
-    over those hand-overs finds it.  A block with a pool above 2**32, or one
-    whose packed sort keys would overflow int64, is drawn by ``pick`` row by
-    row.
+    over those hand-overs finds it.  A block with a pool above 2**32 is
+    drawn by ``pick`` row by row.  Below that, the packed sort keys, targets
+    under 2**32 shifted past a flat cell index, fit int64 for any block of
+    under 2**31 cells; an ssg block holds at most max(_SLOT_BLOCK,
+    SSG_SLOT_CAP) cells, so its keys stay below 2**52.
     """
     rows = len(pools)
     if not 0 < k < int(pools.min()):
         raise ValueError(f"need 0 < k < {int(pools.min())}, the smallest pool, got k = {k}")
+    if int(pools.max()) > _RANGE32:
+        return np.sort([stream.pick(range(int(m)), k) for m in pools], axis=1)
     size = rows * k
     shift = size.bit_length()
-    top = int(pools.max())
-    if top > _RANGE32 or top >= 1 << (63 - shift):
-        return np.sort([stream.pick(range(int(m)), k) for m in pools], axis=1)
     steps = np.arange(k)
     targets = stream.integers((pools[:, None] - steps).ravel()).reshape(rows, k) + steps
     # each row sorted by target, then step; the low bits hold the step's flat index
@@ -441,13 +440,13 @@ def max_feasible_step(oracle: CountingOracle, e: int, k_max: int, theta: float,
 def _unit_step_values(oracle: CountingOracle, elements: np.ndarray) -> np.ndarray:
     """f(x + 1_e) for each listed e, one query each, exact wherever it may be the maximum.
 
-    A weighted-concave-sqrt scan plans the O(1) certified intervals first
-    and bars every element at the largest lower end, with f(x) taken as 0:
-    an element whose upper end lies below it is beaten and answers that
-    end, and the others take the exact value.  The first maximum, and its
-    value, are thus those of the exact scan.
+    A scan of a kind whose class is ``screened`` plans the O(1) certified
+    intervals first and bars every element at the largest lower end, with
+    f(x) taken as 0: an element whose upper end lies below it is beaten and
+    answers that end, and the others take the exact value.  The first
+    maximum, and its value, are thus those of the exact scan.
     """
-    if oracle.objective.kind != WEIGHTED_CONCAVE_SQRT:
+    if not oracle.state.screened:
         return oracle.evaluate_batch(elements)
     elements, _, low, _ = oracle.plan_stepped(elements)
     return oracle.evaluate_batch(elements, None, 0.0, low.max())
@@ -456,6 +455,8 @@ def _unit_step_values(oracle: CountingOracle, elements: np.ndarray) -> np.ndarra
 def _finish(instance: ProblemInstance, x: np.ndarray, oracle: CountingOracle,
             iterations: int, start: float, stalled: bool = False,
             timed_out: bool = False) -> Solution:
+    if not instance.is_feasible(x):
+        raise RuntimeError(f"solver returned an infeasible point {x.tolist()}")
     # value re-checked directly against the objective, outside the counter
     return Solution(x=x, value=float(instance.objective(x)), queries=oracle.queries,
                     iterations=iterations, wall_time=time.perf_counter() - start,
@@ -538,8 +539,8 @@ def _sweep_pass(oracle, x, fx, card, b, caps, r, theta):
     plans nothing.  The paths of the elements before the first one with a
     probe whose bound may not reject are charged in one batch, in the scalar
     order; that element and the rest run the scalar pass, so queries,
-    decisions and values match it.  A custom probe's bound never rejects,
-    so its pass is the scalar pass.
+    decisions and values match it.  An unbounded probe never rejects, so a
+    pass of such probes is the scalar pass.
     """
     plan = oracle.plan
     if plan is None or plan[1] is None:  # a commit, or a unit-step scan, came before

@@ -151,19 +151,31 @@ def test_normalization_and_monotone_steps(w, xs):
 
 
 def test_batch_matches_scalar(rng):
+    # f(p), f.batch and a followed oracle's probe of p all give the bits of the
+    # one-point expression that defined each kind's value before the batch did
+    def values(f, pts):
+        probes = []
+        for p in pts:
+            e = int(np.argmax(p))
+            oracle = lm.CountingOracle(f)
+            oracle.follow(p - p[e] * lm.unit(p.size, e))
+            probes.append(oracle.evaluate_stepped(e, int(p[e])))
+        return [[v.hex() for v in vs] for vs in ([f(p) for p in pts], f.batch(pts).tolist(),
+                                                 probes)]
+
     pts = np.array([[0, 0, 0], [1, 2, 3], [4, 4, 4], [10 ** 12, 7, 10 ** 12 + 1]],
                    dtype=np.int64)
     # batched unit-step scoring relies on weighted-linear batches being exact
     f = lm.weighted_linear([3, 8, 60])
-    assert f.batch(pts).tolist() == [f(p) for p in pts]
+    assert values(f, pts) == [[float(int(f.weights @ p)).hex() for p in pts]] * 3
     # exact keeps the first maximum of batch values and reports a full evaluation,
     # so a sqrt batch must give every row's value bit for bit
     f = lm.weighted_concave_sqrt([3, 8, 60])
-    assert f.batch(pts).tolist() == [f(p) for p in pts]
+    assert values(f, pts) == [[float(np.sqrt(p) @ f.weights).hex() for p in pts]] * 3
     for n in (1, 5, 19, 200, 750):
         f = lm.weighted_concave_sqrt(rng.integers(1, 101, size=n))
         pts = rng.integers(0, 10 ** 6, size=(40, n))
-        assert f.batch(pts).tolist() == [f(p) for p in pts]
+        assert values(f, pts) == [[float(np.sqrt(p) @ f.weights).hex() for p in pts]] * 3
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from latmax.solvers import (
     PassStats,
     _sample_slot_sets,
     _unit_step_values,
+    _finish,
     _WordStream,
 )
 
@@ -824,6 +825,35 @@ def test_non_finite_objective_is_rejected(name, bad):
         SOLVER_RUNNERS[name](instance, 5)
 
 
+@pytest.mark.parametrize("name", sorted(SOLVER_RUNNERS))
+@pytest.mark.parametrize("write", [(7, 3), (0, 0)])
+def test_objective_that_writes_its_point_is_rejected(name, write):
+    # a custom callable gets a read-only point, so a write raises at the write:
+    # x[7] = 3 would otherwise push |x|_1 above r, and x[0] = 0 leave a negative
+    # entry behind a probe, and either run would return an infeasible x
+    w = np.arange(1, 9)
+    at, value = write
+
+    def writes(x):
+        fx = float(np.sqrt(x) @ w)
+        x[at] = value
+        return fx
+
+    instance = ProblemInstance(n=8, b=as_point([3] * 8), r=4,
+                               objective=custom_objective(8, writes))
+    with pytest.raises(ValueError, match="read-only"):
+        SOLVER_RUNNERS[name](instance, 5)
+
+
+def test_infeasible_solution_is_never_returned():
+    instance = ProblemInstance(n=2, b=as_point([1, 2]), r=2, objective=weighted_linear([1, 2]))
+    oracle = CountingOracle(instance.objective)
+    for x in ([1, 2], [2, 0], [-1, 1]):
+        with pytest.raises(RuntimeError, match=r"infeasible point \[" + str(x[0])):
+            _finish(instance, np.array(x), oracle, 0, 0.0)
+    assert _finish(instance, np.array([0, 2]), oracle, 0, 0.0).value == 4.0
+
+
 @pytest.mark.parametrize("kind", ["linear", "sqrt", "custom"])
 def test_unit_step_values_match_scalar_evaluations(kind, rng):
     n = 3000
@@ -1294,9 +1324,9 @@ class TestSampleSlotSets:
     @pytest.mark.parametrize("top", [2 ** 32, 2 ** 32 + 1, 2 ** 59 - 1, 2 ** 59 + 2 ** 58,
                                      2 ** 62])
     def test_pools_too_large_for_sort_keys(self, top):
-        # a pool above 2**32 cannot draw from a 32-bit half, and 3 rows of 5
-        # steps shift the sort keys by 4 bits, so targets from 2**59 on do not
-        # fit them in int64; any pool gives the ordered stream
+        # a pool above 2**32 cannot draw from a 32-bit half, so such a block is
+        # drawn row by row, and a pool of 2**32 still packs its sort keys; any
+        # pool gives the ordered stream
         pools = top - np.arange(3)
         ours, theirs = _WordStream(7), np.random.Generator(np.random.PCG64(7))
         got = _sample_slot_sets(ours, pools, 5)
