@@ -10,12 +10,13 @@ Each objective kind is one private class: :class:`_LinearState`,
 :class:`_SqrtState` and :class:`_CustomState`.  A kind's class validates an
 :class:`Objective` of its kind, defines its values once, over an (m, n)
 array of points, and keeps the cached state from which the wrapper,
-:class:`CountingOracle`, answers the probes of a followed incumbent; its
-``screened`` flag tells the solvers whether to screen its unit-step scans
-by their intervals.  A new kind is one such class, one ``_KINDS`` entry and
-a factory.  The wrapper charges every query and answers every probe by one
-rule: its exact value, unless the certified upper end of its value already
-fails the bar the caller gives, in which case that upper end.
+:class:`CountingOracle`, answers the probes of a followed incumbent.  A new
+kind is one such class, one ``_KINDS`` entry and a factory, with no flag.
+The wrapper charges every query and answers every probe by one rule: its
+exact value wherever the answer can change the caller's decision, that is,
+where the probe may clear the bar the caller gives or, in a batch given no
+bar, where it may be the batch's largest value; elsewhere the certified
+upper end of its value, which decides as the exact value would.
 """
 
 from __future__ import annotations
@@ -52,6 +53,11 @@ def _integers(values, what: str) -> np.ndarray:
         if not (np.all(np.abs(f) < 2.0 ** 63) and np.all(f == np.trunc(f))):  # NaN fails too
             raise ValueError(f"{what} must be integers, got {a.tolist()}")
     return a.astype(np.int64, copy=False)
+
+
+def _is_integer(value) -> bool:
+    """Whether value is a Python or numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def as_point(values, n: Optional[int] = None) -> np.ndarray:
@@ -122,6 +128,8 @@ class Objective:
     fn: Optional[Callable[[np.ndarray], float]] = None
 
     def __post_init__(self):
+        if not _is_integer(self.n):
+            raise ValueError(f"objective dimension must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError("objective dimension must be >= 1")
         if self.kind not in _KINDS:
@@ -180,12 +188,14 @@ class ProblemInstance:
     objective: Objective
 
     def __post_init__(self):
-        object.__setattr__(self, "b", _read_only_copy(as_point(self.b, n=self.n)))
+        if not _is_integer(self.n):
+            raise ValueError(f"instance dimension n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError("instance needs n >= 1")
+        object.__setattr__(self, "b", _read_only_copy(as_point(self.b, n=self.n)))
         if int(self.b.min()) < 1:
             raise ValueError("every availability cap b_e must be >= 1")
-        if not isinstance(self.r, (int, np.integer)) or isinstance(self.r, bool):
+        if not _is_integer(self.r):
             raise ValueError(f"copy budget r must be an integer, got {self.r!r}")
         if self.r < 0:
             raise ValueError("copy budget r must be >= 0")
@@ -220,7 +230,7 @@ class CountingOracle:
     One oracle per solver run; every query is charged inside ``evaluate``,
     ``evaluate_stepped`` or ``evaluate_batch``, one per point.  A full
     evaluation is the objective's batch value: ``evaluate`` is the one-row
-    case of ``evaluate_batch`` on an (m, n) array of points, and both share
+    case of ``evaluate_batch`` on an (m, n) array of points, which holds the
     one width and finite-value check.  A solver ``follow``s its incumbent x
     and ``commit``s each step, for free, so a probe of x + k * 1_e is answered
     from ``state``, an instance of the objective kind's class made at
@@ -232,13 +242,15 @@ class CountingOracle:
     the O(n) dot product only when it may pass; any answer that passes is
     exact.  ``evaluate_batch`` answers a list of probes as the same
     ``evaluate_stepped`` calls would, by the same rule applied to the kind's
-    vectorized intervals; a custom probe's interval is unbounded, so it is
-    always exact.  ``plan_stepped`` keeps one list of probes and their
-    intervals, uncharged, until the next plan or commit: ``evaluate_batch``
-    answers the kept probes, or a prefix of them, from the kept intervals,
-    so a solver that plans each incumbent's probes at once computes each
-    interval once per incumbent.  A NaN or infinite value raises
-    ``ValueError`` naming the point.
+    vectorized intervals.  A list given no bar is a unit-step scan that keeps
+    its first maximum: its bar is the largest lower end, so a probe is exact
+    wherever it may be the largest value.  A custom probe's interval is
+    unbounded, so it is always exact.  ``plan_stepped`` keeps one list of
+    probes and their intervals, uncharged, until the next plan or commit:
+    ``evaluate_batch`` answers the kept probes, or a prefix of them, from the
+    kept intervals, so a solver that plans each incumbent's probes at once
+    computes each interval once per incumbent.  A NaN or infinite value
+    raises ``ValueError`` naming the point.
     """
 
     # x: the followed incumbent; xs: x as a list of Python ints, the one mirror
@@ -253,7 +265,7 @@ class CountingOracle:
 
     def evaluate(self, x: np.ndarray) -> float:
         """f(x) in one query: the one-row case of :meth:`evaluate_batch`."""
-        return float(self._evaluate_points(x[None])[0])
+        return float(self.evaluate_batch(x[None])[0])
 
     def follow(self, x: np.ndarray) -> float:
         """f(x) in one query; x, kept by reference, is the incumbent from here on.
@@ -295,14 +307,17 @@ class CountingOracle:
 
         Listed elements are probed as :meth:`evaluate_stepped` probes them,
         answer for answer: steps (k, or None for unit steps) aligns with the
-        elements, and need is one bar for every probe or one bar per probe,
-        or None for none; a NaN bar decides nothing.  The intervals of a
-        prefix of the kept plan's rows and steps (views, as a sweep slices
-        them) are read from it, and those of other probes come from the kind
-        state.  Where the kind's intervals are exact (one array as both ends,
-        kept or not) they are the values; otherwise a probe whose upper end
-        fails its bar answers that end, and every other probe the kind
-        state's exact value.
+        elements, and need is one bar for every probe or one bar per probe; a
+        NaN bar decides nothing.  With no bar (need None), the bar is the
+        scan's own: f(x) taken as 0 and need as the largest lower end, so a
+        probe whose upper end lies below another's lower end, and so cannot
+        be the largest value, answers that upper end, and the first maximum
+        and its value are exact.  The intervals of a prefix of the kept
+        plan's rows and steps (views, as a sweep slices them) are read from
+        it, and those of other probes come from the kind state.  Where the
+        kind's intervals are exact (one array as both ends, kept or not) they
+        are the values; otherwise a probe whose upper end fails its bar
+        answers that end, and every other probe the kind state's exact value.
         """
         if rows.ndim == 1:
             self.queries += len(rows)
@@ -310,47 +325,40 @@ class CountingOracle:
             values = high.copy()
             if low is high:
                 return values
-            undecided = np.arange(len(rows)) if need is None \
-                else np.flatnonzero(~(high - fx < need))
+            if need is None:
+                fx, need = 0.0, low.max(initial=-math.inf)
+            undecided = np.flatnonzero(~(high - fx < need))
             if undecided.size:
                 ks = [1] * undecided.size if steps is None else steps[undecided].tolist()
                 values[undecided] = [self.state.stepped(e, k)
                                      for e, k in zip(rows[undecided].tolist(), ks)]
             return values
-        return self._evaluate_points(rows)
-
-    def _evaluate_points(self, points: np.ndarray) -> np.ndarray:
-        """f of each row of an (m, n) array, one query each; the one width and
-        finite-value check of :meth:`evaluate` and :meth:`evaluate_batch`."""
-        if points.shape[1] != self.objective.n:
-            raise ValueError(f"points have {points.shape[1]} entries, "
+        if rows.shape[1] != self.objective.n:
+            raise ValueError(f"points have {rows.shape[1]} entries, "
                              f"objective expects {self.objective.n}")
-        self.queries += len(points)
-        values = self.objective.batch(points)
+        self.queries += len(rows)
+        values = self.objective.batch(rows)
         finite = np.isfinite(values)
         if not finite.all():
             row = int(np.argmin(finite))
-            where = f" (row {row} of the batch)" if len(points) > 1 else ""
-            raise _non_finite(values[row], points[row], where)
+            where = f" (row {row} of the batch)" if len(rows) > 1 else ""
+            raise _non_finite(values[row], rows[row], where)
         return values
 
-    def plan_stepped(self, rows: np.ndarray, steps: Optional[np.ndarray] = None):
+    def plan_stepped(self, rows: np.ndarray, steps: np.ndarray):
         """Keep probes of x + k * 1_e and their intervals, in place of any kept
         before, until the next plan or commit; uncharged.
 
-        steps None plans unit steps.  Returns the kept (rows, steps, low,
-        high), read-only: the probes, and the low and high ends of each
-        probe's value: one array for a linear objective, certified ends for a
-        sqrt one, and -inf and inf for a custom one.  :meth:`evaluate_batch`
-        reads the intervals of the kept rows and steps, or of a prefix of
-        them, instead of computing them again; a sweep charges one prefix a
-        pass.
+        Returns the kept (rows, steps, low, high), read-only: the probes, and
+        the low and high ends of each probe's value: one array for a linear
+        objective, certified ends for a sqrt one, and -inf and inf for a
+        custom one.  :meth:`evaluate_batch` reads the intervals of the kept
+        rows and steps, or of a prefix of them, instead of computing them
+        again; a sweep charges one prefix a pass.
         """
-        plan = (rows.copy(), None if steps is None else steps.copy(),
-                *self.state.intervals(rows, steps))
+        plan = (rows.copy(), steps.copy(), *self.state.intervals(rows, steps))
         for a in plan:
-            if a is not None:
-                a.flags.writeable = False
+            a.flags.writeable = False
         self.plan = plan
         return plan
 
@@ -371,14 +379,14 @@ class CountingOracle:
 # One class per kind.  check(objective) validates an Objective of the kind, and
 # batch(objective, points) gives its values, one float per row of an (m, n)
 # array: the kind's one value definition, which Objective.__call__ takes as a
-# one-row batch.  screened says whether a unit-step scan should plan its
-# intervals and bar every candidate at the largest lower end.  An instance is
-# the followed state: made by follow(objective, x, xs, f(x)) and stepped by
-# commit after x and xs; probe(e, k, fx, need) answers evaluate_stepped: the
-# exact value, or the upper end of an interval that fails its bar.
-# intervals(rows, steps) gives the (low, high) ends of each probe's value for
-# plan_stepped and evaluate_batch, one array as both ends where they are exact,
-# and stepped(e, k) the exact value of a probe they leave undecided.
+# one-row batch.  An instance is the followed state: made by
+# follow(objective, x, xs, f(x)) and stepped by commit after x and xs;
+# probe(e, k, fx, need) answers evaluate_stepped: the exact value, or the upper
+# end of an interval that fails its bar.  intervals(rows, steps) gives the
+# (low, high) ends of each probe's value for plan_stepped and evaluate_batch,
+# one array as both ends where they are exact, and stepped(e, k) the exact value
+# of a probe they leave undecided.  The oracle alone decides, from the
+# intervals, which probes need their exact value.
 
 
 def _check_weights(objective: Objective) -> None:
@@ -402,7 +410,6 @@ class _LinearState:
     """
 
     check = staticmethod(_check_weights)
-    screened = False
     # fx: the exact f(x); weights and ws: w as an int array and as Python ints
     __slots__ = ("fx", "weights", "ws")
 
@@ -439,7 +446,6 @@ class _SqrtState:
     """
 
     check = staticmethod(_check_weights)
-    screened = True
     # x and xs: the followed x and the oracle's list mirror of it; roots and
     # weights: sqrt(x) and w as float arrays, for the dot product; rs and ws:
     # the same as Python floats, for the O(1) probe; fx: f(x) as the dot product
@@ -504,7 +510,6 @@ class _CustomState:
     """custom: no cached value; a probe calls the objective at a stepped copy
     of x and checks that the value is finite."""
 
-    screened = False
     __slots__ = ("objective", "x")
 
     @staticmethod
@@ -545,14 +550,14 @@ _KINDS = {WEIGHTED_LINEAR: _LinearState, WEIGHTED_CONCAVE_SQRT: _SqrtState,
           CUSTOM: _CustomState}
 
 
-def _is_prefix(part: Optional[np.ndarray], whole: Optional[np.ndarray]) -> bool:
-    """Whether part is whole (None is a prefix of None alone) or a view of
-    whole's first len(part) entries; whole owns its data."""
+def _is_prefix(part: Optional[np.ndarray], whole: np.ndarray) -> bool:
+    """Whether part is whole or a view of whole's first len(part) entries;
+    whole owns its data, and None (unit steps) is no prefix of it."""
     if part is whole:
         return True
     # a view with whole's strides starts at whole's first entry exactly when
     # their bounds overlap there; an empty view is read as no prefix
-    return part is not None and whole is not None and part.base is whole \
+    return part is not None and part.base is whole \
         and part.strides == whole.strides and part.dtype == whole.dtype \
         and np.may_share_memory(part, whole[:1])
 

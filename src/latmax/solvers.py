@@ -14,18 +14,18 @@ element.
 
 Both loops ``follow`` their incumbent on the oracle from the zero point and
 ``commit`` each accepted step to it, so every probe of a point one coordinate
-away is answered from ``oracle.state``, the followed state of the objective
-kind's class in :mod:`latmax.lattice`: in O(1), by one dot product or by one
-call of the objective, as the kind allows.  The kind's class also brackets
-each probe's value by an O(1) interval, exact, certified or unbounded, and a
+away is answered from the oracle's followed state of the objective kind's
+class in :mod:`latmax.lattice`: in O(1), by one dot product or by one call
+of the objective, as the kind allows.  The kind's class also brackets each
+probe's value by an O(1) interval, exact, certified or unbounded, and a
 probe whose upper end already fails its bar answers that end without the
 exact value.  A threshold step probe's bar is its step times the threshold.
-A unit-step scan (:func:`_unit_step_values`) of a kind whose class is
-``screened``, however short, bars every candidate at the largest lower end,
-since a candidate whose upper end lies below it cannot be the best.  Every
-decision, and every value a solver keeps, is thus that of a full evaluation
-bit for bit.  The solvers name no kind: the ``screened`` flag is the one
-choice a kind's class leaves to them.
+A unit-step scan is one ``evaluate_batch`` call given no bar, which the
+oracle reads as the scan's own: every candidate is barred at the largest
+lower end, since a candidate whose upper end lies below it cannot be the
+best.  Every decision, and every value a solver keeps, is thus that of a
+full evaluation bit for bit.  The solvers name no kind and read no kind
+state.
 
 sgl makes one ``evaluate_stepped`` call per probe.  Each soma-dr-i pass
 (:func:`_sweep_pass`) charges the searches that reject every probe, up to
@@ -437,21 +437,6 @@ def max_feasible_step(oracle: CountingOracle, e: int, k_max: int, theta: float,
     return best, best_val
 
 
-def _unit_step_values(oracle: CountingOracle, elements: np.ndarray) -> np.ndarray:
-    """f(x + 1_e) for each listed e, one query each, exact wherever it may be the maximum.
-
-    A scan of a kind whose class is ``screened`` plans the O(1) certified
-    intervals first and bars every element at the largest lower end, with
-    f(x) taken as 0: an element whose upper end lies below it is beaten and
-    answers that end, and the others take the exact value.  The first
-    maximum, and its value, are thus those of the exact scan.
-    """
-    if not oracle.state.screened:
-        return oracle.evaluate_batch(elements)
-    elements, _, low, _ = oracle.plan_stepped(elements)
-    return oracle.evaluate_batch(elements, None, 0.0, low.max())
-
-
 def _finish(instance: ProblemInstance, x: np.ndarray, oracle: CountingOracle,
             iterations: int, start: float, stalled: bool = False,
             timed_out: bool = False) -> Solution:
@@ -536,14 +521,16 @@ def _sweep_pass(oracle, x, fx, card, b, caps, r, theta):
     The oracle keeps the all-reject paths of every element
     (:func:`_all_reject_paths`) and their intervals until a commit changes x:
     each incumbent is planned once, whole, and a pass that commits nothing
-    plans nothing.  The paths of the elements before the first one with a
-    probe whose bound may not reject are charged in one batch, in the scalar
-    order; that element and the rest run the scalar pass, so queries,
-    decisions and values match it.  An unbounded probe never rejects, so a
-    pass of such probes is the scalar pass.
+    plans nothing.  Nothing else plans (a unit-step scan screens itself in
+    ``evaluate_batch``), so a kept plan is always the sweep's own.  The paths
+    of the elements before the first one with a probe whose bound may not
+    reject are charged in one batch, in the scalar order; that element and
+    the rest run the scalar pass, so queries, decisions and values match it.
+    An unbounded probe never rejects, so a pass of such probes is the scalar
+    pass.
     """
     plan = oracle.plan
-    if plan is None or plan[1] is None:  # a commit, or a unit-step scan, came before
+    if plan is None:  # the incumbent changed since the last plan
         plan = oracle.plan_stepped(*_all_reject_paths(b - x, r - card))
     elements, steps, _, high = plan
     needs = steps * theta
@@ -580,7 +567,7 @@ def _threshold_run(instance: ProblemInstance, config: AlgorithmConfig,
     x = zeros(n)
     caps = b.tolist()  # the scalar pass's mirror of b; the oracle's xs mirrors x
     fx = oracle.follow(x)
-    theta = d = float(_unit_step_values(oracle, np.arange(n)).max())
+    theta = d = float(oracle.evaluate_batch(np.arange(n)).max())
     theta_stop = (eps / r) * d
     s_raw = max(1, sample_size(n, r, eps))
     available = elements = list(range(n))  # the elements below their caps, ascending
@@ -665,7 +652,7 @@ def _unit_step_run(instance: ProblemInstance, config: AlgorithmConfig,
             if candidates.size == 0:
                 break
         before = oracle.queries
-        vals = _unit_step_values(oracle, candidates)
+        vals = oracle.evaluate_batch(candidates)
         best = int(vals.argmax())  # candidates ascend, so ties go to the smallest id
         best_e, best_val = int(candidates[best]), float(vals[best])
         if not sampled and best_val - fx <= 0:

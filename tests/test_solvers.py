@@ -39,7 +39,6 @@ from latmax.solvers import (
     SSG_SLOT_CAP,
     PassStats,
     _sample_slot_sets,
-    _unit_step_values,
     _finish,
     _WordStream,
 )
@@ -735,13 +734,19 @@ def test_time_budget_spent_mid_run(name, expiry, monkeypatch):
 @pytest.mark.parametrize("name", sorted(ITERATIVE_RUNNERS))
 @pytest.mark.parametrize("kind", ["linear", "sqrt", "custom"])
 def test_queries_match_oracle_call_tally(name, kind, monkeypatch):
-    # every query goes through one of the three oracle entry points
-    tally = [0]
+    # every query goes through one of the three oracle entry points; an entry
+    # point called from inside another (evaluate's one-row batch) is the outer
+    # call's, so each query is counted once
+    tally, depth = [0], [0]
 
     def counted(method, size):
         def call(self, *args):
-            tally[0] += size(args)
-            return method(self, *args)
+            tally[0] += 0 if depth[0] else size(args)
+            depth[0] += 1
+            try:
+                return method(self, *args)
+            finally:
+                depth[0] -= 1
         return call
 
     for attr, size in (("evaluate", lambda args: 1), ("evaluate_stepped", lambda args: 1),
@@ -796,11 +801,12 @@ def test_certified_probes_keep_trajectories(name, weights, monkeypatch):
         fallbacks[0] += probing[0]
         return stepped(self, e, k)
 
-    # threshold step probes, or unit-step scans, each of whose rows an exact
-    # scan answers with one dot product
+    # threshold step probes, or unit-step scans (not full evaluations), each of
+    # whose rows an exact scan answers with one dot product
     unit_step = name in ("ssg", "greedy")
     if unit_step:
-        monkeypatch.setattr(CountingOracle, "evaluate_batch", counted(batch, lambda a: len(a[0])))
+        monkeypatch.setattr(CountingOracle, "evaluate_batch",
+                            counted(batch, lambda a: len(a[0]) if a[0].ndim == 1 else 0))
     else:
         monkeypatch.setattr(CountingOracle, "evaluate_stepped", counted(probe, lambda a: 1))
     monkeypatch.setattr(_SqrtState, "stepped", counted_stepped)
@@ -811,8 +817,11 @@ def test_certified_probes_keep_trajectories(name, weights, monkeypatch):
     assert 1 <= fallbacks[0] < probes[0] / (1 if unit_step and weights == "equal" else 2)
     monkeypatch.setattr(CountingOracle, "evaluate_stepped",
                         lambda self, e, k, *bar: probe(self, e, k))
+    # a bar of -inf, which every probe clears, makes every answer exact; with no
+    # bar a batch screens its probes itself
     monkeypatch.setattr(CountingOracle, "evaluate_batch",
-                        lambda self, rows, steps=None, *bar: batch(self, rows, steps))
+                        lambda self, rows, steps=None, *bar: batch(self, rows, steps,
+                                                                   0.0, -math.inf))
     assert runs() == certified
 
 
@@ -865,7 +874,7 @@ def test_unit_step_values_match_scalar_evaluations(kind, rng):
     elements = np.concatenate([rng.integers(0, n, size=40), [0, n - 1, 7, 7]])
     oracle = CountingOracle(objective)
     oracle.follow(x)
-    values = oracle.evaluate_batch(elements)
+    values = oracle.evaluate_batch(elements, None, 0.0, -math.inf)
     assert oracle.queries == 1 + elements.size
     assert x.tolist() == before.tolist()
     assert values.tolist() == [objective(x + np.eye(1, n, e, dtype=np.int64)[0])
@@ -873,8 +882,10 @@ def test_unit_step_values_match_scalar_evaluations(kind, rng):
 
 
 def test_short_sqrt_scans_keep_the_exact_first_maximum(rng, monkeypatch):
-    # every sqrt unit-step scan is screened, however short: the first maximum
-    # and its value are the exact scan's, at one query per candidate
+    # a batch given no bar screens itself, however short: the first maximum and
+    # its value are the exact scan's, at one query per candidate, for every kind,
+    # and the scan keeps no plan; only sqrt answers some candidates by their
+    # upper end, since a linear interval is exact and a custom one unbounded
     stepped, exact_probes, probes = _SqrtState.stepped, [0], 0
 
     def counted(self, e, k):
@@ -882,19 +893,27 @@ def test_short_sqrt_scans_keep_the_exact_first_maximum(rng, monkeypatch):
         return stepped(self, e, k)
 
     monkeypatch.setattr(_SqrtState, "stepped", counted)
-    for _ in range(400):
+    makes = (weighted_concave_sqrt, weighted_linear,
+             lambda w: custom_objective(w.size, lambda x: float(np.sqrt(x) @ w)))
+    for trial in range(1200):  # 400 of each kind
+        make = makes[trial % 3]
         n = int(rng.integers(1, 40))
-        objective = weighted_concave_sqrt(rng.choice([3, 40, 97], size=n))  # exact ties too
+        objective = make(rng.choice([3, 40, 97], size=n))  # exact ties too
         x = rng.integers(0, 4, size=n)
         elements = rng.integers(0, n, size=int(rng.integers(1, 21)))
         oracle = CountingOracle(objective)
         oracle.follow(x)
-        values = _unit_step_values(oracle, elements)
-        assert oracle.queries == 1 + elements.size and oracle.plan is not None  # screened
+        values = oracle.evaluate_batch(elements)
+        assert oracle.queries == 1 + elements.size and oracle.plan is None
         exact = [objective(x + unit(n, e)) for e in elements.tolist()]
         best = int(np.argmax(exact))
         assert int(values.argmax()) == best and values[best] == exact[best]
-        probes += elements.size
+        if make is not weighted_concave_sqrt:
+            assert values.tolist() == exact
+        else:
+            probes += elements.size
+        assert oracle.evaluate_batch(elements[:0]).size == 0  # an empty scan
+        assert oracle.queries == 1 + elements.size
     assert exact_probes[0] < probes  # the screen answered some candidates by their upper end
 
 
