@@ -58,6 +58,8 @@ class ExperimentGrid:
     timeout_s: float = 600.0
 
     def __post_init__(self):
+        for name in ("n_values", "r_fractions"):  # tuples, as write_grid_file writes them
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not self.n_values or not self.r_fractions:
             raise ValueError("grid needs at least one n and one r fraction")
         numbers = (*self.n_values, *self.r_fractions, self.b_pivots, self.repetitions,

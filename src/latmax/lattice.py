@@ -12,6 +12,12 @@ Each objective kind is one private class: :class:`_LinearState`,
 array of points, and keeps the cached state from which the wrapper,
 :class:`CountingOracle`, answers the probes of a followed incumbent.  A new
 kind is one such class, one ``_KINDS`` entry and a factory, with no flag.
+Every full evaluation, the oracle's and the checkers' among them, is
+:meth:`Objective.batch`, which rejects any array but an (m, n) one; the
+kind's class checks its points and values where it makes the values, so a
+sqrt point with a negative entry, or a NaN or infinite custom value, raises
+``ValueError``.
+
 The wrapper charges every query and answers every probe by one rule: its
 exact value wherever the answer can change the caller's decision, that is,
 where the probe may clear the bar the caller gives or, in a batch given no
@@ -140,7 +146,15 @@ class Objective:
         return float(self.batch(np.asarray(x)[None])[0])
 
     def batch(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate an (m, n) array of points, one float per row."""
+        """Evaluate an (m, n) array of points, one float per row.
+
+        Every full evaluation comes here.  Any other shape raises
+        ``ValueError``, with one message for every kind; the kind's class
+        checks the points and values it is given and makes.
+        """
+        points = np.asarray(points)
+        if points.ndim != 2 or points.shape[1] != self.n:
+            raise ValueError(f"points have shape {points.shape}, objective expects (m, {self.n})")
         return _KINDS[self.kind].batch(self, points)
 
 
@@ -229,18 +243,18 @@ class CountingOracle:
 
     One oracle per solver run; every query is charged inside ``evaluate``,
     ``evaluate_stepped`` or ``evaluate_batch``, one per point.  A full
-    evaluation is the objective's batch value: ``evaluate`` is the one-row
-    case of ``evaluate_batch`` on an (m, n) array of points, which holds the
-    one width and finite-value check.  A solver ``follow``s its incumbent x
-    and ``commit``s each step, for free, so a probe of x + k * 1_e is answered
-    from ``state``, an instance of the objective kind's class made at
-    ``follow``: :class:`_LinearState` answers in O(1) and exactly,
+    evaluation is a charge and the objective's batch value, which checks the
+    points' width and its own values: ``evaluate`` is the one-row case of
+    ``evaluate_batch`` on an (m, n) array of points.  A solver ``follow``s its
+    incumbent x and ``commit``s each step, for free, so a probe of x + k * 1_e
+    is answered from ``state``, an instance of the objective kind's class made
+    at ``follow``: :class:`_LinearState` answers in O(1) and exactly,
     :class:`_SqrtState` bit-identically to a full evaluation, and
-    :class:`_CustomState` calls the objective.  A probe given the bar its
-    gain must clear answers the upper end of an O(1) certified interval
-    around its value when even that end fails the bar, so a sqrt probe takes
-    the O(n) dot product only when it may pass; any answer that passes is
-    exact.  ``evaluate_batch`` answers a list of probes as the same
+    :class:`_CustomState` calls the objective.  A probe given the bar its gain
+    must clear answers the upper end of an O(1) certified interval around its
+    value when even that end fails the bar, so a sqrt probe takes the O(n) dot
+    product only when it may pass; any answer that passes is exact.
+    ``evaluate_batch`` answers a list of probes as the same
     ``evaluate_stepped`` calls would, by the same rule applied to the kind's
     vectorized intervals.  A list given no bar is a unit-step scan that keeps
     its first maximum: its bar is the largest lower end, so a probe is exact
@@ -249,8 +263,8 @@ class CountingOracle:
     probes and their intervals, uncharged, until the next plan or commit:
     ``evaluate_batch`` answers the kept probes, or a prefix of them, from the
     kept intervals, so a solver that plans each incumbent's probes at once
-    computes each interval once per incumbent.  A NaN or infinite value
-    raises ``ValueError`` naming the point.
+    computes each interval once per incumbent.  A NaN or infinite custom value
+    raises ``ValueError`` naming the point, from the objective.
     """
 
     # x: the followed incumbent; xs: x as a list of Python ints, the one mirror
@@ -318,6 +332,8 @@ class CountingOracle:
         kind's intervals are exact (one array as both ends, kept or not) they
         are the values; otherwise a probe whose upper end fails its bar
         answers that end, and every other probe the kind state's exact value.
+        An (m, n) array is charged and handed to :meth:`Objective.batch`,
+        which checks its width and its values.
         """
         if rows.ndim == 1:
             self.queries += len(rows)
@@ -333,17 +349,8 @@ class CountingOracle:
                 values[undecided] = [self.state.stepped(e, k)
                                      for e, k in zip(rows[undecided].tolist(), ks)]
             return values
-        if rows.shape[1] != self.objective.n:
-            raise ValueError(f"points have {rows.shape[1]} entries, "
-                             f"objective expects {self.objective.n}")
         self.queries += len(rows)
-        values = self.objective.batch(rows)
-        finite = np.isfinite(values)
-        if not finite.all():
-            row = int(np.argmin(finite))
-            where = f" (row {row} of the batch)" if len(rows) > 1 else ""
-            raise _non_finite(values[row], rows[row], where)
-        return values
+        return self.objective.batch(rows)
 
     def plan_stepped(self, rows: np.ndarray, steps: np.ndarray):
         """Keep probes of x + k * 1_e and their intervals, in place of any kept
@@ -378,9 +385,11 @@ class CountingOracle:
 #
 # One class per kind.  check(objective) validates an Objective of the kind, and
 # batch(objective, points) gives its values, one float per row of an (m, n)
-# array: the kind's one value definition, which Objective.__call__ takes as a
-# one-row batch.  An instance is the followed state: made by
-# follow(objective, x, xs, f(x)) and stepped by commit after x and xs;
+# array whose width Objective.batch has checked: the kind's one value
+# definition, which checks the points and values the kind can get wrong and
+# which Objective.__call__ takes as a one-row batch.  An instance is the
+# followed state: made by follow(objective, x, xs, f(x)) and stepped by commit
+# after x and xs;
 # probe(e, k, fx, need) answers evaluate_stepped: the exact value, or the upper
 # end of an interval that fails its bar.  intervals(rows, steps) gives the
 # (low, high) ends of each probe's value for plan_stepped and evaluate_batch,
@@ -454,8 +463,11 @@ class _SqrtState:
 
     @staticmethod
     def batch(objective: Objective, points: np.ndarray) -> np.ndarray:
-        # one dot product per row, as a probe takes it, not a matrix-vector
-        # product, whose BLAS kernel may sum in another order
+        """One dot product per row, as a probe takes it, not a matrix-vector
+        product, whose BLAS kernel may sum in another order; a point with a
+        negative entry, which has no real root, raises ValueError."""
+        if points.min(initial=0) < 0:
+            raise ValueError("weighted-concave-sqrt points must be nonnegative")
         return np.vecdot(np.sqrt(points), objective.weights.astype(np.float64))
 
     def __init__(self, objective: Objective, x: np.ndarray, xs: list, fx: float):
@@ -508,7 +520,8 @@ class _SqrtState:
 
 class _CustomState:
     """custom: no cached value; a probe calls the objective at a stepped copy
-    of x and checks that the value is finite."""
+    of x.  The one kind whose values can be NaN or infinite: :meth:`batch`
+    checks each value as it makes it."""
 
     __slots__ = ("objective", "x")
 
@@ -519,10 +532,18 @@ class _CustomState:
 
     @staticmethod
     def batch(objective: Objective, points: np.ndarray) -> np.ndarray:
-        """One call of fn per row, each given a read-only view of its point."""
+        """One call of fn per row, each given a read-only view of its point; a
+        NaN or infinite value raises ValueError naming its point, and its row
+        in a batch of more than one."""
         points = points.view()
         points.flags.writeable = False
-        return np.array([float(objective.fn(p)) for p in points], dtype=np.float64)
+        values = np.empty(len(points))
+        for row, point in enumerate(points):
+            values[row] = value = float(objective.fn(point))
+            if not math.isfinite(value):
+                where = f" (row {row} of the batch)" if len(points) > 1 else ""
+                raise ValueError(f"objective returned {value} at {point.tolist()}{where}")
+        return values
 
     def __init__(self, objective: Objective, x: np.ndarray, xs: list, fx: float):
         self.objective, self.x = objective, x
@@ -538,10 +559,7 @@ class _CustomState:
         """The exact f(x + k * 1_e), uncharged; no bar decides a custom probe."""
         point = self.x.copy()
         point[e] += k
-        value = self.objective(point)
-        if not math.isfinite(value):
-            raise _non_finite(value, point, f" (x + {k} * 1_{e} for element {e})")
-        return value
+        return self.objective(point)
 
     probe = stepped
 
@@ -562,10 +580,6 @@ def _is_prefix(part: Optional[np.ndarray], whole: np.ndarray) -> bool:
         and np.may_share_memory(part, whole[:1])
 
 
-def _non_finite(value: float, x: np.ndarray, where: str = "") -> ValueError:
-    return ValueError(f"objective returned {value} at {x.tolist()}{where}")
-
-
 # ---------------------------------------------------------------------------
 # exhaustive structure checkers
 #
@@ -582,7 +596,8 @@ def _non_finite(value: float, x: np.ndarray, where: str = "") -> ValueError:
 def _box_table(objective: Objective, box, pad: int = 1):
     """Validate box, refuse it above CHECKER_CAP points, and tabulate f on it.
 
-    Returns (box, table) where table[z] = f(z) for every z <= box + pad - 1.
+    Returns (box, table) where table[z] = f(z) for every z <= box + pad - 1;
+    :meth:`Objective.batch` makes the table, so a non-finite value raises.
     """
     box = as_point(box, n=objective.n)
     points = math.prod(int(v) + 1 for v in box.tolist())
@@ -600,7 +615,8 @@ def check_monotone(objective: Objective, box):
     """Exhaustively verify f(x) <= f(y) for all x <= y inside the box.
 
     Returns (True, None) or (False, (x, y)) where (x, y) is the first
-    violating unit step in (axis, lexicographic) order.
+    violating unit step in (axis, lexicographic) order.  A NaN or infinite
+    value in the box raises ValueError naming its point.
     """
     box, table = _box_table(objective, box)
     n = box.size
@@ -618,7 +634,8 @@ def check_dr_submodular(objective: Objective, box):
 
     The property checked is f(x + 1_e) - f(x) >= f(y + 1_e) - f(y) for all
     x <= y <= box and every coordinate e.  Returns (True, None) or
-    (False, (x, y, e)) with a genuine violating triple.
+    (False, (x, y, e)) with a genuine violating triple.  A NaN or infinite
+    value in [0, box + 1] raises ValueError naming its point.
     """
     # values on [0, box + 1] so single-copy gains exist everywhere on the box
     box, table = _box_table(objective, box, pad=2)
@@ -640,7 +657,8 @@ def check_lattice_submodular(objective: Objective, box):
 
     Meet and join are the componentwise minimum and maximum.  Returns
     (True, None) or (False, (x, y)) where (x, y) is an incomparable violating
-    pair.
+    pair.  A NaN or infinite value in the box raises ValueError naming its
+    point.
     """
     box, table = _box_table(objective, box)
     n = box.size

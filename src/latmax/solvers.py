@@ -619,7 +619,8 @@ def _unit_step_run(instance: ProblemInstance, config: AlgorithmConfig,
 
     sampled=True scores a random sample of the remaining copy slots and
     always commits the best; sampled=False scores every element below its
-    cap and stops once the best gain is not positive.  Ties go to the
+    cap and stops once the best gain is not positive.  Every round commits
+    one copy, so both run at most min(r, |b|_1) rounds.  Ties go to the
     smallest element id.
     """
     start, oracle, early = _prologue(instance, config)
@@ -628,15 +629,14 @@ def _unit_step_run(instance: ProblemInstance, config: AlgorithmConfig,
     n, b, r = instance.n, instance.b, instance.r
     x = zeros(n)
     fx = oracle.follow(x)
-    rounds = r
+    total = cardinality(b)
+    rounds = min(r, total)
     if sampled:
-        total = cardinality(b)
         s = max(1, sample_size(total, r, resolve_epsilon(config, n)))
         if min(s, total) > SSG_SLOT_CAP:
             raise ValueError(f"an ssg round would score {min(s, total)} copy slots, "
                              f"cap is {SSG_SLOT_CAP}")
         ends = np.cumsum(b)  # ends[e]: remaining slots of the elements up to e
-        rounds = min(r, total)
         slot_sets = _ssg_slot_sets(_WordStream(config.seed), total, s, rounds)
 
     iterations = 0
@@ -649,8 +649,6 @@ def _unit_step_run(instance: ProblemInstance, config: AlgorithmConfig,
             candidates = np.searchsorted(ends, next(slot_sets), side="right")
         else:
             candidates = np.flatnonzero(x < b)
-            if candidates.size == 0:
-                break
         before = oracle.queries
         vals = oracle.evaluate_batch(candidates)
         best = int(vals.argmax())  # candidates ascend, so ties go to the smallest id

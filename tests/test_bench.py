@@ -339,6 +339,15 @@ class TestGridFiles:
             write_grid_file(grid, path)
             assert parse_grid_file(path) == grid
 
+    def test_grid_from_lists_round_trips(self, tmp_path):
+        # lists are kept as tuples, which write_grid_file writes comma-joined
+        grid = ExperimentGrid(n_values=[25, 50], r_fractions=[0.5, 2.0])
+        assert grid.n_values == (25, 50) and grid.r_fractions == (0.5, 2.0)
+        path = tmp_path / "grid.txt"
+        write_grid_file(grid, path)
+        assert "n_values = 25,50\n" in path.read_text()
+        assert parse_grid_file(path) == grid
+
     def test_default_grid_file_bytes(self, tmp_path):
         path = tmp_path / "grid.txt"
         write_grid_file(ExperimentGrid(), path)

@@ -1,6 +1,7 @@
 """Lattice vocabulary: points, objectives, counting oracle, checkers."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -196,9 +197,19 @@ def test_oracle_counts_each_evaluation():
 
 
 def test_oracle_dimension_mismatch():
-    oracle = lm.CountingOracle(lm.weighted_linear([5, 7]))
-    with pytest.raises(ValueError):
-        oracle.evaluate(lm.as_point([1, 2, 3]))
+    # every full evaluation checks the width, with one message for every kind,
+    # a custom objective's included
+    for f in (lm.weighted_linear([5, 7]), lm.weighted_concave_sqrt([5, 7]),
+              lm.custom_objective(2, lambda v: float(v.sum()))):
+        oracle = lm.CountingOracle(f)
+        calls = [(f, [1, 2, 3], (1, 3)), (oracle.evaluate, lm.as_point([1, 2, 3]), (1, 3)),
+                 (f.batch, np.ones((4, 3), dtype=np.int64), (4, 3)),
+                 (oracle.evaluate_batch, np.ones((4, 1), dtype=np.int64), (4, 1)),
+                 (f.batch, [[1, 2, 3]], (1, 3)), (f.batch, np.ones(2, dtype=np.int64), (2,))]
+        for evaluate, points, shape in calls:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"points have shape {shape}, objective expects (m, 2)")):
+                evaluate(points)
 
 
 def test_evaluate_stepped_leaves_point_unchanged():
@@ -216,11 +227,35 @@ def test_oracle_rejects_non_finite_values(bad):
     assert oracle.follow(x) == 1.0
     with pytest.raises(ValueError, match=r"\[0, 4, 1\]"):
         oracle.evaluate(lm.as_point([0, 4, 1]))
-    with pytest.raises(ValueError, match=r"at \[0, 4, 2\].*element 2"):
+    with pytest.raises(ValueError, match=r"at \[0, 4, 2\]"):
         oracle.evaluate_stepped(2, 2)
     assert list(x) == [0, 4, 0]
     with pytest.raises(ValueError, match=r"at \[5, 0, 1\].*row 1"):
         oracle.evaluate_batch(np.array([[0, 0, 0], [5, 0, 1], [0, 0, 2]], dtype=np.int64))
+    # the objective checks each value where it makes it, so a full evaluation
+    # outside the oracle raises too
+    f = oracle.objective
+    with pytest.raises(ValueError, match=rf"^objective returned {bad} at \[0, 4, 1\]$"):
+        f(lm.as_point([0, 4, 1]))
+    with pytest.raises(ValueError, match=r"at \[5, 0, 1\] \(row 1 of the batch\)$"):
+        f.batch(np.array([[0, 0, 0], [5, 0, 1], [0, 0, 2]], dtype=np.int64))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_checkers_reject_non_finite_values(bad):
+    # a NaN passes every comparison, and an infinity makes a violation of its own
+    f = lm.custom_objective(2, lambda v: bad if v.tolist() == [1, 1] else float(v.sum()))
+    for check in (lm.check_monotone, lm.check_dr_submodular, lm.check_lattice_submodular):
+        with pytest.raises(ValueError, match=r"at \[1, 1\] \(row \d+ of the batch\)"):
+            check(f, (2, 2))
+
+
+def test_sqrt_rejects_negative_entries():
+    # caught before the square root, which would give NaN and a RuntimeWarning
+    f = lm.weighted_concave_sqrt([5, 7])
+    for evaluate in (f, lm.CountingOracle(f).evaluate, lambda p: f.batch(p[None])):
+        with pytest.raises(ValueError, match="points must be nonnegative"):
+            evaluate(np.array([3, -1], dtype=np.int64))
 
 
 @given(
