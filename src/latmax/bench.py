@@ -19,7 +19,7 @@ from typing import Optional, Sequence, get_args, get_type_hints
 
 import numpy as np
 
-from .lattice import ProblemInstance, weighted_linear
+from .lattice import ProblemInstance, _is_integer, weighted_linear
 from .solvers import (
     ALGORITHMS,
     DETERMINISTIC_ALGORITHMS,
@@ -106,8 +106,9 @@ class GridCell:
 
 
 def mix_seed(master_seed: int, index: int) -> int:
-    """SplitMix64 finalizer over (master_seed, index); platform-stable."""
-    z = (master_seed + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    """SplitMix64 finalizer over (master_seed, index); platform-stable, in
+    Python ints, so a numpy integer seed does not overflow."""
+    z = (int(master_seed) + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
@@ -152,8 +153,12 @@ def expand_grid(grid: ExperimentGrid, master_seed: int) -> list:
 
     A (n, r, b_pivot) combination is dropped when r > 4 * b_pivot and
     r >= n * 4 * b_pivot, taking 4 * b_pivot as the worst-case availability
-    cap; every removal is logged.  Raises if nothing survives.
+    cap; every removal is logged.  Raises if nothing survives, or if
+    master_seed is not an integer in [0, 2**64), as a run seed must be: the
+    mix keeps 64 bits, so -1 or 2**64 + 5 would alias another master seed.
     """
+    if not (_is_integer(master_seed) and 0 <= master_seed < 2 ** 64):
+        raise ValueError(f"master seed must be an integer in [0, 2**64), got {master_seed!r}")
     cells = []
     index = 0
     for n in grid.n_values:

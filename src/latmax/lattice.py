@@ -22,7 +22,9 @@ The wrapper charges every query and answers every probe by one rule: its
 exact value wherever the answer can change the caller's decision, that is,
 where the probe may clear the bar the caller gives or, in a batch given no
 bar, where it may be the batch's largest value; elsewhere the certified
-upper end of its value, which decides as the exact value would.
+upper end of its value, which decides as the exact value would.  It may keep
+one plan of probes with their intervals, an uncharged cache that it reads
+only when it is handed the kept arrays themselves, whole.
 """
 
 from __future__ import annotations
@@ -261,10 +263,11 @@ class CountingOracle:
     wherever it may be the largest value.  A custom probe's interval is
     unbounded, so it is always exact.  ``plan_stepped`` keeps one list of
     probes and their intervals, uncharged, until the next plan or commit:
-    ``evaluate_batch`` answers the kept probes, or a prefix of them, from the
-    kept intervals, so a solver that plans each incumbent's probes at once
-    computes each interval once per incumbent.  A NaN or infinite custom value
-    raises ``ValueError`` naming the point, from the objective.
+    ``evaluate_batch`` handed the kept arrays themselves answers from the kept
+    intervals, so a solver that plans each incumbent's probes once and charges
+    them whole computes each interval once per incumbent; any other list, a
+    slice of the plan included, is computed afresh.  A NaN or infinite custom
+    value raises ``ValueError`` naming the point, from the objective.
     """
 
     # x: the followed incumbent; xs: x as a list of Python ints, the one mirror
@@ -326,18 +329,21 @@ class CountingOracle:
         scan's own: f(x) taken as 0 and need as the largest lower end, so a
         probe whose upper end lies below another's lower end, and so cannot
         be the largest value, answers that upper end, and the first maximum
-        and its value are exact.  The intervals of a prefix of the kept
-        plan's rows and steps (views, as a sweep slices them) are read from
-        it, and those of other probes come from the kind state.  Where the
-        kind's intervals are exact (one array as both ends, kept or not) they
-        are the values; otherwise a probe whose upper end fails its bar
-        answers that end, and every other probe the kind state's exact value.
+        and its value are exact.  Given the kept plan's rows and steps
+        themselves (``rows is plan[0] and steps is plan[1]``), the intervals
+        are read from the plan; those of any other probes, a slice or copy
+        of the plan included, come from the kind state.  Where the kind's
+        intervals are exact (one array as both ends, kept or not) they are
+        the values; otherwise a probe whose upper end fails its bar answers
+        that end, and every other probe the kind state's exact value.
         An (m, n) array is charged and handed to :meth:`Objective.batch`,
         which checks its width and its values.
         """
         if rows.ndim == 1:
             self.queries += len(rows)
-            low, high = self._kept_intervals(rows, steps)
+            plan = self.plan
+            kept = plan is not None and rows is plan[0] and steps is plan[1]
+            low, high = plan[2:] if kept else self.state.intervals(rows, steps)
             values = high.copy()
             if low is high:
                 return values
@@ -359,25 +365,15 @@ class CountingOracle:
         Returns the kept (rows, steps, low, high), read-only: the probes, and
         the low and high ends of each probe's value: one array for a linear
         objective, certified ends for a sqrt one, and -inf and inf for a
-        custom one.  :meth:`evaluate_batch` reads the intervals of the kept
-        rows and steps, or of a prefix of them, instead of computing them
-        again; a sweep charges one prefix a pass.
+        custom one.  :meth:`evaluate_batch` handed the kept rows and steps
+        themselves reads their intervals instead of computing them again; a
+        slice of them is computed afresh, like any other probes.
         """
         plan = (rows.copy(), steps.copy(), *self.state.intervals(rows, steps))
         for a in plan:
             a.flags.writeable = False
         self.plan = plan
         return plan
-
-    def _kept_intervals(self, rows: np.ndarray, steps: Optional[np.ndarray]):
-        """(low, high) of each probe, read from the kept plan if the probes are a
-        prefix of it; exact intervals stay one array as both ends, sliced once."""
-        if self.plan is not None:
-            kept_rows, kept_steps, low, high = self.plan
-            if _is_prefix(rows, kept_rows) and _is_prefix(steps, kept_steps):
-                top = high[:len(rows)]
-                return (top if low is high else low[:len(rows)]), top
-        return self.state.intervals(rows, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -566,18 +562,6 @@ class _CustomState:
 
 _KINDS = {WEIGHTED_LINEAR: _LinearState, WEIGHTED_CONCAVE_SQRT: _SqrtState,
           CUSTOM: _CustomState}
-
-
-def _is_prefix(part: Optional[np.ndarray], whole: np.ndarray) -> bool:
-    """Whether part is whole or a view of whole's first len(part) entries;
-    whole owns its data, and None (unit steps) is no prefix of it."""
-    if part is whole:
-        return True
-    # a view with whole's strides starts at whole's first entry exactly when
-    # their bounds overlap there; an empty view is read as no prefix
-    return part is not None and part.base is whole \
-        and part.strides == whole.strides and part.dtype == whole.dtype \
-        and np.may_share_memory(part, whole[:1])
 
 
 # ---------------------------------------------------------------------------

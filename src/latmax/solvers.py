@@ -32,9 +32,12 @@ sgl makes one ``evaluate_stepped`` call per probe.  Each soma-dr-i pass
 the first element whose path has a probe that may pass, in one
 ``evaluate_batch`` call, and runs that element and the rest one probe at a
 time.  It plans every element's probes at once for each incumbent, and the
-oracle keeps them and their intervals until the next commit, so each is
-computed once per incumbent.  A probe with an unbounded interval may always
-pass, so such a pass charges nothing in a batch.
+oracle keeps them and their intervals until the next commit.  A pass that
+charges every planned probe, as most passes that commit nothing do, hands
+the oracle the kept arrays themselves, whose intervals it reads; a shorter
+charge is a slice of them, whose intervals it computes afresh.  A probe with
+an unbounded interval may always pass, so such a pass charges nothing in a
+batch.
 
 Randomized solvers draw from a PCG64 seeded with ``config.seed``, so runs
 are bit-reproducible for a fixed seed.  Each run owns its stream
@@ -69,6 +72,7 @@ from .lattice import (
     CountingOracle,
     ExhaustivenessCapError,
     ProblemInstance,
+    _is_integer,
     cardinality,
     zeros,
 )
@@ -111,8 +115,7 @@ class AlgorithmConfig:
     def __post_init__(self):
         if self.epsilon is not None and not (0.0 < self.epsilon < 1.0):
             raise ValueError("epsilon must lie in (0, 1)")
-        if not (isinstance(self.seed, (int, np.integer)) and not isinstance(self.seed, bool)
-                and 0 <= self.seed < 2 ** 64):
+        if not (_is_integer(self.seed) and 0 <= self.seed < 2 ** 64):
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
@@ -526,8 +529,10 @@ def _sweep_pass(oracle, x, fx, card, b, caps, r, theta):
     of the elements before the first one with a probe whose bound may not
     reject are charged in one batch, in the scalar order; that element and
     the rest run the scalar pass, so queries, decisions and values match it.
-    An unbounded probe never rejects, so a pass of such probes is the scalar
-    pass.
+    With no such element the batch is the kept plan's own arrays, whose
+    intervals the oracle reads from the plan; otherwise it is their slices
+    [:cut], whose intervals the oracle computes again.  An unbounded probe
+    never rejects, so a pass of such probes is the scalar pass.
     """
     plan = oracle.plan
     if plan is None:  # the incumbent changed since the last plan
@@ -535,11 +540,13 @@ def _sweep_pass(oracle, x, fx, card, b, caps, r, theta):
     elements, steps, _, high = plan
     needs = steps * theta
     open_ = np.flatnonzero(high - fx >= needs)  # probes that may not reject
-    cut = int(elements.searchsorted(elements[open_[0]])) if open_.size else steps.size
-    if cut and not (oracle.evaluate_batch(elements[:cut], steps[:cut], fx, needs[:cut])
-                    - fx < needs[:cut]).all():
+    e = int(elements[open_[0]]) if open_.size else x.size  # the first scalar element
+    if open_.size:  # charge the probes before e: a slice, whose intervals are computed
+        cut = int(elements.searchsorted(e))
+        elements, steps, needs = elements[:cut], steps[:cut], needs[:cut]
+    if steps.size and not (oracle.evaluate_batch(elements, steps, fx, needs)
+                           - fx < needs).all():
         raise RuntimeError("a charged probe accepted where its bound rejected")
-    e = int(elements[cut]) if cut < steps.size else x.size  # the first scalar element
     max_cap_seen = min(int((b[:e] - x[:e]).max(initial=0)), r - card)
     fx, card, committed, cap_seen = _threshold_pass(oracle, fx, card, caps, r, theta,
                                                     range(e, x.size))

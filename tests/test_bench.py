@@ -118,6 +118,20 @@ class TestExpandGrid:
         cells = expand_grid(MICRO_GRID, master_seed=11)
         assert [c.index for c in cells] == list(range(len(cells)))
 
+    @pytest.mark.parametrize("master_seed", [-1, 2 ** 64, 2 ** 64 + 5, True, False, np.True_,
+                                             1.0, "5", None])
+    def test_rejects_master_seeds_a_run_seed_may_not_be(self, master_seed):
+        # the seed mix keeps 64 bits, so -1, 2**64 + 5 and True expanded to the
+        # cells of 2**64 - 1, 5 and 1
+        with pytest.raises(ValueError, match=r"master seed must be an integer in \[0, 2\*\*64\)"):
+            expand_grid(MICRO_GRID, master_seed)
+
+    def test_accepts_every_run_seed(self):
+        for master_seed in (0, 2 ** 64 - 1, np.uint64(2 ** 64 - 1), np.int8(5)):
+            cells = expand_grid(MICRO_GRID, master_seed)
+            assert [c.seed for c in cells] == [mix_seed(int(master_seed), c.index)
+                                               for c in cells]
+
 
 class TestGridValidation:
     def test_rejects_bad_shapes(self):

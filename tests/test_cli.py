@@ -67,6 +67,19 @@ class TestBenchRun:
             f"latmax: error: {grid_file}: b_pivots and repetitions must be >= 1\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("master_seed", ["-1", "18446744073709551621"])
+    def test_out_of_range_master_seed_is_one_error_line(self, tmp_path, capsys, master_seed):
+        # these aliased 2**64 - 1 and 5, and the run wrote a full CSV
+        grid_file = tmp_path / "grid.txt"
+        write_grid_file(TINY_GRID, grid_file)
+        out = tmp_path / "o"
+        code = main(["bench", "run", "--grid", str(grid_file),
+                     "--master-seed", master_seed, "--out", str(out)])
+        assert code == 2
+        assert error_line(capsys) == \
+            f"latmax: error: master seed must be an integer in [0, 2**64), got {master_seed}"
+        assert not (out / "results.csv").exists()
+
     @pytest.mark.parametrize("extra, message", [
         (["--algorithms", "sgl,mystery"], "unknown algorithm 'mystery'"),
         (["--grid", "missing.txt"], "No such file or directory: 'missing.txt'"),

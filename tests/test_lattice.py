@@ -445,8 +445,10 @@ def assert_first_maximum_is_exact(answers, exact):
 
 @pytest.mark.parametrize("kind", ["linear", "sqrt", "custom"])
 def test_kept_plan_answers_its_slices_until_a_commit(kind, monkeypatch):
-    # evaluate_batch reads the intervals of a prefix of the kept probes from the
-    # plan; other probes, another oracle's and those after a commit are computed
+    # evaluate_batch reads the kept intervals only when handed the kept arrays
+    # themselves; any other probes, slices and copies of the plan, another
+    # oracle's and those after a commit included, take one intervals call and
+    # answer as an oracle with no plan does
     computed = []
     state = {"linear": _LinearState, "sqrt": _SqrtState, "custom": _CustomState}[kind]
     intervals = state.intervals
@@ -474,30 +476,42 @@ def test_kept_plan_answers_its_slices_until_a_commit(kind, monkeypatch):
     needs = np.full(6, 1e9)
     answers = high if kind != "custom" else \
         np.array([f(x + k * lm.unit(5, e)) for e, k in zip(rows.tolist(), steps.tolist())])
-    for part in (slice(None), slice(0, 4), slice(0, 1)):
-        fresh = oracle.evaluate_batch(rows[part].copy(), steps[part].copy(), fx, needs[part])
-        assert oracle.evaluate_batch(rows[part], steps[part], fx, needs[part]).tolist() \
-            == answers[part].tolist() == fresh.tolist()
-    assert computed == [6, 6, 4, 1]  # only the copies were computed
-    # a slice past the first probe, misaligned steps, unit steps, a strided slice and
-    # another oracle's plan are computed afresh
-    assert oracle.evaluate_batch(rows[3:6], steps[3:6], fx, needs[3:]).tolist() == \
-        answers[3:].tolist()
-    oracle.evaluate_batch(rows[:2], steps[1:3], fx, needs[:2])
-    oracle.evaluate_batch(rows[:2])
-    oracle.evaluate_batch(rows[::2], steps[::2], fx, needs[:3])
-    assert other.evaluate_batch(rows[:3], steps[:3], fx, needs[:3]).tolist() == \
-        answers[:3].tolist()
-    assert computed[4:] == [3, 2, 2, 3, 3] and other.plan is None
+    assert oracle.evaluate_batch(rows, steps, fx, needs).tolist() == answers.tolist()
+    assert computed == [6]  # the kept arrays are read from the plan
+
+    def fresh(*probes):
+        # one intervals call, and the answers of an oracle with no plan
+        before = len(computed)
+        values = oracle.evaluate_batch(*probes).tolist()
+        assert computed[before:] == [len(probes[0])]
+        assert values == other.evaluate_batch(*probes).tolist()
+        return values
+
+    for part in (slice(None), slice(0, 4), slice(0, 1)):  # views, not the kept arrays
+        assert fresh(rows[part], steps[part], fx, needs[part]) == answers[part].tolist()
+        assert fresh(rows[part].copy(), steps[part].copy(), fx, needs[part]) == \
+            answers[part].tolist()
+    # strided, misaligned and unit-step probes
+    assert fresh(rows[::2], steps[::2], fx, needs[::2]) == answers[::2].tolist()
+    assert fresh(rows[3:6], steps[3:6], fx, needs[3:]) == answers[3:].tolist()
+    fresh(rows[:2], steps[1:3], fx, needs[:2])
+    fresh(rows[:2])
+    before = len(computed)  # another oracle is handed this one's kept arrays
+    assert other.evaluate_batch(rows, steps, fx, needs).tolist() == answers.tolist()
+    assert computed[before:] == [6] and other.plan is None
     oracle.commit(2, 1)
     assert oracle.plan is None
-    moved = oracle.evaluate_batch(rows, steps, f(x), needs)
-    assert computed[9:] == [6] and moved.tolist() != answers.tolist()
-    # a second multi-step plan replaces the first: the kept probes are its own alone
+    before, fx = len(computed), f(x)
+    moved = oracle.evaluate_batch(rows, steps, fx, needs)
+    assert computed[before:] == [6] and moved.tolist() != answers.tolist()
+    # a second plan replaces the first: the kept probes are its own alone
     oracle.plan_stepped(rows, steps)
     kept = oracle.plan_stepped(rows[1:3], steps[1:3])
-    assert oracle.plan is kept and computed[10:] == [6, 2]
+    assert oracle.plan is kept and computed[before + 1:] == [6, 2]
     assert [a.tolist() for a in kept[:2]] == [[0, 1], [2, 1]] and kept[3].size == 2
+    oracle.evaluate_batch(kept[0], kept[1], fx, needs[:2])
+    oracle.evaluate_batch(rows, steps, fx, needs)
+    assert computed[before + 3:] == [6]
     oracle.follow(x)  # a new incumbent drops the plan too
     assert oracle.plan is None
 

@@ -3,6 +3,8 @@ and the reported approximation bound."""
 
 import itertools
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1065,13 +1067,16 @@ def test_sweep_matches_the_scalar_pass(monkeypatch):
 
 
 def test_sweep_plans_each_probe_once_per_incumbent(monkeypatch):
-    # the sweep keeps its probes' intervals on the oracle until a commit, so no
-    # pass that leaves x as it was, and no charge, computes one again
+    # the sweep keeps its probes' intervals on the oracle until a commit: planning
+    # computes each (incumbent, e, k) interval once, a charge of the whole plan
+    # hands back the kept arrays and computes none, and a charge of a prefix of
+    # the plan computes exactly its own probes
     seen = set()
-    computed = [0]
-    charged = [0]
+    computed = []  # the lengths of the intervals calls of the sweep's probes
+    charges = {"whole": 0, "prefix": 0}
     incumbent = [None]
-    follow, batch = CountingOracle.follow, CountingOracle.evaluate_batch
+    follow, plan_stepped, batch = (CountingOracle.follow, CountingOracle.plan_stepped,
+                                   CountingOracle.evaluate_batch)
 
     def followed(self, x):
         incumbent[0] = x  # kept by reference, so commits step it too
@@ -1080,23 +1085,38 @@ def test_sweep_plans_each_probe_once_per_incumbent(monkeypatch):
     def counted(intervals):
         def call(self, rows, steps):
             if steps is not None:  # the sweep's probes; unit-step scans pass None
-                for e, k in zip(rows.tolist(), steps.tolist()):
-                    key = (tuple(incumbent[0].tolist()), e, k)
-                    assert key not in seen, f"interval of {key} computed twice"
-                    seen.add(key)
-                computed[0] += len(rows)
+                computed.append(len(rows))
             return intervals(self, rows, steps)
         return call
 
+    def planned(self, rows, steps):
+        before = len(computed)
+        plan = plan_stepped(self, rows, steps)
+        assert computed[before:] == [len(rows)]
+        for e, k in zip(rows.tolist(), steps.tolist()):
+            key = (tuple(incumbent[0].tolist()), e, k)
+            assert key not in seen, f"interval of {key} planned twice"
+            seen.add(key)
+        return plan
+
     def counted_batch(self, rows, *args):
-        before = computed[0]
+        before = len(computed)
         values = batch(self, rows, *args)
         if args and args[0] is not None:  # a charge of the sweep's probes
-            assert computed[0] == before
-            charged[0] += len(rows)
+            kept_rows, kept_steps = self.plan[:2]
+            m = len(rows)
+            assert rows.tolist() == kept_rows[:m].tolist()
+            assert args[0].tolist() == kept_steps[:m].tolist()
+            if m == len(kept_rows):
+                assert rows is kept_rows and args[0] is kept_steps and computed[before:] == []
+                charges["whole"] += 1
+            else:
+                assert computed[before:] == [m]
+                charges["prefix"] += 1
         return values
 
     monkeypatch.setattr(CountingOracle, "follow", followed)
+    monkeypatch.setattr(CountingOracle, "plan_stepped", planned)
     for state in (_LinearState, _SqrtState):
         monkeypatch.setattr(state, "intervals", counted(state.intervals))
     monkeypatch.setattr(CountingOracle, "evaluate_batch", counted_batch)
@@ -1104,7 +1124,7 @@ def test_sweep_plans_each_probe_once_per_incumbent(monkeypatch):
         instance = ProblemInstance(n=builtin.n, b=as_point(b), r=r, objective=builtin)
         seen.clear()  # x only grows within a run, so it names the incumbent
         soma_dr_i(instance, AlgorithmConfig(epsilon=eps, algorithm="soma-dr-i"))
-    assert computed[0] > 0 and charged[0] > 0
+    assert seen and charges["whole"] > 0 and charges["prefix"] > 0
 
 
 def test_sweep_charges_one_prefix_per_pass(monkeypatch):
@@ -1352,3 +1372,16 @@ class TestSampleSlotSets:
         for row, pool in zip(got.tolist(), pools.tolist()):
             assert row == sorted(copying_fisher_yates(theirs, pool, 5).tolist())
         assert_same_next_draws(ours, theirs)
+
+
+def test_readme_library_example_runs(capsys):
+    # the README "Library use" block, read from the README itself: it prints
+    # sgl's x, value and queries, then exact's value, which bounds sgl's
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    [block] = re.findall(r"## Library use\n\n```python\n(.*?)```", readme, re.DOTALL)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    lines = capsys.readouterr().out.splitlines()
+    sol = namespace["sol"]
+    assert len(lines) == 2 and lines[0].endswith(f" {sol.value} {sol.queries}")
+    assert sol.queries > 0 and 0 < sol.value <= float(lines[1])
