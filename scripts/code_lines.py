@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print the code lines and physical lines of src/latmax/*.py.
+"""Print the code lines and physical lines of src/latmax/*.py, then the code
+lines of each module, largest first.
 
 A code line holds a token of Python code: blank lines, comment lines and
 the lines of module, class and function docstrings are not counted.
@@ -40,9 +41,12 @@ def code_lines(text: str) -> int:
 
 
 def main() -> None:
-    texts = [path.read_text() for path in sorted(SOURCE.glob("*.py"))]
-    print(f"code lines: {sum(code_lines(text) for text in texts):,}")
-    print(f"physical lines: {sum(len(text.splitlines()) for text in texts):,}")
+    texts = {path.stem: path.read_text() for path in sorted(SOURCE.glob("*.py"))}
+    counts = {name: code_lines(text) for name, text in texts.items()}
+    print(f"code lines: {sum(counts.values()):,}")
+    print(f"physical lines: {sum(len(text.splitlines()) for text in texts.values()):,}")
+    for name, count in sorted(counts.items(), key=lambda item: -item[1]):
+        print(f"  {name}: {count:,}")
 
 
 if __name__ == "__main__":

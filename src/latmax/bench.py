@@ -15,6 +15,7 @@ import logging
 import math
 import struct
 from dataclasses import dataclass, fields
+from pathlib import Path
 from typing import Optional, Sequence, get_args, get_type_hints
 
 import numpy as np
@@ -260,7 +261,9 @@ def run_matrix(grid: ExperimentGrid, algorithms: Sequence[str], master_seed: int
     given to the algorithms in the order listed.  Deterministic algorithms run
     once per (n, r, b_pivot) cell group (repetition 0 only); randomized ones
     run every repetition.  Each row is written and flushed as its run ends, so
-    a crash leaves a readable partial CSV.  Returns the RunRecords written.
+    a crash leaves a readable partial CSV.  The CSV's parent directory is made
+    only once the request has passed its checks, so a rejected request leaves
+    nothing behind.  Returns the RunRecords written.
     Runs are serial: workers stays for callers that pass it, and must be 1.
     """
     if workers != 1:
@@ -273,6 +276,7 @@ def run_matrix(grid: ExperimentGrid, algorithms: Sequence[str], master_seed: int
     if not algorithms:
         raise ValueError("no algorithms requested")
     cells = expand_grid(grid, master_seed)
+    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
 
     records = []
     with open(out_path, "w", newline="") as fh:

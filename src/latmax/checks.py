@@ -49,25 +49,24 @@ def scan_step(objective, x, e, k_max, theta):
 
 
 def deterministic_solvers_match_bruteforce():
-    """soma-dr-i and greedy stay feasible and equal exact on modular instances."""
+    """soma-dr-i and greedy equal exact on modular instances; each solver raises
+    on an infeasible x, so every run here is checked for feasibility too."""
     t0 = time.perf_counter()
     rng = np.random.Generator(np.random.PCG64(20240817))
     config = AlgorithmConfig(epsilon=0.01)  # threshold floor below every weight
-    checked = mismatches = infeasible = 0
+    checked = mismatches = 0
     for kind, count in (("weighted-linear", 100), ("weighted-concave-sqrt", 30)):
         for _ in range(count):
             instance = random_tiny_instance(rng, kinds=(kind,))
             opt = exact_bruteforce(instance).value
             for solver in (soma_dr_i, greedy_lattice):
                 sol = solver(instance, config)
-                infeasible += not instance.is_feasible(sol.x)
                 if kind == "weighted-linear":
                     checked += 1
                     mismatches += sol.value != opt
     elapsed = time.perf_counter() - t0
-    return (checked == 200 and mismatches == infeasible == 0 and elapsed < 60.0,
-            f"{checked} modular comparisons, {mismatches} mismatches, "
-            f"{infeasible} infeasible, {elapsed:.1f}s")
+    return (checked == 200 and mismatches == 0 and elapsed < 60.0,
+            f"{checked} modular comparisons, {mismatches} mismatches, {elapsed:.1f}s")
 
 
 def step_search_matches_scan():

@@ -80,7 +80,6 @@ def _cmd_bench_run(args) -> int:
     else:
         grid = bench.ExperimentGrid()
     algorithms = [name.strip() for name in args.algorithms.split(",") if name.strip()]
-    args.out.mkdir(parents=True, exist_ok=True)
     out_csv = args.out / "results.csv"
     records = bench.run_matrix(grid, algorithms, args.master_seed, out_csv)
     print(f"wrote {out_csv}")

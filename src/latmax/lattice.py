@@ -221,15 +221,15 @@ class ProblemInstance:
         total = sum(caps)
         if total >= 2 ** 63:  # int64 cardinalities, |b|_1 among them, must not wrap
             raise ValueError(f"total availability |b|_1 = {total} overflows int64")
-        # min(w . b, max(w) * r) bounds every feasible value, which int64 arithmetic must
-        # hold exactly; it is summed only where its bound max(w) * min(|b|_1, r) reaches 2**63
+        # min(w . b, max(w) * r) bounds every feasible value, which a float64 must hold
+        # exactly; it is summed only where its bound max(w) * min(|b|_1, r) reaches 2**53
         w, r = self.objective.weights, int(self.r)
-        if self.objective.kind == WEIGHTED_LINEAR and int(w.max()) * min(total, r) >= 2 ** 63:
+        if self.objective.kind == WEIGHTED_LINEAR and int(w.max()) * min(total, r) >= 2 ** 53:
             w = w.tolist()
             top = min(sum(we * be for we, be in zip(w, caps)), max(w) * r)
-            if top >= 2 ** 63:
-                raise ValueError(f"weighted-linear values up to {top} overflow int64 "
-                                 "(min(w . b, max(w) * r) must be below 2**63)")
+            if top >= 2 ** 53:
+                raise ValueError(f"weighted-linear values up to {top} are not exact in float64 "
+                                 "(min(w . b, max(w) * r) must be below 2**53)")
 
     def is_feasible(self, x: np.ndarray) -> bool:
         return x.shape[0] == self.n and bool((x >= 0).all()) and leq(x, self.b) \
@@ -410,8 +410,9 @@ def _check_weights(objective: Objective) -> None:
 class _LinearState:
     """weighted-linear: the exact int f(x), so every probe is exact and O(1).
 
-    Every feasible value is below 2**63 (:class:`ProblemInstance`), so the
-    int64 values and intervals are exact too, and each interval is one value.
+    Every feasible value is below 2**53 (:class:`ProblemInstance`), so the
+    int64 values and intervals are exact, and so is each float64 value the
+    oracle returns; each interval is one value.
     """
 
     check = staticmethod(_check_weights)

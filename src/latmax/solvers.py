@@ -455,32 +455,17 @@ def _out_of_time(start: float, budget: Optional[float]) -> bool:
     return budget is not None and time.perf_counter() - start >= budget
 
 
-def _prologue(instance: ProblemInstance, config: AlgorithmConfig):
-    """Start the clock and a fresh oracle for one run of either loop.
-
-    Returns (start, oracle, early) where early is the finished Solution when
-    the run is out of time before it begins or has no budget, else None.
-    """
-    start = time.perf_counter()
-    oracle = CountingOracle(instance.objective)
-    early = None
-    if _out_of_time(start, config.time_budget):
-        early = _finish(instance, zeros(instance.n), oracle, 0, start, timed_out=True)
-    elif instance.r == 0:
-        early = _finish(instance, zeros(instance.n), oracle, 0, start)
-    return start, oracle, early
-
-
 def _threshold_pass(oracle, fx, card, caps, r, theta, elements):
     """One acceptance sweep: binary-search a step for each listed element id.
 
     Commits accepted steps immediately, so later elements in the same pass
     see the updated incumbent, except a step that lowers f(x): the guard reads
     the value the search paid for, so it is query-free.  caps mirrors b as a
-    list, and the oracle's xs mirrors x.
+    list, and the oracle's xs mirrors x.  Returns (fx, card, max_cap_seen):
+    every commit spends at least one copy, so the pass committed exactly when
+    card grew.
     """
     xs = oracle.xs
-    committed = False
     max_cap_seen = 0
     for e in elements:
         k_cap = caps[e] - xs[e]  # min(b_e - x_e, r - |x|), without a builtin call
@@ -496,8 +481,7 @@ def _threshold_pass(oracle, fx, card, caps, r, theta, elements):
         k, fx = hit
         oracle.commit(e, k)
         card += k
-        committed = True
-    return fx, card, committed, max_cap_seen
+    return fx, card, max_cap_seen
 
 
 def _all_reject_paths(gaps, room):
@@ -532,7 +516,8 @@ def _sweep_pass(oracle, x, fx, card, b, caps, r, theta):
     With no such element the batch is the kept plan's own arrays, whose
     intervals the oracle reads from the plan; otherwise it is their slices
     [:cut], whose intervals the oracle computes again.  An unbounded probe
-    never rejects, so a pass of such probes is the scalar pass.
+    never rejects, so a pass of such probes is the scalar pass.  Returns what
+    :func:`_threshold_pass` returns, its cap seen taken over every element.
     """
     plan = oracle.plan
     if plan is None:  # the incumbent changed since the last plan
@@ -548,9 +533,8 @@ def _sweep_pass(oracle, x, fx, card, b, caps, r, theta):
                            - fx < needs).all():
         raise RuntimeError("a charged probe accepted where its bound rejected")
     max_cap_seen = min(int((b[:e] - x[:e]).max(initial=0)), r - card)
-    fx, card, committed, cap_seen = _threshold_pass(oracle, fx, card, caps, r, theta,
-                                                    range(e, x.size))
-    return fx, card, committed, max(max_cap_seen, cap_seen)
+    fx, card, cap_seen = _threshold_pass(oracle, fx, card, caps, r, theta, range(e, x.size))
+    return fx, card, max(max_cap_seen, cap_seen)
 
 
 def _threshold_run(instance: ProblemInstance, config: AlgorithmConfig,
@@ -560,11 +544,15 @@ def _threshold_run(instance: ProblemInstance, config: AlgorithmConfig,
     sampled=True draws each pass's elements from those below their caps and
     stops after MAX_STALLED_PASSES zero-commit passes at the floor;
     sampled=False sweeps every element and stops after one pass at the floor.
+    A pass committed exactly when it spent budget.  A run out of time before
+    it starts, or with r = 0, returns the zero point after no query.
     """
-    start, oracle, early = _prologue(instance, config)
-    if early is not None:
-        return early
+    start = time.perf_counter()
+    oracle = CountingOracle(instance.objective)
     n, b, r = instance.n, instance.b, instance.r
+    timed_out = _out_of_time(start, config.time_budget)
+    if timed_out or r == 0:
+        return _finish(instance, zeros(n), oracle, 0, start, timed_out=timed_out)
     if r >= cardinality(b):
         oracle.evaluate(b)
         return _finish(instance, b.copy(), oracle, 0, start)
@@ -583,19 +571,17 @@ def _threshold_run(instance: ProblemInstance, config: AlgorithmConfig,
     iterations = 0
     idle_at_floor = 0
     stalled = False
-    timed_out = False
     while card < r:
         if _out_of_time(start, config.time_budget):
             timed_out = True
             break
+        before, spent = oracle.queries, card
         if sampled:
             elements = stream.pick(available, min(s_raw, len(available)))
-        before = oracle.queries
-        if sampled:
-            fx, card, committed, cap_seen = _threshold_pass(oracle, fx, card, caps, r, theta,
-                                                            elements)
+            fx, card, cap_seen = _threshold_pass(oracle, fx, card, caps, r, theta, elements)
         else:
-            fx, card, committed, cap_seen = _sweep_pass(oracle, x, fx, card, b, caps, r, theta)
+            fx, card, cap_seen = _sweep_pass(oracle, x, fx, card, b, caps, r, theta)
+        committed = card > spent
         iterations += 1
         if trace is not None:
             trace.append(PassStats(queries=oracle.queries - before,
@@ -627,13 +613,16 @@ def _unit_step_run(instance: ProblemInstance, config: AlgorithmConfig,
     sampled=True scores a random sample of the remaining copy slots and
     always commits the best; sampled=False scores every element below its
     cap and stops once the best gain is not positive.  Every round commits
-    one copy, so both run at most min(r, |b|_1) rounds.  Ties go to the
-    smallest element id.
+    one copy, so both run at most min(r, |b|_1) rounds, and |x|_1 counts the
+    rounds run.  Ties go to the smallest element id.  A run out of time
+    before it starts, or with r = 0, returns the zero point after no query.
     """
-    start, oracle, early = _prologue(instance, config)
-    if early is not None:
-        return early
+    start = time.perf_counter()
+    oracle = CountingOracle(instance.objective)
     n, b, r = instance.n, instance.b, instance.r
+    timed_out = _out_of_time(start, config.time_budget)
+    if timed_out or r == 0:
+        return _finish(instance, zeros(n), oracle, 0, start, timed_out=timed_out)
     x = zeros(n)
     fx = oracle.follow(x)
     total = cardinality(b)
@@ -646,8 +635,6 @@ def _unit_step_run(instance: ProblemInstance, config: AlgorithmConfig,
         ends = np.cumsum(b)  # ends[e]: remaining slots of the elements up to e
         slot_sets = _ssg_slot_sets(_WordStream(config.seed), total, s, rounds)
 
-    iterations = 0
-    timed_out = False
     for _ in range(rounds):
         if _out_of_time(start, config.time_budget):
             timed_out = True
@@ -666,12 +653,11 @@ def _unit_step_run(instance: ProblemInstance, config: AlgorithmConfig,
         if sampled:
             ends[best_e:] -= 1
         fx = best_val
-        iterations += 1
         if trace is not None:
             trace.append(PassStats(queries=oracle.queries - before,
                                    sample_size=candidates.size, max_step_cap=1,
                                    committed=True, value=fx))
-    return _finish(instance, x, oracle, iterations, start, timed_out=timed_out)
+    return _finish(instance, x, oracle, cardinality(x), start, timed_out=timed_out)
 
 
 def sgl(instance: ProblemInstance, config: AlgorithmConfig,

@@ -78,7 +78,7 @@ class TestBenchRun:
         assert code == 2
         assert error_line(capsys) == \
             f"latmax: error: master seed must be an integer in [0, 2**64), got {master_seed}"
-        assert not (out / "results.csv").exists()
+        assert list(tmp_path.iterdir()) == [grid_file]  # the seed is checked before --out is made
 
     @pytest.mark.parametrize("extra, message", [
         (["--algorithms", "sgl,mystery"], "unknown algorithm 'mystery'"),
@@ -90,6 +90,7 @@ class TestBenchRun:
         code = main(["bench", "run", *extra, "--master-seed", "1", "--out", "o"])
         assert code == 2
         assert message in error_line(capsys)
+        assert list(tmp_path.iterdir()) == []  # the request is checked before --out is made
 
     def test_refused_run_keeps_csv_header(self, tmp_path, capsys):
         # exact refuses the first desk cell, before any row is written

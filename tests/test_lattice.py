@@ -601,27 +601,47 @@ def test_non_integer_dimension_is_rejected():
 
 def test_linear_instance_beyond_int64_is_rejected():
     # min(w . b, max(w) * r) bounds every feasible value; from 2**63 on, int64 wraps
-    # (weighted_linear([100, 3]) at [2**62, 5] evaluates to 15.0)
+    # (weighted_linear([100, 3]) at [2**62, 5] evaluates to 15.0), and from 2**53
+    # on, a float64 value is no longer exact
     f = lm.weighted_linear([100, 3])
-    with pytest.raises(ValueError, match="overflow int64"):
+    with pytest.raises(ValueError, match="not exact in float64"):
         lm.ProblemInstance(n=2, b=[2 ** 62, 5], r=2 ** 62 + 5, objective=f)
-    with pytest.raises(ValueError, match="overflow int64"):
+    with pytest.raises(ValueError, match="not exact in float64"):
         lm.ProblemInstance(n=1, b=[2 ** 62], r=2 ** 62, objective=lm.weighted_linear([2]))
-    edge = lm.ProblemInstance(n=1, b=[2 ** 63 - 1], r=2 ** 63 - 1,
+    edge = lm.ProblemInstance(n=1, b=[2 ** 53 - 1], r=2 ** 53 - 1,
                               objective=lm.weighted_linear([1]))
-    assert lm.soma_dr_i(edge).value == float(2 ** 63 - 1)
+    assert lm.soma_dr_i(edge).value == float(2 ** 53 - 1)
     # either factor of the bound may be the small one
     small_r = lm.ProblemInstance(n=2, b=[2 ** 62, 5], r=7, objective=f)
     assert lm.soma_dr_i(small_r).value == 700.0
-    small_b = lm.ProblemInstance(n=2, b=[2 ** 56, 5], r=2 ** 62, objective=f)
-    assert lm.soma_dr_i(small_b).value == float(100 * 2 ** 56 + 15)
-    # max(w) * min(|b|_1, r) reaches 2**63 here, but w . b = 2**62 + 100 does not
-    wide = lm.ProblemInstance(n=2, b=[1, 2 ** 62], r=2 ** 62 + 1,
+    small_b = lm.ProblemInstance(n=2, b=[2 ** 46, 5], r=2 ** 52, objective=f)
+    assert lm.soma_dr_i(small_b).value == float(100 * 2 ** 46 + 15)
+    # max(w) * min(|b|_1, r) reaches 2**53 here, but w . b = 2**52 + 100 does not
+    wide = lm.ProblemInstance(n=2, b=[1, 2 ** 52], r=2 ** 52 + 1,
                               objective=lm.weighted_linear([100, 1]))
-    assert lm.soma_dr_i(wide).value == float(2 ** 62 + 100)
+    assert lm.soma_dr_i(wide).value == float(2 ** 52 + 100)
     # sqrt values are floats and have no such limit
     lm.ProblemInstance(n=2, b=[2 ** 62, 5], r=2 ** 62 + 5,
                        objective=lm.weighted_concave_sqrt([100, 3]))
+
+
+def test_linear_values_from_2_53_on_are_rejected():
+    # a gain below half an ulp of f(x) read 0: soma-dr-i left 4 copies unspent on
+    # the first instance, and soma-dr-i and sgl 3 on the second, with value != w . x
+    for w, b, r in (([97, 89, 83, 79], 2 ** 54 + 1, 3 * 2 ** 54 + 7),
+                    ([100, 99, 1], 2 ** 55, 2 ** 56 + 3)):
+        with pytest.raises(ValueError, match=r"must be below 2\*\*53"):
+            lm.ProblemInstance(n=len(w), b=[b] * len(w), r=r, objective=lm.weighted_linear(w))
+    # at 2**53 - 1 every value is exact: each run spends its last copies, of
+    # gain 1, and its value is w . x
+    w, b = [100, 99, 1], [2 ** 45, 2 ** 45, 57 * 2 ** 45 - 1]
+    instance = lm.ProblemInstance(n=3, b=b, r=sum(b) - 3, objective=lm.weighted_linear(w))
+    assert sum(we * be for we, be in zip(w, b)) == 2 ** 53 - 1 < 100 * instance.r
+    swept = lm.soma_dr_i(instance)
+    for sol in (swept, lm.sgl(instance, lm.AlgorithmConfig(seed=1))):
+        assert lm.cardinality(sol.x) == instance.r
+        assert sol.value == float(sum(we * xe for we, xe in zip(w, sol.x.tolist())))
+    assert swept.value == float(2 ** 53 - 4)  # the optimum
 
 
 def test_total_availability_beyond_int64_is_rejected():
