@@ -250,12 +250,15 @@ class CountingOracle:
     ``evaluate_batch`` on an (m, n) array of points.  A solver ``follow``s its
     incumbent x and ``commit``s each step, for free, so a probe of x + k * 1_e
     is answered from ``state``, an instance of the objective kind's class made
-    at ``follow``: :class:`_LinearState` answers in O(1) and exactly,
-    :class:`_SqrtState` bit-identically to a full evaluation, and
-    :class:`_CustomState` calls the objective.  A probe given the bar its gain
-    must clear answers the upper end of an O(1) certified interval around its
-    value when even that end fails the bar, so a sqrt probe takes the O(n) dot
-    product only when it may pass; any answer that passes is exact.
+    at ``follow``.  The oracle alone keeps the incumbent's f(x) and |x|_1, as
+    ``fx`` and ``card``: ``follow`` sets them, and ``commit`` takes the new
+    f(x) from the caller, the exact value of the probe that chose the step.
+    :class:`_LinearState` answers in O(1) and exactly, :class:`_SqrtState`
+    bit-identically to a full evaluation, and :class:`_CustomState` calls the
+    objective.  A probe given the bar its gain over ``fx`` must clear answers
+    the upper end of an O(1) certified interval around its value when even
+    that end fails the bar, so a sqrt probe takes the O(n) dot product only
+    when it may pass; any answer that passes is exact.
     ``evaluate_batch`` answers a list of probes as the same
     ``evaluate_stepped`` calls would, by the same rule applied to the kind's
     vectorized intervals.  A list given no bar is a unit-step scan that keeps
@@ -271,9 +274,10 @@ class CountingOracle:
     """
 
     # x: the followed incumbent; xs: x as a list of Python ints, the one mirror
-    # the solvers and the kind state read; state: the kind class's state for x.
-    # plan: (rows, steps, low, high) kept by plan_stepped for the followed x, or None.
-    __slots__ = ("objective", "queries", "x", "xs", "plan", "state")
+    # the solvers and the kind state read; fx and card: f(x) and |x|_1; state:
+    # the kind class's state for x.  plan: (rows, steps, low, high) kept by
+    # plan_stepped for the followed x, or None.
+    __slots__ = ("objective", "queries", "x", "xs", "fx", "card", "plan", "state")
 
     def __init__(self, objective: Objective):
         self.objective = objective
@@ -292,61 +296,64 @@ class CountingOracle:
         """
         value = self.evaluate(x)
         self.x, self.xs, self.plan = x, x.tolist(), None
-        self.state = _KINDS[self.objective.kind](self.objective, x, self.xs, value)
+        self.fx, self.card = value, cardinality(x)
+        self.state = _KINDS[self.objective.kind](self.objective, x, self.xs)
         return value
 
-    def commit(self, e: int, k: int) -> None:
-        """Step the followed incumbent to x + k * 1_e; charges no query.
+    def commit(self, e: int, k: int, value: float) -> None:
+        """Step the followed incumbent to x + k * 1_e, whose f is value; charges no query.
 
-        x and xs are stepped before the kind state, which reads them.  Drops
-        the kept plan, whose intervals were for the old x.
+        value is the exact f(x + k * 1_e), as the probe that chose the step
+        returned it, and becomes fx.  x and xs are stepped before the kind
+        state, which reads them.  Drops the kept plan, whose intervals were
+        for the old x.
         """
         self.x[e] += k
         self.xs[e] += k
-        self.plan = None
+        self.fx, self.card, self.plan = value, self.card + k, None
         self.state.commit(e, k)
 
-    def evaluate_stepped(self, e: int, k: int, fx: Optional[float] = None,
-                         need: Optional[float] = None) -> float:
+    def evaluate_stepped(self, e: int, k: int, need: Optional[float] = None) -> float:
         """f(x + k * 1_e) for the followed x in one query; x is left unchanged.
 
-        Given the caller's fx and need, a probe whose certified upper end
-        already fails value - fx >= need returns that end instead.  Rounding
-        is monotone, so the caller's float test fails on it as it would on
-        the exact value; an answer that passes the test is the exact value.
+        Given need, a probe whose certified upper end already fails
+        value - fx >= need returns that end instead.  Rounding is monotone,
+        so the caller's float test against fx fails on it as it would on the
+        exact value; an answer that passes the test is the exact value.
         """
         self.queries += 1
-        return self.state.probe(e, k, fx, need)
+        return self.state.probe(e, k, self.fx, need)
 
     def evaluate_batch(self, rows: np.ndarray, steps: Optional[np.ndarray] = None,
-                       fx: Optional[float] = None, need=None) -> np.ndarray:
+                       need=None) -> np.ndarray:
         """One query per row: f of each (m, n) point, or of x + k * 1_e for each listed e.
 
         Listed elements are probed as :meth:`evaluate_stepped` probes them,
         answer for answer: steps (k, or None for unit steps) aligns with the
         elements, and need is one bar for every probe or one bar per probe; a
-        NaN bar decides nothing.  With no bar (need None), the bar is the
-        scan's own: f(x) taken as 0 and need as the largest lower end, so a
-        probe whose upper end lies below another's lower end, and so cannot
-        be the largest value, answers that upper end, and the first maximum
-        and its value are exact.  Given the kept plan's rows and steps
-        themselves (``rows is plan[0] and steps is plan[1]``), the intervals
-        are read from the plan; those of any other probes, a slice or copy
-        of the plan included, come from the kind state.  Where the kind's
-        intervals are exact (one array as both ends, kept or not) they are
-        the values; otherwise a probe whose upper end fails its bar answers
-        that end, and every other probe the kind state's exact value.
-        An (m, n) array is charged and handed to :meth:`Objective.batch`,
-        which checks its width and its values.
+        NaN bar decides nothing; a bar is tested against fx.  With no bar
+        (need None), the bar is the scan's own: f(x) taken as 0 and need as
+        the largest lower end, so a probe whose upper end lies below
+        another's lower end, and so cannot be the largest value, answers
+        that upper end, and the first maximum and its value are exact.
+        Given the kept plan's rows and steps themselves (``rows is plan[0]
+        and steps is plan[1]``), the intervals are read from the plan; those
+        of any other probes, a slice or copy of the plan included, come from
+        the kind state.  Where the kind's intervals are exact (one array as
+        both ends, kept or not) they are the values; otherwise a probe whose
+        upper end fails its bar answers that end, and every other probe the
+        kind state's exact value.  An (m, n) array is charged and handed to
+        :meth:`Objective.batch`, which checks its width and its values.
         """
         if rows.ndim == 1:
             self.queries += len(rows)
             plan = self.plan
             kept = plan is not None and rows is plan[0] and steps is plan[1]
-            low, high = plan[2:] if kept else self.state.intervals(rows, steps)
+            low, high = plan[2:] if kept else self.state.intervals(rows, steps, self.fx)
             values = high.copy()
             if low is high:
                 return values
+            fx = self.fx
             if need is None:
                 fx, need = 0.0, low.max(initial=-math.inf)
             undecided = np.flatnonzero(~(high - fx < need))
@@ -369,7 +376,7 @@ class CountingOracle:
         themselves reads their intervals instead of computing them again; a
         slice of them is computed afresh, like any other probes.
         """
-        plan = (rows.copy(), steps.copy(), *self.state.intervals(rows, steps))
+        plan = (rows.copy(), steps.copy(), *self.state.intervals(rows, steps, self.fx))
         for a in plan:
             a.flags.writeable = False
         self.plan = plan
@@ -384,14 +391,19 @@ class CountingOracle:
 # array whose width Objective.batch has checked: the kind's one value
 # definition, which checks the points and values the kind can get wrong and
 # which Objective.__call__ takes as a one-row batch.  An instance is the
-# followed state: made by follow(objective, x, xs, f(x)) and stepped by commit
-# after x and xs;
-# probe(e, k, fx, need) answers evaluate_stepped: the exact value, or the upper
-# end of an interval that fails its bar.  intervals(rows, steps) gives the
-# (low, high) ends of each probe's value for plan_stepped and evaluate_batch,
-# one array as both ends where they are exact, and stepped(e, k) the exact value
-# of a probe they leave undecided.  The oracle alone decides, from the
-# intervals, which probes need their exact value.
+# followed state, made by follow as cls(objective, x, xs).  The oracle's
+# commit(e, k, value) steps x and xs, takes value, the exact f(x + k * 1_e)
+# that the probe which chose the step returned, as its fx, and then calls the
+# state's commit(e, k), which steps only what the state caches.  The oracle
+# keeps f(x) and hands it, as fx, to the state's probe and intervals.  Which
+# probes need their exact value is decided in two places, by one rule:
+# - probe(e, k, fx, need) answers evaluate_stepped, and the kind decides its
+#   single probe: the exact value, or, given a bar need, the upper end of an
+#   interval that fails value - fx >= need;
+# - intervals(rows, steps, fx) gives the (low, high) ends of each probe's value
+#   for plan_stepped and evaluate_batch, one array as both ends where they are
+#   exact, and the oracle decides from them which probes of a list need
+#   stepped(e, k), the exact value.
 
 
 def _check_weights(objective: Objective) -> None:
@@ -416,29 +428,30 @@ class _LinearState:
     """
 
     check = staticmethod(_check_weights)
-    # fx: the exact f(x); weights and ws: w as an int array and as Python ints
-    __slots__ = ("fx", "weights", "ws")
+    # exact: f(x) as an int, which keeps probes exact above 2**53 when the
+    # oracle is used directly; weights and ws: w as an int array and as Python ints
+    __slots__ = ("exact", "weights", "ws")
 
     @staticmethod
     def batch(objective: Objective, points: np.ndarray) -> np.ndarray:
         return (points @ objective.weights).astype(np.float64)
 
-    def __init__(self, objective: Objective, x: np.ndarray, xs: list, fx: float):
+    def __init__(self, objective: Objective, x: np.ndarray, xs: list):
         self.weights = objective.weights
         self.ws = self.weights.tolist()
-        self.fx = int(self.weights @ x)
+        self.exact = int(self.weights @ x)
 
     def commit(self, e: int, k: int) -> None:
-        self.fx += self.ws[e] * k
+        self.exact += self.ws[e] * k
 
     def probe(self, e: int, k: int, fx, need) -> float:
-        return float(self.fx + self.ws[e] * k)
+        return float(self.exact + self.ws[e] * k)
 
-    def intervals(self, rows: np.ndarray, steps: Optional[np.ndarray]):
+    def intervals(self, rows: np.ndarray, steps: Optional[np.ndarray], fx):
         gains = self.weights[rows]
         if steps is not None:
             gains = gains * steps
-        values = (gains + self.fx).astype(np.float64)
+        values = (gains + self.exact).astype(np.float64)
         return values, values
 
 
@@ -454,9 +467,9 @@ class _SqrtState:
     check = staticmethod(_check_weights)
     # x and xs: the followed x and the oracle's list mirror of it; roots and
     # weights: sqrt(x) and w as float arrays, for the dot product; rs and ws:
-    # the same as Python floats, for the O(1) probe; fx: f(x) as the dot product
-    # gives it; tol scales the certified interval.
-    __slots__ = ("x", "xs", "roots", "weights", "rs", "ws", "fx", "tol")
+    # the same as Python floats, for the O(1) probe; tol scales the certified
+    # interval.  f(x) is the oracle's fx, as the dot product gives it.
+    __slots__ = ("x", "xs", "roots", "weights", "rs", "ws", "tol")
 
     @staticmethod
     def batch(objective: Objective, points: np.ndarray) -> np.ndarray:
@@ -467,8 +480,8 @@ class _SqrtState:
             raise ValueError("weighted-concave-sqrt points must be nonnegative")
         return np.vecdot(np.sqrt(points), objective.weights.astype(np.float64))
 
-    def __init__(self, objective: Objective, x: np.ndarray, xs: list, fx: float):
-        self.x, self.xs, self.fx = x, xs, fx
+    def __init__(self, objective: Objective, x: np.ndarray, xs: list):
+        self.x, self.xs = x, xs
         self.roots = np.sqrt(x)
         self.weights = objective.weights.astype(np.float64)
         self.rs, self.ws = self.roots.tolist(), self.weights.tolist()
@@ -485,25 +498,23 @@ class _SqrtState:
         self.tol = 4 * (x.size + 4) * 2.0 ** -53
 
     def commit(self, e: int, k: int) -> None:
+        """Swap in the stepped root; the new f(x) is the oracle's committed value."""
         self.rs[e] = self.roots[e] = math.sqrt(self.xs[e])
-        self.fx = float(self.roots @ self.weights)
 
-    def probe(self, e: int, k: int, fx: Optional[float], need: Optional[float]) -> float:
+    def probe(self, e: int, k: int, fx: float, need: Optional[float]) -> float:
         if need is not None:
-            base = self.fx
             gain = self.ws[e] * (math.sqrt(self.xs[e] + k) - self.rs[e])
-            high = base + gain + self.tol * (base + abs(gain))
+            high = fx + gain + self.tol * (fx + abs(gain))
             if high - fx < need:
                 return high
         return self.stepped(e, k)
 
-    def intervals(self, rows: np.ndarray, steps: Optional[np.ndarray]):
+    def intervals(self, rows: np.ndarray, steps: Optional[np.ndarray], fx: float):
         """(low, high) of each probe; high by :meth:`probe`'s float operations in its order."""
-        base = self.fx
         stepped = self.x[rows] + (1 if steps is None else steps)
         gain = self.weights[rows] * (np.sqrt(stepped) - self.roots[rows])
-        value = base + gain
-        slack = self.tol * (base + np.abs(gain))
+        value = fx + gain
+        slack = self.tol * (fx + np.abs(gain))
         return value - slack, value + slack
 
     def stepped(self, e: int, k: int) -> float:
@@ -542,13 +553,13 @@ class _CustomState:
                 raise ValueError(f"objective returned {value} at {point.tolist()}{where}")
         return values
 
-    def __init__(self, objective: Objective, x: np.ndarray, xs: list, fx: float):
+    def __init__(self, objective: Objective, x: np.ndarray, xs: list):
         self.objective, self.x = objective, x
 
     def commit(self, e: int, k: int) -> None:
         pass
 
-    def intervals(self, rows: np.ndarray, steps: Optional[np.ndarray]):
+    def intervals(self, rows: np.ndarray, steps: Optional[np.ndarray], fx):
         """(-inf, inf) for every probe: a custom value has no certified bound."""
         return np.full(len(rows), -math.inf), np.full(len(rows), math.inf)
 

@@ -13,19 +13,20 @@ round: :func:`ssg` samples copy slots, :func:`greedy_lattice` scans every
 element.
 
 Both loops ``follow`` their incumbent on the oracle from the zero point and
-``commit`` each accepted step to it, so every probe of a point one coordinate
-away is answered from the oracle's followed state of the objective kind's
-class in :mod:`latmax.lattice`: in O(1), by one dot product or by one call
-of the objective, as the kind allows.  The kind's class also brackets each
-probe's value by an O(1) interval, exact, certified or unbounded, and a
-probe whose upper end already fails its bar answers that end without the
-exact value.  A threshold step probe's bar is its step times the threshold.
-A unit-step scan is one ``evaluate_batch`` call given no bar, which the
-oracle reads as the scan's own: every candidate is barred at the largest
-lower end, since a candidate whose upper end lies below it cannot be the
-best.  Every decision, and every value a solver keeps, is thus that of a
-full evaluation bit for bit.  The solvers name no kind and read no kind
-state.
+``commit`` each accepted step to it, with the value its probe returned; they
+read f(x) and |x|_1 back as the oracle's ``fx`` and ``card``.  So every
+probe of a point one coordinate away is answered from the oracle's followed
+state of the objective kind's class in :mod:`latmax.lattice`: in O(1), by
+one dot product or by one call of the objective, as the kind allows.  The
+kind's class also brackets each probe's value by an O(1) interval, exact,
+certified or unbounded, and a probe whose upper end already fails its bar
+answers that end without the exact value.  A threshold step probe's bar is
+its step times the threshold.  A unit-step scan is one ``evaluate_batch``
+call given no bar, which the oracle reads as the scan's own: every
+candidate is barred at the largest lower end, since a candidate whose upper
+end lies below it cannot be the best.  Every decision, and every value a
+solver keeps, is thus that of a full evaluation bit for bit.  The solvers
+name no kind and read no kind state.
 
 sgl makes one ``evaluate_stepped`` call per probe.  Each soma-dr-i pass
 (:func:`_sweep_pass`) charges the searches that reject every probe, up to
@@ -405,8 +406,7 @@ def _ssg_slot_sets(stream: _WordStream, total: int, s: int, rounds: int):
         yield np.arange(remaining)
 
 
-def max_feasible_step(oracle: CountingOracle, e: int, k_max: int, theta: float,
-                      fx: float):
+def max_feasible_step(oracle: CountingOracle, e: int, k_max: int, theta: float):
     """Largest k in [1, k_max] whose cumulative gain clears k * theta.
 
     Binary search over the step count, probing the acceptance predicate
@@ -415,21 +415,22 @@ def max_feasible_step(oracle: CountingOracle, e: int, k_max: int, theta: float,
     diminishing returns, which makes the search exact; for other objectives
     it is a heuristic.
 
-    Returns (k, f(x + k * 1_e)) for the accepted step, or None.  fx is the
-    caller's cached f(x).  Costs at most ceil(log2(k_max + 1)) queries; the
-    returned objective value lets the caller update its incumbent and apply
-    acceptance guards without re-querying.  Each probe is given its bar, so
-    the oracle may reject it from a certified interval; an accepted probe's
-    value is always exact.
+    Returns (k, f(x + k * 1_e)) for the accepted step, or None; f(x) is the
+    oracle's fx.  Costs at most ceil(log2(k_max + 1)) queries; the returned
+    objective value lets the caller commit the step and apply acceptance
+    guards without re-querying.  Each probe is given its bar, so the oracle
+    may reject it from a certified interval; an accepted probe's value is
+    always exact.
     """
     probe = oracle.evaluate_stepped
+    fx = oracle.fx
     lo, hi = 1, k_max
     best = 0
     while lo <= hi:
         mid = (lo + hi) // 2
         need = mid * theta
         # positional, so a wrapper taking only *args sees every probe
-        val = probe(e, mid, fx, need)
+        val = probe(e, mid, need)
         if val - fx >= need:
             best, best_val = mid, val
             lo = mid + 1
@@ -455,17 +456,18 @@ def _out_of_time(start: float, budget: Optional[float]) -> bool:
     return budget is not None and time.perf_counter() - start >= budget
 
 
-def _threshold_pass(oracle, fx, card, caps, r, theta, elements):
+def _threshold_pass(oracle, caps, r, theta, elements):
     """One acceptance sweep: binary-search a step for each listed element id.
 
     Commits accepted steps immediately, so later elements in the same pass
     see the updated incumbent, except a step that lowers f(x): the guard reads
     the value the search paid for, so it is query-free.  caps mirrors b as a
-    list, and the oracle's xs mirrors x.  Returns (fx, card, max_cap_seen):
+    list, and the oracle's xs mirrors x.  Returns the largest step cap seen;
     every commit spends at least one copy, so the pass committed exactly when
-    card grew.
+    the oracle's card grew.
     """
     xs = oracle.xs
+    fx, card = oracle.fx, oracle.card
     max_cap_seen = 0
     for e in elements:
         k_cap = caps[e] - xs[e]  # min(b_e - x_e, r - |x|), without a builtin call
@@ -475,13 +477,12 @@ def _threshold_pass(oracle, fx, card, caps, r, theta, elements):
             continue
         if k_cap > max_cap_seen:
             max_cap_seen = k_cap
-        hit = max_feasible_step(oracle, e, k_cap, theta, fx)
+        hit = max_feasible_step(oracle, e, k_cap, theta)
         if hit is None or hit[1] < fx:
             continue
-        k, fx = hit
-        oracle.commit(e, k)
-        card += k
-    return fx, card, max_cap_seen
+        oracle.commit(e, *hit)
+        fx, card = oracle.fx, oracle.card
+    return max_cap_seen
 
 
 def _all_reject_paths(gaps, room):
@@ -502,7 +503,7 @@ def _all_reject_paths(gaps, room):
     return np.repeat(live, on_path.sum(axis=1)), probes[on_path]
 
 
-def _sweep_pass(oracle, x, fx, card, b, caps, r, theta):
+def _sweep_pass(oracle, b, caps, r, theta):
     """:func:`_threshold_pass` over every element, its all-reject prefix in one batch.
 
     The oracle keeps the all-reject paths of every element
@@ -519,6 +520,7 @@ def _sweep_pass(oracle, x, fx, card, b, caps, r, theta):
     never rejects, so a pass of such probes is the scalar pass.  Returns what
     :func:`_threshold_pass` returns, its cap seen taken over every element.
     """
+    x, fx, card = oracle.x, oracle.fx, oracle.card
     plan = oracle.plan
     if plan is None:  # the incumbent changed since the last plan
         plan = oracle.plan_stepped(*_all_reject_paths(b - x, r - card))
@@ -529,12 +531,10 @@ def _sweep_pass(oracle, x, fx, card, b, caps, r, theta):
     if open_.size:  # charge the probes before e: a slice, whose intervals are computed
         cut = int(elements.searchsorted(e))
         elements, steps, needs = elements[:cut], steps[:cut], needs[:cut]
-    if steps.size and not (oracle.evaluate_batch(elements, steps, fx, needs)
-                           - fx < needs).all():
+    if steps.size and not (oracle.evaluate_batch(elements, steps, needs) - fx < needs).all():
         raise RuntimeError("a charged probe accepted where its bound rejected")
     max_cap_seen = min(int((b[:e] - x[:e]).max(initial=0)), r - card)
-    fx, card, cap_seen = _threshold_pass(oracle, fx, card, caps, r, theta, range(e, x.size))
-    return fx, card, max(max_cap_seen, cap_seen)
+    return max(max_cap_seen, _threshold_pass(oracle, caps, r, theta, range(e, x.size)))
 
 
 def _threshold_run(instance: ProblemInstance, config: AlgorithmConfig,
@@ -561,33 +561,32 @@ def _threshold_run(instance: ProblemInstance, config: AlgorithmConfig,
     stream = _WordStream(config.seed) if sampled else None
     x = zeros(n)
     caps = b.tolist()  # the scalar pass's mirror of b; the oracle's xs mirrors x
-    fx = oracle.follow(x)
+    oracle.follow(x)
     theta = d = float(oracle.evaluate_batch(np.arange(n)).max())
     theta_stop = (eps / r) * d
     s_raw = max(1, sample_size(n, r, eps))
     available = elements = list(range(n))  # the elements below their caps, ascending
 
-    card = 0
     iterations = 0
     idle_at_floor = 0
     stalled = False
-    while card < r:
+    while oracle.card < r:
         if _out_of_time(start, config.time_budget):
             timed_out = True
             break
-        before, spent = oracle.queries, card
+        before, spent = oracle.queries, oracle.card
         if sampled:
             elements = stream.pick(available, min(s_raw, len(available)))
-            fx, card, cap_seen = _threshold_pass(oracle, fx, card, caps, r, theta, elements)
+            cap_seen = _threshold_pass(oracle, caps, r, theta, elements)
         else:
-            fx, card, cap_seen = _sweep_pass(oracle, x, fx, card, b, caps, r, theta)
-        committed = card > spent
+            cap_seen = _sweep_pass(oracle, b, caps, r, theta)
+        committed = oracle.card > spent
         iterations += 1
         if trace is not None:
             trace.append(PassStats(queries=oracle.queries - before,
                                    sample_size=len(elements), max_step_cap=cap_seen,
-                                   committed=committed, value=fx, theta=theta))
-        if card >= r:
+                                   committed=committed, value=oracle.fx, theta=theta))
+        if oracle.card >= r:
             break
         if sampled and committed:  # only a commit changes x; a filled element leaves the pool
             for e in elements:
@@ -624,7 +623,7 @@ def _unit_step_run(instance: ProblemInstance, config: AlgorithmConfig,
     if timed_out or r == 0:
         return _finish(instance, zeros(n), oracle, 0, start, timed_out=timed_out)
     x = zeros(n)
-    fx = oracle.follow(x)
+    oracle.follow(x)
     total = cardinality(b)
     rounds = min(r, total)
     if sampled:
@@ -647,17 +646,16 @@ def _unit_step_run(instance: ProblemInstance, config: AlgorithmConfig,
         vals = oracle.evaluate_batch(candidates)
         best = int(vals.argmax())  # candidates ascend, so ties go to the smallest id
         best_e, best_val = int(candidates[best]), float(vals[best])
-        if not sampled and best_val - fx <= 0:
+        if not sampled and best_val - oracle.fx <= 0:
             break
-        oracle.commit(best_e, 1)
+        oracle.commit(best_e, 1, best_val)
         if sampled:
             ends[best_e:] -= 1
-        fx = best_val
         if trace is not None:
             trace.append(PassStats(queries=oracle.queries - before,
                                    sample_size=candidates.size, max_step_cap=1,
-                                   committed=True, value=fx))
-    return _finish(instance, x, oracle, cardinality(x), start, timed_out=timed_out)
+                                   committed=True, value=best_val))
+    return _finish(instance, x, oracle, oracle.card, start, timed_out=timed_out)
 
 
 def sgl(instance: ProblemInstance, config: AlgorithmConfig,

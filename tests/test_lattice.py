@@ -275,8 +275,9 @@ def test_marginal_telescoping(w, xs, k):
         steps = 0.0
         for _ in range(k):
             fy = f(oracle.x)
-            steps += oracle.evaluate_stepped(e, 1) - fy
-            oracle.commit(e, 1)
+            value = oracle.evaluate_stepped(e, 1)
+            steps += value - fy
+            oracle.commit(e, 1, value)
         assert abs(total - steps) <= 1e-9 * max(1.0, abs(total))
 
 
@@ -290,7 +291,9 @@ followed_runs = st.integers(1, 5).flatmap(lambda n: st.tuples(
 
 @given(followed_runs)
 def test_followed_state_matches_full_evaluations(case):
-    # every cached probe equals a full evaluation of the stepped point, bit for bit
+    # every cached probe equals a full evaluation of the stepped point, bit for
+    # bit, and so does the oracle's fx after follow and after each commit, which
+    # takes the value of the probe that chose the step; card is |x|_1 throughout
     kind, w, start, commits = case
     if kind == "linear above 2**53":  # caps near 2**55; two elements keep w @ x in int64
         w, start = w[:2], [2 ** 55 - v for v in start[:2]]
@@ -307,24 +310,27 @@ def test_followed_state_matches_full_evaluations(case):
     for step in [None, *commits]:
         if step is not None:
             e, k = step[0] % n, step[1]
-            oracle.commit(e, k)
+            oracle.commit(e, k, oracle.evaluate_stepped(e, k))
+            charged += 1  # the committing probe
             expected[e] += k
-        assert oracle.queries == charged  # follow charges one query, commit none
+        assert oracle.fx.hex() == f(expected).hex() and oracle.card == expected.sum()
+        assert oracle.queries == charged  # follow and each probe charge one query, commit none
         stepped = [f(expected + k * lm.unit(n, e)) for e in range(n) for k in (1, 2, 3)]
         assert [oracle.evaluate_stepped(e, k) for e in range(n) for k in (1, 2, 3)] == stepped
-        assert oracle.evaluate_batch(elements, None, 0.0, -math.inf).tolist() == \
+        assert oracle.evaluate_batch(elements, None, -math.inf).tolist() == \
             [f(expected + lm.unit(n, e)) for e in elements.tolist()]
         charged += 3 * n + elements.size
         assert oracle.queries == charged
         # a probe given a bar at its exact gain, or one ulp either side, may answer
         # the upper end of an interval that fails the bar; an answer that passes, as
-        # any passes a bar of -inf, is the exact value
-        fx = f(expected)
+        # any passes a bar of -inf, is the exact value; the oracle tests each bar
+        # against its own fx
+        fx = oracle.fx
         for (e, k), exact in zip([(e, k) for e in range(n) for k in (1, 2, 3)], stepped):
             gain = exact - fx
             for need in (gain, math.nextafter(gain, -math.inf), math.nextafter(gain, math.inf),
                          -math.inf):
-                answer = oracle.evaluate_stepped(e, k, fx, need)
+                answer = oracle.evaluate_stepped(e, k, need)
                 charged += 1
                 assert (answer - fx >= need) == (exact - fx >= need)
                 assert answer == exact or answer - fx < need
@@ -355,7 +361,7 @@ def test_certified_sqrt_probe_decides_as_the_exact_value(case):
     oracle = lm.CountingOracle(f)
     oracle.follow(x)
     for e, k in commits:
-        oracle.commit(e % n, k)
+        oracle.commit(e % n, k, f(x + k * lm.unit(n, e % n)))
     fx = f(x)
 
     def probe(*args):
@@ -371,14 +377,14 @@ def test_certified_sqrt_probe_decides_as_the_exact_value(case):
             charged = oracle.queries
             _, _, (low,), (high,) = oracle.plan_stepped(np.array([e]), np.array([k]))
             assert oracle.queries == charged  # planning is uncharged
-            assert low <= exact <= high and probe(e, k, fx, math.inf) == high
-            assert probe(e, k, fx, -math.inf) == exact
+            assert low <= exact <= high and probe(e, k, math.inf) == high
+            assert probe(e, k, -math.inf) == exact
             assert high - low <= 1e-12 * exact  # narrow enough to decide most probes
             gain = exact - fx
             needs = [gain, math.nextafter(gain, -math.inf), math.nextafter(gain, math.inf),
                      gain * (1 + 1e-13), gain * (1 - 1e-13), *bars, *(gain + b for b in bars)]
             for need in needs:
-                answer = probe(e, k, fx, need)
+                answer = probe(e, k, need)
                 assert (answer - fx >= need) == (exact - fx >= need)
                 assert answer == exact or answer - fx < need
 
@@ -418,12 +424,12 @@ def test_batched_probes_match_scalar_probes(case):
         needs.append({"at": gain, "far": gain * rng.uniform(-2, 2),
                       "below": math.nextafter(gain, -math.inf),
                       "above": math.nextafter(gain, math.inf)}[bar])
-    bars = [(fx, need) if with_bars else () for need in needs]
+    bars = [(need,) if with_bars else () for need in needs]
     scalar = [oracle.evaluate_stepped(e, k, *bar)
               for e, k, bar in zip(elements.tolist(), steps.tolist(), bars)]
     needs = np.array(needs) if with_bars else None
     before = oracle.queries
-    batch = oracle.evaluate_batch(elements, steps, fx, needs)
+    batch = oracle.evaluate_batch(elements, steps, needs)
     assert oracle.queries == before + elements.size
     exact = np.array(exact)
     if with_bars:
@@ -453,9 +459,9 @@ def test_kept_plan_answers_its_slices_until_a_commit(kind, monkeypatch):
     state = {"linear": _LinearState, "sqrt": _SqrtState, "custom": _CustomState}[kind]
     intervals = state.intervals
 
-    def counted(self, rows, steps):
+    def counted(self, rows, steps, fx):
         computed.append(len(rows))
-        return intervals(self, rows, steps)
+        return intervals(self, rows, steps, fx)
 
     monkeypatch.setattr(state, "intervals", counted)
     w = [3, 40, 97, 40, 3]
@@ -463,7 +469,7 @@ def test_kept_plan_answers_its_slices_until_a_commit(kind, monkeypatch):
          "custom": lm.custom_objective(5, lambda x: float(np.sqrt(x) @ w))}[kind]
     x = lm.as_point([0, 2, 1, 0, 5])
     oracle, other = lm.CountingOracle(f), lm.CountingOracle(f)
-    fx = oracle.follow(x)
+    oracle.follow(x)
     other.follow(x.copy())
     rows, steps, low, high = oracle.plan_stepped(np.array([0, 0, 1, 3, 4, 4]),
                                                  np.array([4, 2, 1, 3, 2, 1]))
@@ -476,7 +482,7 @@ def test_kept_plan_answers_its_slices_until_a_commit(kind, monkeypatch):
     needs = np.full(6, 1e9)
     answers = high if kind != "custom" else \
         np.array([f(x + k * lm.unit(5, e)) for e, k in zip(rows.tolist(), steps.tolist())])
-    assert oracle.evaluate_batch(rows, steps, fx, needs).tolist() == answers.tolist()
+    assert oracle.evaluate_batch(rows, steps, needs).tolist() == answers.tolist()
     assert computed == [6]  # the kept arrays are read from the plan
 
     def fresh(*probes):
@@ -488,29 +494,29 @@ def test_kept_plan_answers_its_slices_until_a_commit(kind, monkeypatch):
         return values
 
     for part in (slice(None), slice(0, 4), slice(0, 1)):  # views, not the kept arrays
-        assert fresh(rows[part], steps[part], fx, needs[part]) == answers[part].tolist()
-        assert fresh(rows[part].copy(), steps[part].copy(), fx, needs[part]) == \
+        assert fresh(rows[part], steps[part], needs[part]) == answers[part].tolist()
+        assert fresh(rows[part].copy(), steps[part].copy(), needs[part]) == \
             answers[part].tolist()
     # strided, misaligned and unit-step probes
-    assert fresh(rows[::2], steps[::2], fx, needs[::2]) == answers[::2].tolist()
-    assert fresh(rows[3:6], steps[3:6], fx, needs[3:]) == answers[3:].tolist()
-    fresh(rows[:2], steps[1:3], fx, needs[:2])
+    assert fresh(rows[::2], steps[::2], needs[::2]) == answers[::2].tolist()
+    assert fresh(rows[3:6], steps[3:6], needs[3:]) == answers[3:].tolist()
+    fresh(rows[:2], steps[1:3], needs[:2])
     fresh(rows[:2])
     before = len(computed)  # another oracle is handed this one's kept arrays
-    assert other.evaluate_batch(rows, steps, fx, needs).tolist() == answers.tolist()
+    assert other.evaluate_batch(rows, steps, needs).tolist() == answers.tolist()
     assert computed[before:] == [6] and other.plan is None
-    oracle.commit(2, 1)
+    oracle.commit(2, 1, f(x + lm.unit(5, 2)))
     assert oracle.plan is None
-    before, fx = len(computed), f(x)
-    moved = oracle.evaluate_batch(rows, steps, fx, needs)
+    before = len(computed)
+    moved = oracle.evaluate_batch(rows, steps, needs)
     assert computed[before:] == [6] and moved.tolist() != answers.tolist()
     # a second plan replaces the first: the kept probes are its own alone
     oracle.plan_stepped(rows, steps)
     kept = oracle.plan_stepped(rows[1:3], steps[1:3])
     assert oracle.plan is kept and computed[before + 1:] == [6, 2]
     assert [a.tolist() for a in kept[:2]] == [[0, 1], [2, 1]] and kept[3].size == 2
-    oracle.evaluate_batch(kept[0], kept[1], fx, needs[:2])
-    oracle.evaluate_batch(rows, steps, fx, needs)
+    oracle.evaluate_batch(kept[0], kept[1], needs[:2])
+    oracle.evaluate_batch(rows, steps, needs)
     assert computed[before + 3:] == [6]
     oracle.follow(x)  # a new incumbent drops the plan too
     assert oracle.plan is None
@@ -529,7 +535,7 @@ def test_kept_plan_answers_as_fresh_probes(kind, unit_steps):
          "custom": lm.custom_objective(3, lambda x: float(np.sqrt(x) @ w))}[kind]
     x = lm.as_point([0, 2, 1])
     oracle = lm.CountingOracle(f)
-    fx = oracle.follow(x)
+    oracle.follow(x)
     rows, steps, _, _ = oracle.plan_stepped(np.array([0, 1, 1, 2]),
                                             np.array([1, 1, 1, 1] if unit_steps else [1, 2, 3, 1]))
     exact = [f(x + k * lm.unit(3, e)) for e, k in zip(rows.tolist(), steps.tolist())]
@@ -537,7 +543,7 @@ def test_kept_plan_answers_as_fresh_probes(kind, unit_steps):
         kept = (rows if m == 4 else rows[:m], steps[:m])
         fresh = tuple(a.copy() for a in kept)
         for bar in (None, -1.0, 1e9):
-            bars = () if bar is None else (fx, np.full(m, bar))
+            bars = () if bar is None else (np.full(m, bar),)
             answers = []
             for probes in (kept, fresh):
                 before = oracle.queries

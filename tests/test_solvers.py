@@ -49,8 +49,8 @@ from latmax.solvers import (
 def probes_of(objective, x, e, k_max, theta):
     """Run max_feasible_step from x on a fresh oracle; count the probes after f(x)."""
     oracle = CountingOracle(objective)
-    fx = oracle.follow(x)
-    hit = max_feasible_step(oracle, e, k_max, theta, fx=fx)
+    oracle.follow(x)
+    hit = max_feasible_step(oracle, e, k_max, theta)
     return hit, oracle.queries - 1
 
 
@@ -836,7 +836,7 @@ def test_certified_probes_keep_trajectories(name, weights, monkeypatch):
     # bar a batch screens its probes itself
     monkeypatch.setattr(CountingOracle, "evaluate_batch",
                         lambda self, rows, steps=None, *bar: batch(self, rows, steps,
-                                                                   0.0, -math.inf))
+                                                                   -math.inf))
     assert runs() == certified
 
 
@@ -889,7 +889,7 @@ def test_unit_step_values_match_scalar_evaluations(kind, rng):
     elements = np.concatenate([rng.integers(0, n, size=40), [0, n - 1, 7, 7]])
     oracle = CountingOracle(objective)
     oracle.follow(x)
-    values = oracle.evaluate_batch(elements, None, 0.0, -math.inf)
+    values = oracle.evaluate_batch(elements, None, -math.inf)
     assert oracle.queries == 1 + elements.size
     assert x.tolist() == before.tolist()
     assert values.tolist() == [objective(x + np.eye(1, n, e, dtype=np.int64)[0])
@@ -1035,10 +1035,11 @@ def test_sweep_matches_the_scalar_pass(monkeypatch):
     seen = dict(stops=0, commits=0, undecided=0, batched=0)
     probing, builtin_run, filled = [False], [False], 0
 
-    def counted_pass(*args):
-        result = threshold_pass(*args)
+    def counted_pass(oracle, *args):
+        spent = oracle.card
+        result = threshold_pass(oracle, *args)
         seen["stops"] += builtin_run[0]
-        seen["commits"] += builtin_run[0] and result[1] > args[2]  # card grew
+        seen["commits"] += builtin_run[0] and oracle.card > spent
         return result
 
     def counted_probe(self, *args):
@@ -1096,10 +1097,10 @@ def test_sweep_plans_each_probe_once_per_incumbent(monkeypatch):
         return follow(self, x)
 
     def counted(intervals):
-        def call(self, rows, steps):
+        def call(self, rows, steps, fx):
             if steps is not None:  # the sweep's probes; unit-step scans pass None
                 computed.append(len(rows))
-            return intervals(self, rows, steps)
+            return intervals(self, rows, steps, fx)
         return call
 
     def planned(self, rows, steps):
@@ -1203,8 +1204,8 @@ def test_charged_probe_that_accepts_is_an_error(monkeypatch):
     # them above its bar is caught
     batch = CountingOracle.evaluate_batch
 
-    def accepting(self, rows, steps=None, fx=None, need=None):
-        values = batch(self, rows, steps, fx, need)
+    def accepting(self, rows, steps=None, need=None):
+        values = batch(self, rows, steps, need)
         return values if need is None else np.full(len(rows), math.inf)
 
     monkeypatch.setattr(CountingOracle, "evaluate_batch", accepting)
