@@ -22,7 +22,6 @@ import numpy as np
 
 from .lattice import ProblemInstance, _is_integer, weighted_linear
 from .solvers import (
-    ALGORITHMS,
     DETERMINISTIC_ALGORITHMS,
     AlgorithmConfig,
     Solution,
@@ -45,8 +44,9 @@ class ExperimentGrid:
     epsilon_rule is either the literal string "1/(4n)" or a fixed float
     rendered as text.  timeout_s caps each solver run's wall clock.  A value
     out of range (n, b_pivots, repetitions or a divisor not an integer >= 1,
-    an r fraction not positive and finite, a NaN timeout, a bool for any
-    number) raises ValueError here rather than in the first run.
+    an r fraction not positive and finite or a bool, an epsilon or timeout_s
+    that AlgorithmConfig refuses) raises ValueError here rather than in the
+    first run.
     """
 
     n_values: tuple = (25, 50, 100, 200)
@@ -63,32 +63,27 @@ class ExperimentGrid:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         if not self.n_values or not self.r_fractions:
             raise ValueError("grid needs at least one n and one r fraction")
-        numbers = (*self.n_values, *self.r_fractions, self.b_pivots, self.repetitions,
-                   self.b_low_divisor, self.b_high_divisor, self.timeout_s)
-        if any(isinstance(v, (bool, np.bool_)) for v in numbers):
-            raise ValueError(f"grid numbers must not be bools: {numbers}")
-        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in self.n_values):
+        if not all(_is_integer(n) and n >= 1 for n in self.n_values):
             raise ValueError(f"every n must be an integer >= 1: {self.n_values}")
-        if not all(0 < f < math.inf for f in self.r_fractions):
-            raise ValueError(f"r fractions must be positive and finite: {self.r_fractions}")
+        # a bool is a number, but a grid file cannot read it back
+        if not all(0 < f < math.inf and not isinstance(f, (bool, np.bool_))
+                   for f in self.r_fractions):
+            raise ValueError(f"r fractions must be positive, finite, no bools: {self.r_fractions}")
         counts = (self.b_pivots, self.repetitions, self.b_low_divisor, self.b_high_divisor)
-        if not all(isinstance(v, (int, np.integer)) for v in counts):
+        if not all(_is_integer(v) for v in counts):
             raise ValueError(f"b_pivots, repetitions and divisors must be integers: {counts}")
         if self.b_pivots < 1 or self.repetitions < 1:
             raise ValueError("b_pivots and repetitions must be >= 1")
         if not 1 <= self.b_high_divisor <= self.b_low_divisor:
             raise ValueError("need 1 <= b_high_divisor <= b_low_divisor")
-        if not self.timeout_s >= 0:  # also rejects NaN
-            raise ValueError(f"timeout_s must be >= 0, got {self.timeout_s}")
-        self.epsilon_for(max(self.n_values))  # validate the rule early
+        if self.timeout_s is None:  # no budget is a run's default, but no grid file's
+            raise ValueError("timeout_s must be a number, got None")
+        AlgorithmConfig(epsilon=self.epsilon, time_budget=self.timeout_s)  # the runs' rules
 
-    def epsilon_for(self, n: int) -> float:
-        if self.epsilon_rule == "1/(4n)":
-            return resolve_epsilon(None, n)
-        eps = float(self.epsilon_rule)
-        if not (0.0 < eps < 1.0):
-            raise ValueError("fixed epsilon must lie in (0, 1)")
-        return eps
+    @property
+    def epsilon(self) -> Optional[float]:
+        """Every run's epsilon: None for "1/(4n)", which resolve_epsilon computes."""
+        return None if self.epsilon_rule == "1/(4n)" else float(self.epsilon_rule)
 
 
 def full_scale_grid() -> ExperimentGrid:
@@ -269,8 +264,7 @@ def run_matrix(grid: ExperimentGrid, algorithms: Sequence[str], master_seed: int
     if workers != 1:
         raise ValueError(f"runs are serial, so workers must be 1, got {workers}")
     for i, name in enumerate(algorithms):
-        if name not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {name!r}")
+        AlgorithmConfig(algorithm=name)  # refuses an unknown name
         if name in algorithms[:i]:
             raise ValueError(f"algorithm {name!r} is listed twice")
     if not algorithms:
@@ -290,7 +284,7 @@ def run_matrix(grid: ExperimentGrid, algorithms: Sequence[str], master_seed: int
                 continue
             instance = generate_instance(cell.n, cell.r, cell.b_pivot, cell.seed)
             for name in names:
-                config = AlgorithmConfig(epsilon=grid.epsilon_for(cell.n), seed=cell.seed,
+                config = AlgorithmConfig(epsilon=grid.epsilon, seed=cell.seed,
                                          algorithm=name, time_budget=grid.timeout_s)
                 records.append(make_record(instance, cell.b_pivot, config,
                                            solve(instance, config)))

@@ -195,7 +195,7 @@ class ProblemInstance:
     """Maximize objective(x) subject to x <= b componentwise and |x|_1 <= r.
 
     b holds per-element availability caps (every b_e >= 1) and r is the total
-    copy budget.  Feasible points form a finite sublattice of Z_+^n.
+    copy budget, in [0, 2**63).  Feasible points form a finite sublattice of Z_+^n.
     """
 
     n: int
@@ -213,8 +213,8 @@ class ProblemInstance:
             raise ValueError("every availability cap b_e must be >= 1")
         if not _is_integer(self.r):
             raise ValueError(f"copy budget r must be an integer, got {self.r!r}")
-        if self.r < 0:
-            raise ValueError("copy budget r must be >= 0")
+        if not 0 <= self.r < 2 ** 63:  # r is an int64 cardinality too
+            raise ValueError(f"copy budget r must be in [0, 2**63), got {self.r}")
         if self.objective.n != self.n:
             raise ValueError("objective dimension does not match the instance")
         caps = self.b.tolist()

@@ -102,7 +102,8 @@ MAX_STALLED_PASSES = 2
 class AlgorithmConfig:
     """Run parameters shared by every solver.
 
-    epsilon=None means "use 1/(4n)" at solve time.  seed is an integer in
+    epsilon=None means "use 1/(4n)" at solve time; a set epsilon lies in
+    (0, 1) with 1 - epsilon < 1, so the threshold decays.  seed is an integer in
     [0, 2**64), not a bool.  time_budget is a cooperative wall-clock cap in
     seconds (not NaN, not a bool): solvers check it at pass/round boundaries
     and return their current incumbent flagged ``timed_out``.
@@ -116,6 +117,8 @@ class AlgorithmConfig:
     def __post_init__(self):
         if self.epsilon is not None and not (0.0 < self.epsilon < 1.0):
             raise ValueError("epsilon must lie in (0, 1)")
+        if self.epsilon is not None and 1.0 - self.epsilon == 1.0:  # every epsilon <= 2**-54
+            raise ValueError(f"epsilon {self.epsilon!r} is too small to decay the threshold")
         if not (_is_integer(self.seed) and 0 <= self.seed < 2 ** 64):
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if self.algorithm not in ALGORITHMS:

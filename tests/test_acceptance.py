@@ -43,6 +43,8 @@ DESK_MASTER_SEED = 20240817
 DESK_ALGORITHMS = ("sgl", "soma-dr-i", "ssg")
 # sha256 of the desk run's trajectory columns, one line per row
 DESK_DIGEST = "ca274bf160808aedab0d2ce10f0604940ee982a5ae5b63c7b21bc76b9f90b0a5"
+# sha256 of the desk run's n, r, b_pivot and guarantee_bound, one line per row
+DESK_BOUND_DIGEST = "3e457f84c4da6eb208d1cbd2641a6f7944dfb24e138feffcf7e1a831802b7408"
 # sha256 of x, queries, iterations and stalled of each seeded sqrt sgl run
 SGL_SQRT_DIGEST = "4a0d0366d0fe15b406c5960f52b9a9679c192ecc9e713c8eb9290be62103527f"
 # sha256 of x, value, queries, iterations and trace of each seeded sqrt greedy
@@ -112,8 +114,7 @@ def test_criterion_4_step_cap_and_per_pass_query_bounds():
         cap = min(int(instance.b.max()), instance.r)
         probe_bound = math.ceil(math.log2(cap + 1))
         trace = []
-        sgl(instance, AlgorithmConfig(epsilon=grid.epsilon_for(cell.n),
-                                      seed=cell.seed), trace=trace)
+        sgl(instance, AlgorithmConfig(epsilon=grid.epsilon, seed=cell.seed), trace=trace)
         for stats in trace:
             passes += 1
             if stats.max_step_cap > cap:
@@ -122,8 +123,8 @@ def test_criterion_4_step_cap_and_per_pass_query_bounds():
                 query_violations += 1
         if cell.n == 25:  # deterministic sweep instrumented on the small column
             trace = []
-            soma_dr_i(instance, AlgorithmConfig(epsilon=grid.epsilon_for(cell.n),
-                                                seed=cell.seed), trace=trace)
+            soma_dr_i(instance, AlgorithmConfig(epsilon=grid.epsilon, seed=cell.seed),
+                      trace=trace)
             for stats in trace:
                 passes += 1
                 if stats.max_step_cap > cap:
@@ -176,14 +177,19 @@ def test_criterion_7_query_growth_in_availability(desk_records):
 
 def test_desk_trajectories_are_pinned(desk_records):
     # a faster hot path must leave every run's value, queries and flags as they were
+    # and the grid's epsilon rule must give every row the bound it had
     records, _ = desk_records
-    columns = [CSV_HEADER.index(name) for name in (
-        "algorithm", "seed", "instance_hash", "value", "queries", "stalled", "timed_out")]
-    digest = hashlib.sha256()
-    for record in records:
-        row = record_to_row(record)
-        digest.update((",".join(row[i] for i in columns) + "\n").encode())
-    assert (len(records), digest.hexdigest()) == (1023, DESK_DIGEST)
+    rows = [record_to_row(record) for record in records]
+
+    def digest(*names):
+        columns = [CSV_HEADER.index(name) for name in names]
+        return hashlib.sha256("".join(",".join(row[i] for i in columns) + "\n"
+                                      for row in rows).encode()).hexdigest()
+
+    assert len(records) == 1023
+    assert digest("algorithm", "seed", "instance_hash", "value", "queries", "stalled",
+                  "timed_out") == DESK_DIGEST
+    assert digest("n", "r", "b_pivot", "guarantee_bound") == DESK_BOUND_DIGEST
 
 
 def test_criterion_8_structure_checkers():

@@ -170,14 +170,18 @@ class TestGridValidation:
         dict(b_high_divisor=True),
         dict(timeout_s=True),
         dict(timeout_s=np.False_),
+        dict(timeout_s=None),  # AlgorithmConfig's "no budget" has no grid-file form
     ])
     def test_rejects_out_of_range_values(self, bad):
         with pytest.raises(ValueError):
             ExperimentGrid(**bad)
 
     def test_epsilon_rule_parsing(self):
-        assert ExperimentGrid().epsilon_for(100) == pytest.approx(1.0 / 400.0)
-        assert ExperimentGrid(epsilon_rule="0.05").epsilon_for(100) == 0.05
+        assert ExperimentGrid().epsilon is None  # resolve_epsilon takes 1/(4n) per run
+        assert ExperimentGrid(epsilon_rule="0.05").epsilon == 0.05
+        assert ExperimentGrid(epsilon_rule=repr(2 ** -53)).epsilon == 2 ** -53
+        with pytest.raises(ValueError, match="too small to decay the threshold"):
+            ExperimentGrid(epsilon_rule="1e-17")  # 1 - 1e-17 == 1.0
         with pytest.raises(ValueError):
             ExperimentGrid(epsilon_rule="2.0")
         with pytest.raises(ValueError):

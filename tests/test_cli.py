@@ -212,6 +212,10 @@ class TestSolve:
         ("sgl", ["--repeats", "0"], "--repeats must be >= 1"),
         ("exact", ["--n", "30", "--r", "30"], "cap is 1000000"),
         ("ssg", ["--b-pivot", "1000000000"], "copy slots, cap is 1000000"),
+        # instance_hash packs r as int64: this used to exit 1 with a struct.error
+        ("greedy", ["--n", "3", "--r", "9223372036854775808", "--b-pivot", "1"],
+         "copy budget r must be in [0, 2**63), got 9223372036854775808"),
+        ("sgl", ["--epsilon", "1e-17"], "epsilon 1e-17 is too small to decay the threshold"),
     ])
     def test_rejected_value_is_one_error_line(self, capsys, algorithm, extra, message):
         code = main(["solve", "--n", "8", "--r", "6", "--b-pivot", "2",

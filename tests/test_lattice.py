@@ -564,8 +564,13 @@ def test_instance_validation():
     f = lm.weighted_linear([5, 7])
     with pytest.raises(ValueError):
         lm.ProblemInstance(n=2, b=[1, 0], r=1, objective=f)  # cap below 1
-    with pytest.raises(ValueError):
-        lm.ProblemInstance(n=2, b=[1, 1], r=-1, objective=f)
+    # instance_hash packs r as int64, and used to raise struct.error from 2**63 on
+    for r in (-1, 2 ** 63, 2 ** 64 + 3):
+        with pytest.raises(ValueError, match=r"copy budget r must be in \[0, 2\*\*63\)"):
+            lm.ProblemInstance(n=2, b=[1, 1], r=r, objective=f)
+    widest = lm.ProblemInstance(n=2, b=[1, 1], r=2 ** 63 - 1, objective=f)
+    assert len(lm.instance_hash(widest)) == 16
+    assert lm.solve(widest, lm.AlgorithmConfig(algorithm="greedy")).value == 12.0
     with pytest.raises(ValueError):
         lm.ProblemInstance(n=3, b=[1, 1, 1], r=1, objective=f)  # dim mismatch
     with pytest.raises(ValueError, match="n >= 1"):

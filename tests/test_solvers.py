@@ -145,6 +145,13 @@ class TestConfigAndThresholdState:
             AlgorithmConfig(epsilon=0.0)
         with pytest.raises(ValueError):
             AlgorithmConfig(epsilon=1.0)
+        # 1 - epsilon == 1.0 for every epsilon <= 2**-54: sgl kept theta fixed for
+        # tens of thousands of passes and returned only at its time budget
+        for epsilon in (1e-17, 2 ** -54, 5e-324):
+            with pytest.raises(ValueError, match="too small to decay the threshold"):
+                AlgorithmConfig(epsilon=epsilon)
+        assert 1.0 - 2 ** -53 < 1.0
+        assert AlgorithmConfig(epsilon=2 ** -53).epsilon == 2 ** -53
         with pytest.raises(ValueError):
             AlgorithmConfig(seed=-1)
         with pytest.raises(ValueError):
